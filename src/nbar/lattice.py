@@ -17,6 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .memo import clear_all, register
 from .quasipoly import QuasiPolynomial, qp_fit
 
 HALF = Fraction(1, 2)
@@ -38,8 +39,8 @@ def br(p: int) -> int:
 
 # -- the symmetric recursion ---------------------------------------------------------
 
-_MEMO: Dict[Tuple[int, int, Tuple[int, ...]], Fraction] = {}
-_ZERO_MEMO: Dict[Tuple[int, int], Fraction] = {}
+_MEMO: Dict[Tuple[int, int, Tuple[int, ...]], Fraction] = register("lattice.values", {})
+_ZERO_MEMO: Dict[Tuple[int, int], Fraction] = register("lattice.zero_values", {})
 
 
 def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
@@ -93,25 +94,58 @@ def _recurse(g: int, n: int, b: Tuple[int, ...]) -> Fraction:
     second = Fraction(0)
     for i in range(n):
         rest = b[:i] + b[i + 1:]
+        splits = _split_parts(g, rest)
         for r in range(2, b[i] + 1, 2):
             for p in range(b[i] - r + 1):
                 q = b[i] - r - p
-                w = br(p) * br(q) * r
-                inner = Fraction(0)
-                if g >= 1:
-                    inner += _val(g - 1, n + 1, (p, q) + rest)
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    for mask in range(1 << len(rest)):
-                        part_i = tuple(v for t, v in enumerate(rest) if mask >> t & 1)
-                        part_j = tuple(v for t, v in enumerate(rest) if not mask >> t & 1)
-                        if not is_stable(g1, len(part_i) + 1) or not is_stable(g2, len(part_j) + 1):
-                            continue
-                        inner += _val(g1, len(part_i) + 1, (p,) + part_i) * _val(
-                            g2, len(part_j) + 1, (q,) + part_j
-                        )
-                second += w * inner
+                second += br(p) * br(q) * r * _cut(g, n, p, q, rest, splits)
     return (first + HALF * second) / total_b
+
+
+def _cut(g: int, n: int, p: int, q: int, rest: Tuple[int, ...], splits) -> Fraction:
+    """Counts left when one boundary is cut into boundaries of lengths p and q.
+
+    The cut either keeps the surface connected, at genus g - 1, or splits it
+    into two stable pieces, one for each entry of ``splits``.
+    """
+    inner = Fraction(0)
+    if g >= 1:
+        inner += _val(g - 1, n + 1, (p, q) + rest)
+    for g1, n1, part_i, g2, n2, part_j in splits:
+        inner += _val(g1, n1, (p,) + part_i) * _val(g2, n2, (q,) + part_j)
+    return inner
+
+
+_SPLITS: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]] = register(
+    "lattice.splits", {}
+)
+
+
+def _stable_splits(g: int, m: int) -> List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]:
+    """Ways (g1, slots_i, g2, slots_j) to share genus g and m slots between two stable pieces.
+
+    Each piece also gets one new boundary, so piece i is (g1, |slots_i| + 1).
+    Built on first use for each (g, m) and kept.
+    """
+    hit = _SPLITS.get((g, m))
+    if hit is None:
+        hit = []
+        for g1 in range(g + 1):
+            for mask in range(1 << m):
+                slots_i = tuple(t for t in range(m) if mask >> t & 1)
+                slots_j = tuple(t for t in range(m) if not mask >> t & 1)
+                if is_stable(g1, len(slots_i) + 1) and is_stable(g - g1, len(slots_j) + 1):
+                    hit.append((g1, slots_i, g - g1, slots_j))
+        _SPLITS[(g, m)] = hit
+    return hit
+
+
+def _split_parts(g: int, rest: Tuple[int, ...]):
+    """The stable splits of ``rest`` as (g1, n1, part_i, g2, n2, part_j) with the values filled in."""
+    return [
+        (g1, len(si) + 1, tuple(rest[t] for t in si), g2, len(sj) + 1, tuple(rest[t] for t in sj))
+        for g1, si, g2, sj in _stable_splits(g, len(rest))
+    ]
 
 
 def _zero_value(g: int, n: int) -> Fraction:
@@ -162,30 +196,17 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
             for q in range(1, m + 1):
                 rhs += sgn * br(m - q) * q * _val(g, n - 1, (m - q,) + rest)
     tail = b[1:]
+    splits = _split_parts(g, tail)
     for r in range(1, b1 + 1):
         for p in range(b1 - r + 1):
             q = b1 - r - p
-            w = br(p) * br(q) * r
-            inner = Fraction(0)
-            if g >= 1:
-                inner += _val(g - 1, n + 1, (p, q) + tail)
-            for g1 in range(g + 1):
-                g2 = g - g1
-                for mask in range(1 << len(tail)):
-                    part_i = tuple(v for t, v in enumerate(tail) if mask >> t & 1)
-                    part_j = tuple(v for t, v in enumerate(tail) if not mask >> t & 1)
-                    if not is_stable(g1, len(part_i) + 1) or not is_stable(g2, len(part_j) + 1):
-                        continue
-                    inner += _val(g1, len(part_i) + 1, (p,) + part_i) * _val(
-                        g2, len(part_j) + 1, (q,) + part_j
-                    )
-            rhs += w * inner
+            rhs += br(p) * br(q) * r * _cut(g, n, p, q, tail, splits)
     return rhs / (2 * b1)
 
 
 # -- polynomial form ----------------------------------------------------------------------
 
-_POLY_MEMO: Dict[Tuple[int, int, str], QuasiPolynomial] = {}
+_POLY_MEMO: Dict[Tuple[int, int, str], QuasiPolynomial] = register("lattice.polys", {})
 
 
 def nbar_poly(g: int, n: int, engine: str = "comb") -> QuasiPolynomial:
@@ -215,11 +236,12 @@ def nbar_poly(g: int, n: int, engine: str = "comb") -> QuasiPolynomial:
 
 
 def clear_caches() -> None:
-    """Drop all in-memory memo tables (mainly for isolating benchmarks)."""
-    _MEMO.clear()
-    _ZERO_MEMO.clear()
-    _POLY_MEMO.clear()
-    _EULER_MEMO.clear()
+    """Empty every in-memory memo table of the package, the residue engine's included.
+
+    The tables are those in :mod:`nbar.memo`'s registry, so the next
+    computation starts cold.
+    """
+    clear_all()
 
 
 # -- Euler characteristics ------------------------------------------------------------------
@@ -231,7 +253,7 @@ _EULER_SEEDS: Dict[Tuple[int, int], Fraction] = {
     (2, 1): Fraction(247, 1440),
 }
 
-_EULER_MEMO: Dict[Tuple[int, int], Fraction] = {}
+_EULER_MEMO: Dict[Tuple[int, int], Fraction] = register("lattice.euler", {})
 
 
 def euler_char(g: int, n: int) -> Fraction:

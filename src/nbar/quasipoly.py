@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import linsolve
+from .memo import register
 
 ExpKey = Tuple[int, ...]
 ClassDict = Dict[ExpKey, Fraction]
@@ -291,6 +293,10 @@ def qp_from_xi_tensor(g: int, n: int, tensor: XiTensor) -> QuasiPolynomial:
 
 # -- exact fitting --------------------------------------------------------------------
 
+# (odd count, arity, degree) -> (expanded keys per unknown, fit points, fit matrix, checked points)
+FitPlan = Tuple[List[List[ExpKey]], List[Tuple[int, ...]], List[List[int]], List[Tuple[int, ...]]]
+_FIT_PLANS: Dict[Tuple[int, int, int], FitPlan] = register("quasipoly.fit_plans", {})
+
 
 def qp_fit(
     func: Callable[[Tuple[int, ...]], Fraction],
@@ -301,86 +307,174 @@ def qp_fit(
 ) -> QuasiPolynomial:
     """Fit the parity classes of a symmetric quasi-polynomial from exact values.
 
-    ``func`` is evaluated on grids of strictly positive integers of each
-    parity pattern.  The per-variable degree bound (in b²) defaults to
-    3g - 3 + n.  Every class is fitted on a full grid and then re-checked
-    on two extra nodes per variable; any discrepancy raises, so a returned
-    value is certified to agree with ``func`` on the whole verification box.
+    ``func`` is called on block-sorted points of strictly positive integers,
+    the odd arguments first.  ``degree`` bounds the *total* degree in the
+    b_i² and defaults to 3g - 3 + n.  The unknowns of class k are the
+    block-symmetric monomials m_λ(odd b²) · m_μ(even b²) with λ of at most
+    k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree.  The class is
+    solved on a point set unisolvent for those monomials, then checked
+    exactly on the union of that set and one unisolvent for degree + 2;
+    any discrepancy raises.  A returned class therefore equals ``func`` on
+    its class whenever ``func`` is a block-symmetric polynomial of total
+    degree at most degree + 2 there.
     """
     D = degree if degree is not None else 3 * g - 3 + n
     if D < 0:
         raise ValueError(f"degree bound {D} is negative")
-    odd_nodes = [2 * i + 1 for i in range(D + 3)]
-    even_nodes = [2 * i + 2 for i in range(D + 3)]
     ks = list(odd_counts) if odd_counts is not None else list(range(n + 1))
-
-    cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction] = {}
-
-    def value(b: Tuple[int, ...], k: int) -> Fraction:
-        key = (tuple(sorted(b[:k])), tuple(sorted(b[k:])))
-        if key not in cache:
-            cache[key] = Fraction(func(key[0] + key[1]))
-        return cache[key]
 
     classes: Dict[int, ClassDict] = {}
     for k in ks:
-        nodes = [odd_nodes if i < k else even_nodes for i in range(n)]
-        fit_nodes = [ns[: D + 1] for ns in nodes]
-
-        def value_at(idx: Tuple[int, ...], _k=k, _fit=fit_nodes) -> Fraction:
-            b = tuple(_fit[i][j] for i, j in enumerate(idx))
-            return value(b, _k)
-
-        fitted = _interp_box(fit_nodes, value_at)
-        # verification over block-sorted representatives of the full box
-        for odd_part in itertools.combinations_with_replacement(odd_nodes, k):
-            for even_part in itertools.combinations_with_replacement(even_nodes, n - k):
-                b = odd_part + even_part
-                got = _eval_dict(fitted, b)
-                want = value(b, k)
-                if got != want:
-                    raise ValueError(
-                        f"fit for class {k} fails verification at b={b}: "
-                        f"fitted {got}, actual {want}"
-                    )
-        # the grid and values are block-symmetric, so the interpolant must be too
+        expansions, fit_points, matrix, check_points = _fit_plan(k, n, D)
+        values = {b: Fraction(func(b)) for b in check_points}
+        coeffs = linsolve(matrix, [values[b] for b in fit_points])
+        fitted: ClassDict = {key: c for keys, c in zip(expansions, coeffs) if c for key in keys}
+        for b in check_points:
+            got = _eval_dict(fitted, b)
+            if got != values[b]:
+                raise ValueError(
+                    f"fit for class {k} fails verification at b={b}: "
+                    f"fitted {got}, actual {values[b]}"
+                )
+        # each unknown was spread over every block permutation of its key, and
+        # lookups rely on that: re-check the stored class
         for key, c in fitted.items():
             for op in set(itertools.permutations(key[:k])):
                 for ep in set(itertools.permutations(key[k:])):
                     if fitted.get(op + ep, Fraction(0)) != c:
                         raise ValueError(f"fitted class {k} is not block-symmetric at {key}")
-        if any(fitted.values()):
+        if fitted:
             classes[k] = fitted
     return QuasiPolynomial(g, n, classes)
 
 
-def _interp_box(nodes: List[List[int]], value_at: Callable[[Tuple[int, ...]], Fraction]) -> ClassDict:
-    """Iterated exact univariate interpolation in the squared variables."""
-    return _interp_rec(nodes, value_at, ())
+def _fit_plan(k: int, n: int, D: int) -> FitPlan:
+    """Unknowns, solve points and certificate points of class k under degree D (memoized).
+
+    ``expansions`` lists, per unknown (λ, μ), the exponent keys of its
+    expanded monomials; ``matrix`` holds the unknowns' values at the fit points.
+    """
+    plan = _FIT_PLANS.get((k, n, D))
+    if plan is None:
+        small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
+        fit_points, matrix = _unisolvent(k, n, small)
+        check_points = list(dict.fromkeys(fit_points + _unisolvent(k, n, large)[0]))
+        expansions = [
+            [a + c for a in _padded_perms(lam, k) for c in _padded_perms(mu, n - k)]
+            for lam, mu in small
+        ]
+        plan = _FIT_PLANS[(k, n, D)] = (expansions, fit_points, matrix, check_points)
+    return plan
 
 
-def _interp_rec(
-    nodes: List[List[int]],
-    value_at: Callable[[Tuple[int, ...]], Fraction],
-    prefix: Tuple[int, ...],
-) -> ClassDict:
-    d = len(prefix)
-    if d == len(nodes):
-        return {(): value_at(prefix)}
-    subs = [_interp_rec(nodes, value_at, prefix + (i,)) for i in range(len(nodes[d]))]
-    xs = [Fraction(b * b) for b in nodes[d]]
-    vander = [[x ** e for e in range(len(xs))] for x in xs]
-    tails = set()
-    for s in subs:
-        tails.update(s)
-    out: ClassDict = {}
-    for tail in tails:
-        vals = [s.get(tail, Fraction(0)) for s in subs]
-        coeffs = linsolve(vander, vals)
-        for e, c in enumerate(coeffs):
-            if c:
-                out[(e,) + tail] = c
+def _partitions(parts: int, size: int) -> List[Tuple[int, ...]]:
+    """Partitions (non-increasing positive tuples) with at most ``parts`` parts and sum ≤ ``size``."""
+    out: List[Tuple[int, ...]] = [()]
+    if parts:
+        for first in range(1, size + 1):
+            for rest in _partitions(parts - 1, size - first):
+                if not rest or rest[0] <= first:
+                    out.append((first,) + rest)
     return out
+
+
+def _block_basis(k: int, m: int, D: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Pairs (λ, μ), λ of at most k parts and μ of at most m, with |λ| + |μ| ≤ D."""
+    return [(lam, mu) for lam in _partitions(k, D) for mu in _partitions(m, D - sum(lam))]
+
+
+def _padded_perms(part: Tuple[int, ...], length: int) -> List[ExpKey]:
+    """Distinct orderings of a partition padded with zeros to ``length`` slots, sorted."""
+    return sorted(set(itertools.permutations(part + (0,) * (length - len(part)))))
+
+
+def _row_maker(basis, k: int, n: int) -> Callable[[Tuple[int, ...]], List[int]]:
+    """A function giving the values of the block-symmetric monomials of ``basis`` at a point."""
+    odd = {lam: _padded_perms(lam, k) for lam, _ in basis}
+    even = {mu: _padded_perms(mu, n - k) for _, mu in basis}
+
+    def monomial(xs: List[int], exps: List[ExpKey]) -> int:
+        total = 0
+        for key in exps:
+            term = 1
+            for x, e in zip(xs, key):
+                if e:
+                    term *= x ** e
+            total += term
+        return total
+
+    def row(b: Tuple[int, ...]) -> List[int]:
+        xs = [v * v for v in b[:k]]
+        ys = [v * v for v in b[k:]]
+        mo = {lam: monomial(xs, exps) for lam, exps in odd.items()}
+        me = {mu: monomial(ys, exps) for mu, exps in even.items()}
+        return [mo[lam] * me[mu] for lam, mu in basis]
+
+    return row
+
+
+def _block_points(k: int, n: int) -> Iterator[Tuple[int, ...]]:
+    """Block-sorted positive points of class k: by increasing Σb, then lexicographically.
+
+    A point lists k odd entries, then n - k even ones, each block non-decreasing.
+    """
+    m = n - k
+    total = k + 2 * m
+    while True:
+        batch = [
+            odd + even
+            for s_odd in range(k, total - 2 * m + 1, 2)
+            for odd in _runs(k, s_odd, 1)
+            for even in _runs(m, total - s_odd, 2)
+        ]
+        yield from sorted(batch)
+        total += 2
+
+
+def _runs(count: int, total: int, low: int) -> Iterator[Tuple[int, ...]]:
+    """Non-decreasing tuples of ``count`` integers ≥ ``low`` and ≡ ``low`` (mod 2) summing to ``total``."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    v = low
+    while v * count <= total:
+        for rest in _runs(count - 1, total - v, v):
+            yield (v,) + rest
+        v += 2
+
+
+def _unisolvent(k: int, n: int, basis) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
+    """The first points of :func:`_block_points` that raise the exact rank of the basis rows.
+
+    Stops once the rank equals the number of unknowns, so the chosen points
+    determine every combination of the basis.  Returns the points and their
+    basis rows.  Elimination runs on integer rows, each divided by the gcd
+    of its entries.
+    """
+    make_row = _row_maker(basis, k, n)
+    pivots: List[Tuple[int, List[int]]] = []
+    chosen: List[Tuple[int, ...]] = []
+    rows: List[List[int]] = []
+    for b in _block_points(k, n):
+        if len(chosen) == len(basis):
+            break
+        row = original = make_row(b)
+        for col, prow in pivots:
+            c = row[col]
+            if c:
+                p = prow[col]
+                row = [p * x - c * y for x, y in zip(row, prow)]
+                div = math.gcd(*row)
+                if div > 1:
+                    row = [x // div for x in row]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        pivots.append((col, row))
+        chosen.append(b)
+        rows.append(original)
+    return chosen, rows
 
 
 def _eval_dict(d: ClassDict, b: Sequence[int]) -> Fraction:

@@ -31,6 +31,7 @@ from .exact import (
     poly_lcm,
 )
 from .lattice import br, is_stable
+from .memo import register
 from .quasipoly import QuasiPolynomial, XiKey, XiTensor, qp_from_xi_tensor
 
 LIVE = "live"
@@ -79,6 +80,10 @@ def xi_inverse_slot(parity: int, k: int) -> RationalFunction:
     return xi(parity, k).substitute_inverse() * jac
 
 
+register("tr.xi", xi)
+register("tr.xi_inverse_slot", xi_inverse_slot)
+
+
 def xi_rf(key: XiKey) -> RationalFunction:
     return xi(key[0], key[1])
 
@@ -114,9 +119,9 @@ def kernel_rational_part() -> RationalFunction:
 # -- factor bookkeeping --------------------------------------------------------------
 
 Desc = Tuple
-_FACTOR_RF_CACHE: Dict[Desc, RationalFunction] = {}
-_FACTOR_ORD_CACHE: Dict[Tuple[Desc, int], int] = {}
-_FACTOR_SER_CACHE: Dict[Tuple[Desc, int, int], LaurentSeries] = {}
+_FACTOR_RF_CACHE: Dict[Desc, RationalFunction] = register("tr.factor_rf", {})
+_FACTOR_ORD_CACHE: Dict[Tuple[Desc, int], int] = register("tr.factor_ord", {})
+_FACTOR_SER_CACHE: Dict[Tuple[Desc, int, int], LaurentSeries] = register("tr.factor_ser", {})
 
 
 def _factor_rf(desc: Desc) -> RationalFunction:
@@ -165,7 +170,9 @@ def _mercator_coeff(alpha: int, k: int) -> Fraction:
 
 # -- decomposition over the basis -------------------------------------------------------
 
-_DECOMP_MEMO: Dict[Tuple[RationalFunction, int], Optional[Dict[XiKey, Fraction]]] = {}
+_DECOMP_MEMO: Dict[Tuple[RationalFunction, int], Optional[Dict[XiKey, Fraction]]] = register(
+    "tr.decompositions", {}
+)
 
 
 def xi_decompose(f: RationalFunction, kmax: int) -> Dict[XiKey, Fraction]:
@@ -577,6 +584,7 @@ def _sep_decompose(val: SepSum, kmax: int) -> Dict[Tuple[XiKey, XiKey], Fraction
 
 
 _ENGINE = Correlators()
+register("tr.tensors", _ENGINE._tensors)
 
 
 def tr_tensor(g: int, n: int) -> XiTensor:

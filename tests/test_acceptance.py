@@ -20,17 +20,24 @@ from nbar.lattice import (
     positivity_report,
     psi_number,
 )
-from nbar.quasipoly import QuasiPolynomial, qp_fit
+from nbar.quasipoly import QuasiPolynomial
 from nbar.exact import Poly, RationalFunction
 
 F = Fraction
 
-# stable cases with 2g - 2 + n ≤ 3: both engines must produce identical
-# polynomials; the two χ = 4 cases are optional inside a ten-minute budget
-MANDATORY_CROSS = [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]
-OPTIONAL_CROSS = [(2, 2), (0, 6)]
+# every stable case with 2g - 2 + n ≤ 4: both engines must produce identical
+# polynomials, all of them inside a ten-minute budget
+MANDATORY_CROSS = [
+    (0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1),
+    (2, 2), (0, 6), (1, 4), (3, 1),
+]
 
-_cross_start: float | None = None
+# the flagged (0,6) k=0 row differs from the computed one in exactly these
+# coefficient families (nonzero exponents of b², sorted): computed, published
+SUSPECT_FAMILIES = {
+    (1, 1): (F(9, 16), F(3, 2)),
+    (1, 2): (F(3, 128), F(3, 28)),
+}
 
 
 def test_criterion_1_reference_table():
@@ -42,39 +49,26 @@ def test_criterion_1_reference_table():
         for k, row in want.items():
             diffs = golden.diff_class(qp.classes.get(k, {}), row)
             assert not diffs, f"({g},{n}) k={k}: {diffs[:4]}"
-    # the flagged table row is compared diff-only: report, never assert
-    for g, n in golden.SUSPECT_CASES:
-        for k, row in sorted(golden.golden_rows(g, n).items()):
-            got = qp_fit(lambda b: nbar_eval(g, n, b), g, n, odd_counts=(k,))
-            diffs = golden.diff_class(got.classes.get(k, {}), row)
-            print(f"({g},{n}) k={k} flagged row: {len(diffs)} differing coefficient(s)")
-            for key, a, b in sorted(set((tuple(sorted(key)), a, b) for key, a, b in diffs)):
-                print(f"    exponents {key}: computed {a}, published {b}")
+    # the flagged table row differs in its two known misprinted families and nowhere else
+    assert golden.SUSPECT_CASES == [(0, 6)] and golden.SUSPECT == {(0, 6, 0)}
+    row = golden.golden_rows(0, 6)[0]
+    diffs = golden.diff_class(nbar_poly(0, 6).classes.get(0, {}), row)
+    families = {(tuple(sorted(e for e in key if e)), a, b) for key, a, b in diffs}
+    assert families == {(fam, a, b) for fam, (a, b) in SUSPECT_FAMILIES.items()}, sorted(families)
     elapsed = time.monotonic() - t0
     assert elapsed < 120, f"table reproduction took {elapsed:.1f}s"
     print(f"ACCEPTANCE 1 (reference table, {elapsed:.1f}s): PASS")
 
 
 def test_criterion_2_engine_cross_validation():
-    global _cross_start
-    _cross_start = time.monotonic()
+    t0 = time.monotonic()
     for g, n in MANDATORY_CROSS:
         assert tr.tr_correlator(g, n) == nbar_poly(g, n), f"engines disagree at ({g},{n})"
-    done = []
-    for g, n in OPTIONAL_CROSS:
-        elapsed = time.monotonic() - _cross_start
-        # generous guard: attempt an optional case only while it can
-        # plausibly finish inside the overall ten-minute budget
-        if elapsed > (450 if (g, n) == (2, 2) else 300):
-            print(f"optional case ({g},{n}) skipped at {elapsed:.0f}s")
-            continue
-        assert tr.tr_correlator(g, n) == nbar_poly(g, n), f"engines disagree at ({g},{n})"
-        done.append((g, n))
-    elapsed = time.monotonic() - _cross_start
+    elapsed = time.monotonic() - t0
     assert elapsed < 600, f"cross-validation took {elapsed:.1f}s"
     print(
-        f"ACCEPTANCE 2 (engine cross-validation, {len(MANDATORY_CROSS)} mandatory"
-        f" + optional {done}, {elapsed:.1f}s): PASS"
+        f"ACCEPTANCE 2 (engine cross-validation, {len(MANDATORY_CROSS)} cases"
+        f" up to chi = 4, {elapsed:.1f}s): PASS"
     )
 
 
@@ -128,11 +122,7 @@ def test_criterion_5_euler_characteristics():
     for (g, n), w in want.items():
         assert euler_char(g, n) == w, f"χ({g},{n})"
     for (g, n), w in want.items():
-        if (g, n) == (0, 6):
-            qp = qp_fit(lambda b: nbar_eval(g, n, b), g, n, odd_counts=(0,))
-        else:
-            qp = nbar_poly(g, n)
-        assert qp.evaluate((0,) * n) == w, f"count at origin differs from χ({g},{n})"
+        assert nbar_poly(g, n).evaluate((0,) * n) == w, f"count at origin differs from χ({g},{n})"
     print("ACCEPTANCE 5 (Euler characteristics and counts at the origin): PASS")
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbar import memo, tr
 from nbar.lattice import (
     clear_caches,
     euler_char,
@@ -192,3 +193,17 @@ def test_clear_caches_keeps_answers_stable():
     before = nbar_eval(1, 2, (3, 1))
     clear_caches()
     assert nbar_eval(1, 2, (3, 1)) == before
+
+
+def test_clear_caches_empties_every_registered_memo():
+    corr = tr.tr_correlator(1, 2)
+    qp = nbar_poly(0, 4)
+    sizes = memo.sizes()
+    for name in ("lattice.values", "lattice.polys", "lattice.splits", "quasipoly.fit_plans",
+                 "tr.tensors", "tr.decompositions", "tr.factor_rf", "tr.factor_ord",
+                 "tr.factor_ser", "tr.xi", "tr.xi_inverse_slot"):
+        assert sizes[name] > 0, name
+    clear_caches()
+    assert set(memo.sizes().values()) == {0}
+    assert tr.tr_correlator(1, 2) == corr
+    assert nbar_poly(0, 4) == qp

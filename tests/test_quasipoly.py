@@ -219,3 +219,23 @@ def test_fit_detects_wrong_degree_bound():
 def test_fit_rejects_negative_degree():
     with pytest.raises(ValueError):
         qp_fit(lambda b: Fraction(1), 0, 2)
+
+
+def test_fit_degree_bounds_total_degree():
+    # b1² b2² has degree 1 in each variable but total degree 2, so a fit of
+    # total degree 1 must be caught by the degree + 2 certificate
+    with pytest.raises(ValueError, match="verification"):
+        qp_fit(lambda b: F(b[0] ** 2 * b[1] ** 2), 0, 2, degree=1)
+
+
+def test_fit_uses_few_small_points():
+    calls = []
+
+    def func(b):
+        calls.append(b)
+        return F(sum(v * v for v in b)) ** 3
+
+    qp = qp_fit(func, 0, 6)
+    assert qp.evaluate((2, 2, 2, 2, 2, 2)) == 24 ** 3
+    assert len(calls) < 400
+    assert max(max(b) for b in calls) <= 12
