@@ -7,9 +7,9 @@ Everything in this module is exact.  Coefficients are ``int``/
 There is no floating point anywhere.
 
 The module also provides truncated Laurent series with precision tracking
-(:class:`LaurentSeries`), series with a formal logarithm attached
-(:class:`LogLaurentSeries`) and a small exact linear solver used by the
-fitting routines elsewhere in the package.
+(:class:`LaurentSeries`), the Mercator coefficients of log z at z = ±1
+(:func:`mercator`) and a small exact linear solver used by the fitting
+routines elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -531,61 +531,14 @@ class LaurentSeries:
         return " + ".join(terms) + tail if terms else f"0{tail}"
 
 
-class LogLaurentSeries:
-    """A Laurent series plus a formal multiple of the symbol L.
+def mercator(alpha: int, k: int) -> Fraction:
+    """Coefficient of u^k (k ≥ 1) in log(alpha + u) - log(alpha), for alpha = ±1.
 
-    L stands for the (branch-dependent) value of ``log z`` at the expansion
-    centre; which centre is meant is tracked by the caller.  Products in
-    which both factors carry a log part never arise in the residue
-    computations performed here and are rejected.
+    This is the Mercator tail (-1)^{k+1} u^k / (k alpha^k) of log z at a
+    branch point; the branch-dependent constant log(alpha) is left to the
+    caller.
     """
-
-    __slots__ = ("plain", "logpart")
-
-    def __init__(self, plain: LaurentSeries, logpart: LaurentSeries):
-        self.plain = plain
-        self.logpart = logpart
-
-    def __add__(self, other: "LogLaurentSeries") -> "LogLaurentSeries":
-        if not isinstance(other, LogLaurentSeries):
-            return NotImplemented
-        return LogLaurentSeries(self.plain + other.plain, self.logpart + other.logpart)
-
-    def __neg__(self) -> "LogLaurentSeries":
-        return LogLaurentSeries(-self.plain, -self.logpart)
-
-    def __mul__(self, other: Union["LogLaurentSeries", LaurentSeries]) -> "LogLaurentSeries":
-        if isinstance(other, LaurentSeries):
-            return LogLaurentSeries(self.plain * other, self.logpart * other)
-        if isinstance(other, LogLaurentSeries):
-            s_has = not self.logpart.is_exactly_zero
-            o_has = not other.logpart.is_exactly_zero
-            if s_has and o_has:
-                raise ArithmeticError("product of two log-bearing series")
-            return LogLaurentSeries(
-                self.plain * other.plain,
-                self.logpart * other.plain + self.plain * other.logpart,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def residue(self) -> Tuple[Scalar, Scalar]:
-        """The u^{-1} coefficient, split as (plain part, coefficient of L)."""
-        return self.plain.coeff(-1), self.logpart.coeff(-1)
-
-
-def log_series(alpha: Scalar, upto: int) -> LogLaurentSeries:
-    """Expansion of log z at z = alpha + u for alpha = ±1.
-
-    The constant term is the formal symbol L (zero in truth at alpha = 1,
-    a branch choice at alpha = -1); the rest is the exact Mercator tail
-    Σ_{m≥1} (-1)^{m+1} u^m / (m alpha^m).
-    """
-    tail = [Fraction((-1) ** (m - 1), m) * Fraction(1, alpha) ** m for m in range(1, upto + 1)]
-    plain = LaurentSeries(1, tail, upto + 1)
-    sym = LaurentSeries(0, [1], None)
-    return LogLaurentSeries(plain, sym)
+    return Fraction((-1) ** (k - 1), k * alpha ** k)
 
 
 def linsolve(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> List[Scalar]:

@@ -1,12 +1,24 @@
 """Residue recursion on the spectral curve x = z + 1/z, y = z.
 
 The correlators of this recursion are finite combinations of a fixed family
-of basis functions ξ_{parity,k} in each variable; the recursion is run
-entirely in exact arithmetic by expanding everything as Laurent series at
-the two branch points z = ±1, collecting the principal parts in the rooted
-variable, and re-expressing every coefficient function in the ξ basis.
-Each re-expression is certified by surplus interpolation nodes and an exact
-closed-form round trip, so a returned tensor is correct, not plausible.
+of basis functions ξ_{parity,k} in each variable.  Every such function, and
+every coefficient function the recursion meets on the way, is proper with
+poles only at -1, 0 and +1, so it is fixed by its principal parts: the
+coefficients of (z - α)^{-j} for α ∈ {-1, 0, +1}.  The engine works in these
+coordinates throughout.  It expands each product of factors as a Laurent
+series at the branch points z = ±1, carrying any coefficient that depends on
+a live spectator variable as a principal-part vector in that variable (the
+two-point factors have closed forms), and reads off the residues against the
+kernel.  Summing the residues is then plain arithmetic on exact rational
+vectors; no rational function is built per term.  Finally every slot, the
+root's and each live spectator's, is re-expressed in the ξ basis by a change
+of basis, precomputed once per index from principal parts of ξ that are
+themselves built exactly in coordinates.
+
+Certificates: each decomposition must reproduce its vector exactly in every
+coordinate (Σ γ·PP(ξ) = v), and the formal log z terms at each branch point
+must cancel in every sum.  Anything else raises :class:`EngineError`, so a
+returned tensor is correct, not plausible.
 
 The two-point input of the recursion is the modified form
 dz₁ dz₂ / (z₁ - z₂)² + dz₁ dz₂ / (z₁ z₂); substitutions z ↦ 1/z always act
@@ -18,32 +30,31 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from math import comb
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .exact import (
     LaurentSeries,
-    LogLaurentSeries,
     Poly,
     RationalFunction,
     invert_scalar,
     linsolve,
-    log_series,
+    mercator,
     poly_lcm,
 )
-from .lattice import br, is_stable
+from .lattice import is_stable
 from .memo import register
 from .quasipoly import QuasiPolynomial, XiKey, XiTensor, qp_from_xi_tensor
 
 LIVE = "live"
 HALF = Fraction(1, 2)
 
+PfKey = Tuple[int, int]  # (α, j): the coefficient of (z - α)^{-j}, α ∈ {-1, 0, +1}
+PfVector = Dict[PfKey, Fraction]
+
 
 class EngineError(RuntimeError):
     """The recursion left its certified domain; the result would be untrusted."""
-
-
-class XiDecompositionError(ValueError):
-    """A function failed to decompose over the basis at the attempted index."""
 
 
 # -- the basis -------------------------------------------------------------------
@@ -80,8 +91,42 @@ def xi_inverse_slot(parity: int, k: int) -> RationalFunction:
     return xi(parity, k).substitute_inverse() * jac
 
 
+def _d_dz(v: PfVector) -> PfVector:
+    return {(a, j + 1): -j * c for (a, j), c in v.items()}
+
+
+def _z_d_dz(v: PfVector) -> PfVector:
+    """z d/dz in coordinates, from z (z - α)^{-j-1} = (z - α)^{-j} + α (z - α)^{-j-1}."""
+    out: PfVector = {}
+    for (a, j), c in v.items():
+        out[(a, j)] = out.get((a, j), 0) - j * c
+        if a:
+            out[(a, j + 1)] = out.get((a, j + 1), 0) - j * a * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[PfKey, Fraction], ...]:
+    """Principal parts of ξ_{parity,k}, built by the operators of :func:`xi` in coordinates.
+
+    The seeds z²/(1 - z²) = -1 - ½/(z - 1) + ½/(z + 1) and
+    z/(1 - z²) = -½/(z - 1) - ½/(z + 1) lose their constant to the first
+    operator, and both operators map a proper function to a proper one.
+    """
+    if parity not in (0, 1) or k < 0:
+        raise ValueError(f"invalid basis index ({parity}, {k})")
+    v: PfVector = {(1, 1): -HALF, (-1, 1): HALF if parity == 0 else -HALF}
+    for _ in range(2 * k):
+        v = _z_d_dz(v)
+    v = _d_dz(v)
+    if parity == 0 and k == 0:
+        v[(0, 1)] = Fraction(1)
+    return tuple(sorted((key, c) for key, c in v.items() if c))
+
+
 register("tr.xi", xi)
 register("tr.xi_inverse_slot", xi_inverse_slot)
+register("tr.xi_principal_parts", xi_principal_parts)
 
 
 def xi_rf(key: XiKey) -> RationalFunction:
@@ -116,9 +161,28 @@ def kernel_rational_part() -> RationalFunction:
     return RationalFunction(Poly([0, 0, 0, 1]), Poly([1, 0, -2, 0, 1]))
 
 
+def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
+    """The u^k coefficient of a two-point slot at z = α + u, as principal parts in w.
+
+    ``kind`` "o2p" is :func:`omega02_plain`, whose coefficient is
+    (k + 1)(w - α)^{-(k+2)} + (-1)^k α^{k+1}/w.  "o2i" is
+    :func:`omega02_inverse_first`, -(1/(1 - zw)² + 1/(zw)); with
+    1 - αw = -α(w - α) and w^k = Σ_i C(k, i) α^{k-i} (w - α)^i its first term
+    has coefficient (k + 1)(-α)^{k+2} Σ_i C(k, i) α^{k-i} (w - α)^{i-k-2}.
+    """
+    zinv = Fraction((-1) ** k * alpha ** (k + 1))
+    if kind == "o2p":
+        return {(alpha, k + 2): Fraction(k + 1), (0, 1): zinv}
+    lead = -(k + 1) * (-alpha) ** (k + 2)
+    out = {(alpha, k + 2 - i): Fraction(lead * comb(k, i) * alpha ** (k - i)) for i in range(k + 1)}
+    out[(0, 1)] = -zinv
+    return out
+
+
 # -- factor bookkeeping --------------------------------------------------------------
 
 Desc = Tuple
+TWO_POINT = ("o2p", "o2i")  # the factors that carry a live spectator
 _FACTOR_RF_CACHE: Dict[Desc, RationalFunction] = register("tr.factor_rf", {})
 _FACTOR_ORD_CACHE: Dict[Tuple[Desc, int], int] = register("tr.factor_ord", {})
 _FACTOR_SER_CACHE: Dict[Tuple[Desc, int, int], LaurentSeries] = register("tr.factor_ser", {})
@@ -146,6 +210,8 @@ def _factor_rf(desc: Desc) -> RationalFunction:
 
 
 def _factor_ord(desc: Desc, alpha: int) -> int:
+    if desc[0] in TWO_POINT:
+        return 0  # regular and non-zero at z = ±1 for a generic spectator
     key = (desc, alpha)
     hit = _FACTOR_ORD_CACHE.get(key)
     if hit is None:
@@ -163,130 +229,172 @@ def _factor_series(desc: Desc, alpha: int, upto: int) -> LaurentSeries:
     return hit
 
 
-def _mercator_coeff(alpha: int, k: int) -> Fraction:
-    """Coefficient of u^k in log(alpha + u) - log(alpha), for alpha = ±1."""
-    return Fraction((-1) ** (k - 1), k) * Fraction(1, alpha) ** k
+PfTensor = Dict[Tuple[PfKey, ...], Fraction]  # principal-part coordinates, one key per slot
+
+
+def _factor_terms(desc: Desc, alpha: int, upto: int) -> Dict[int, PfTensor]:
+    """Series coefficients of one factor at z = α through u^upto, by exponent.
+
+    Each coefficient is a tensor over the principal parts of the live
+    spectator the factor watches: one slot for a two-point factor, none
+    (the key ``()``) for the others.
+    """
+    if desc[0] in TWO_POINT:
+        return {
+            k: {(pk,): c for pk, c in two_point_coeff(desc[0], alpha, k).items()}
+            for k in range(upto + 1)
+        }
+    ser = _factor_series(desc, alpha, upto)
+    return {ser.ord + i: {(): Fraction(c)} for i, c in enumerate(ser.coeffs) if c}
+
+
+_SIGNATURES: Dict[Tuple[Tuple[Desc, ...], int], Tuple[PfTensor, PfTensor]] = register("tr.signatures", {})
+
+
+def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor]:
+    """Residue data of one factor signature at one branch point, memoized across all (g, n).
+
+    Returns ``(data, tally)``.  ``data`` is the contribution to the root
+    function: its keys are the root's principal-part key — (α, j), or (0, 1)
+    for the 1/z term that the Mercator tail of log z feeds — followed by the
+    live spectators' keys.  ``tally`` holds the coefficient of the formal
+    log z at α by live keys; it must cancel in every sum.
+    """
+    hit = _SIGNATURES.get((factors, alpha))
+    if hit is not None:
+        return hit
+    descs = factors + (("R",),)
+    ords = [_factor_ord(d, alpha) for d in descs]
+    total = sum(ords)
+    prod: Dict[int, PfTensor] = {0: {(): Fraction(1)}}
+    for i, (d, o) in enumerate(zip(descs, ords)):
+        limit = -1 - sum(ords[i + 1:])  # the highest exponent the rest can still bring to u^{-1}
+        nxt: Dict[int, PfTensor] = {}
+        for e2, t2 in _factor_terms(d, alpha, -1 - (total - o)).items():
+            for e1, t1 in prod.items():
+                if e1 + e2 > limit:
+                    continue
+                t = nxt.setdefault(e1 + e2, {})
+                for k1, c1 in t1.items():
+                    for k2, c2 in t2.items():
+                        t[k1 + k2] = t.get(k1 + k2, 0) + c1 * c2
+        prod = nxt
+    data: PfTensor = {}
+    for j in range(1, 1 - total):
+        m = mercator(alpha, j - 1) if j > 1 else 0
+        for live, c in prod.get(-j, {}).items():
+            data[((alpha, j),) + live] = -c
+            if m:
+                zkey = ((0, 1),) + live
+                data[zkey] = data.get(zkey, 0) - m * c
+    tally = {live: -c for live, c in prod.get(-1, {}).items() if c}
+    hit = ({key: c for key, c in data.items() if c}, tally)
+    _SIGNATURES[(factors, alpha)] = hit
+    return hit
 
 
 # -- decomposition over the basis -------------------------------------------------------
 
-_DECOMP_MEMO: Dict[Tuple[RationalFunction, int], Optional[Dict[XiKey, Fraction]]] = register(
-    "tr.decompositions", {}
-)
+_BASES: Dict[int, Dict[PfKey, List[Tuple[Tuple[int, int], Fraction]]]] = register("tr.bases", {})
 
 
-def xi_decompose(f: RationalFunction, kmax: int) -> Dict[XiKey, Fraction]:
-    """Write f exactly as Σ γ_{p,k} ξ_{p,k} with k ≤ kmax (allowing escalation).
+def _left_inverse(kmax: int) -> Dict[PfKey, List[Tuple[Tuple[int, int], Fraction]]]:
+    """A left inverse of the principal parts of ξ_{p,k}, k ≤ kmax.
 
-    The coefficients are found from the series at z = 0 on interpolation
-    nodes, re-checked on two surplus nodes per parity, and finally certified
-    by an exact closed-form round trip.  If the function does not fit at
-    ``kmax`` the index is raised a few steps before giving up, so a bound
-    that is merely expected (rather than proven) degree-sharp still works.
+    ξ_{p,k} has poles of order exactly 2k + 2 at both branch points, so the
+    rows (±1, 2k + 2) of the basis matrix form an invertible square,
+    block-triangular in k.  The inverse of that square is stored by row: the
+    ξ coefficients that a vector's entry on the row contributes to.
     """
-    last: Optional[XiDecompositionError] = None
-    for kk in range(kmax, kmax + 5):
-        try:
-            return _xi_decompose_at(f, kk)
-        except XiDecompositionError as exc:
-            last = exc
-    raise EngineError(f"no basis decomposition with index <= {kmax + 4}: {last}")
+    hit = _BASES.get(kmax)
+    if hit is None:
+        keys = [(p, k) for k in range(kmax + 1) for p in (0, 1)]
+        rows = [(a, 2 * k + 2) for k in range(kmax + 1) for a in (1, -1)]
+        pps = [dict(xi_principal_parts(*key)) for key in keys]
+        square = [[pp.get(r, Fraction(0)) for pp in pps] for r in rows]
+        hit = {}
+        for i, r in enumerate(rows):
+            unit = [Fraction(int(i == t)) for t in range(len(rows))]
+            hit[r] = [(key, c) for key, c in zip(keys, linsolve(square, unit)) if c]
+        _BASES[kmax] = hit
+    return hit
 
 
-def _xi_decompose_at(f: RationalFunction, kmax: int) -> Dict[XiKey, Fraction]:
-    if f.is_zero:
+def principal_parts(f: RationalFunction) -> PfVector:
+    """The principal parts of f at -1, 0 and +1, certified by a round trip.
+
+    Raises :class:`EngineError` unless f is rebuilt exactly from them, that
+    is, unless f is proper with no poles elsewhere.
+    """
+    v: PfVector = {}
+    if f:
+        for a in (1, -1, 0):
+            ser = f.laurent_at(a, -1)
+            for j in range(1, 1 - ser.ord):
+                c = ser.coeff(-j)
+                if c:
+                    v[(a, j)] = Fraction(c)
+    rebuilt = RationalFunction(0)
+    for (a, j), c in v.items():
+        rebuilt = rebuilt + RationalFunction(Poly([c]), Poly([-a, 1]) ** j)
+    if rebuilt != f:
+        raise EngineError(f"{f} is not the sum of its principal parts at -1, 0, +1")
+    return v
+
+
+def xi_decompose(f: Union[RationalFunction, PfVector], kmax: int) -> Dict[Tuple[int, int], Fraction]:
+    """Write f exactly as Σ γ_{p,k} ξ_{p,k}.
+
+    ``f`` is a rational function or its principal-part vector.  The index
+    worked at is ``kmax``, raised to what the highest pole order needs
+    (ξ_{p,k} has poles of order 2k + 2 at ±1), so a low bound is not an
+    error.  The coefficients are read through the precomputed left inverse
+    and certified by exact equality of Σ γ·PP(ξ) with the vector in every
+    coordinate; a vector outside the span raises :class:`EngineError`.
+    """
+    v = principal_parts(f) if isinstance(f, RationalFunction) else {k: c for k, c in f.items() if c}
+    if not v:
         return {}
-    memo_key = (f, kmax)
-    if memo_key in _DECOMP_MEMO:
-        hit = _DECOMP_MEMO[memo_key]
-        if hit is None:
-            raise XiDecompositionError(f"cached failure at kmax={kmax}")
-        return hit
-    try:
-        out = _xi_decompose_core(f, kmax)
-    except XiDecompositionError:
-        _DECOMP_MEMO[memo_key] = None
-        raise
-    _DECOMP_MEMO[memo_key] = out
-    return out
-
-
-def _xi_decompose_core(f: RationalFunction, kmax: int) -> Dict[XiKey, Fraction]:
-    evens = [2 * i for i in range(kmax + 3)]
-    odds = [2 * i + 1 for i in range(kmax + 3)]
-    s = f.series_at_zero(2 * kmax + 4)
-    if s.ord < -1:
-        raise XiDecompositionError("pole at 0 is not simple")
-    gammas: Dict[XiKey, Fraction] = {}
-    for parity, nodes in ((0, evens), (1, odds)):
-        rows = [[Fraction(br(b) * b ** (2 * k)) for k in range(kmax + 1)] for b in nodes]
-        rhs = [Fraction(s.coeff(b - 1)) for b in nodes]
-        sol = linsolve(rows[: kmax + 1], rhs[: kmax + 1])
-        for row, want in zip(rows[kmax + 1:], rhs[kmax + 1:]):
-            got = sum((c * x for c, x in zip(row, sol)), Fraction(0))
-            if got != want:
-                raise XiDecompositionError(
-                    f"parity {parity} surplus node disagrees at kmax={kmax}"
-                )
-        for k, c in enumerate(sol):
-            if c:
-                gammas[(parity, k)] = c
-    recon = RationalFunction(0)
-    for (p, k), c in gammas.items():
-        recon = recon + c * xi(p, k)
-    if recon != f:
-        raise XiDecompositionError(f"round trip fails at kmax={kmax}")
+    top = max((j for a, j in v if a), default=0)
+    index = max(kmax, (top - 1) // 2)
+    gammas: Dict[Tuple[int, int], Fraction] = {}
+    for row, col in _left_inverse(index).items():
+        c = v.get(row)
+        if c:
+            for key, x in col:
+                gammas[key] = gammas.get(key, 0) + c * x
+    gammas = {key: c for key, c in gammas.items() if c}
+    recon: PfVector = {}
+    for key, c in gammas.items():
+        for pk, x in xi_principal_parts(*key):
+            recon[pk] = recon.get(pk, 0) + c * x
+    if {pk: c for pk, c in recon.items() if c} != v:
+        raise EngineError(f"principal parts {sorted(v)} are not in the span of ξ up to index {index}")
     return gammas
 
 
-# -- separable two-spectator sums (only the (0,3) computation needs them) ------------------
+def _decompose_slots(coeffs: PfTensor, kmax: int) -> Dict[Tuple[Tuple[int, int], ...], Fraction]:
+    """ξ coordinates, in every slot, of a tensor given in principal-part coordinates.
 
-
-class SepSum:
-    """A sum Σ_i f_i(z_a) · g_i(z_b) of separable products, kept explicitly."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Sequence[Tuple[RationalFunction, RationalFunction]] = ()):
-        self.pairs = [(f, g) for f, g in pairs if not f.is_zero and not g.is_zero]
-
-    def __add__(self, other: "SepSum") -> "SepSum":
-        return SepSum(self.pairs + other.pairs)
-
-    def scale(self, c: Fraction) -> "SepSum":
-        if not c:
-            return SepSum()
-        return SepSum([(c * f, g) for f, g in self.pairs])
-
-    def __neg__(self) -> "SepSum":
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other: "SepSum") -> "SepSum":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        """Exact zero test via a common denominator in the first variable."""
-        if not self.pairs:
-            return True
-        den = Poly([1])
-        for f, _ in self.pairs:
-            den = poly_lcm(den, f.den)
-        adjusted = [(f.num * den.exact_div(f.den), g) for f, g in self.pairs]
-        width = max(p.degree for p, _ in adjusted) + 1
-        for m in range(width):
-            combo = RationalFunction(0)
-            for p, g in adjusted:
-                if m <= p.degree and p.coeffs[m]:
-                    combo = combo + p.coeffs[m] * g
-            if not combo.is_zero:
-                return False
-        return True
+    The slots are decomposed one at a time, spectators first and the root
+    last; each slice is one certified :func:`xi_decompose`.
+    """
+    for s in reversed(range(max(map(len, coeffs), default=0))):
+        slices: Dict[Tuple, PfVector] = {}
+        for key, c in coeffs.items():
+            if c:
+                slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
+        coeffs = {}
+        for rest, vec in slices.items():
+            for xik, gamma in xi_decompose(vec, kmax).items():
+                key = rest[:s] + (xik,) + rest[s:]
+                coeffs[key] = coeffs.get(key, 0) + gamma
+    return coeffs
 
 
 # -- the engine -------------------------------------------------------------------------
 
 Bucket = Tuple  # per spectator slot: an (parity, k) pair or the LIVE marker
-PfKey = Union[str, Tuple[int, int]]  # "zinv" or (alpha, pole order j)
 
 
 class Correlators:
@@ -301,11 +409,20 @@ class Correlators:
         key = (g, n)
         hit = self._tensors.get(key)
         if hit is None:
-            hit = self._tensor_03() if key == (0, 3) else self._compute(g, n)
+            hit = self._compute(g, n)
             self._tensors[key] = hit
         return hit
 
     # -- term enumeration -------------------------------------------------------
+
+    def _side(self, g: int, n: int, slots: List[int], inv: int) -> List[Tuple[Fraction, Desc, Dict]]:
+        """Terms of one side of a split: weight, factor in z, spectator assignment."""
+        if (g, n) == (0, 2):
+            return [(Fraction(1), (TWO_POINT[inv],), {slots[0]: LIVE})]
+        return [
+            (c, ("xi", key[0][0], key[0][1], inv), dict(zip(slots, key[1:])))
+            for key, c in self.tensor(g, n).items()
+        ]
 
     def _groups(self, g: int, n: int) -> Dict[Tuple[Desc, ...], Dict[Bucket, Fraction]]:
         spect = n - 1
@@ -334,253 +451,47 @@ class Correlators:
                 n1, n2 = len(left) + 1, len(right) + 1
                 if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
                     continue
-                left_o2 = (g1, n1) == (0, 2)
-                right_o2 = (g2, n2) == (0, 2)
-                if left_o2 and right_o2:
-                    raise AssertionError("double two-point split outside the (0,3) path")
-                if left_o2:
-                    s = left[0]
-                    for key2, c2 in self.tensor(g2, n2).items():
-                        bucket = [None] * spect
-                        bucket[s] = LIVE
-                        for pos, t in enumerate(right):
-                            bucket[t] = key2[1 + pos]
-                        add(
-                            c2,
-                            (("o2p",), ("xi", key2[0][0], key2[0][1], 1)),
-                            tuple(bucket),
-                        )
-                elif right_o2:
-                    s = right[0]
-                    for key1, c1 in self.tensor(g1, n1).items():
-                        bucket = [None] * spect
-                        bucket[s] = LIVE
-                        for pos, t in enumerate(left):
-                            bucket[t] = key1[1 + pos]
-                        add(
-                            c1,
-                            (("xi", key1[0][0], key1[0][1], 0), ("o2i",)),
-                            tuple(bucket),
-                        )
-                else:
-                    t2 = self.tensor(g2, n2)
-                    for key1, c1 in self.tensor(g1, n1).items():
-                        f1 = ("xi", key1[0][0], key1[0][1], 0)
-                        for key2, c2 in t2.items():
-                            bucket = [None] * spect
-                            for pos, t in enumerate(left):
-                                bucket[t] = key1[1 + pos]
-                            for pos, t in enumerate(right):
-                                bucket[t] = key2[1 + pos]
-                            add(
-                                c1 * c2,
-                                (f1, ("xi", key2[0][0], key2[0][1], 1)),
-                                tuple(bucket),
-                            )
+                terms2 = self._side(g2, n2, right, 1)
+                for c1, f1, a1 in self._side(g1, n1, left, 0):
+                    for c2, f2, a2 in terms2:
+                        assign = {**a1, **a2}
+                        # two live spectators (only in (0,3)): order the factors as
+                        # their spectators, so live keys line up with LIVE slots
+                        swap = f1 == ("o2p",) and f2 == ("o2i",) and left[0] > right[0]
+                        add(c1 * c2, (f2, f1) if swap else (f1, f2),
+                            tuple(assign[t] for t in range(spect)))
         return groups
 
-    # -- principal-part data for one factor signature at one branch point --------------
-
-    @staticmethod
-    def _pf_data(factors: Tuple[Desc, ...], alpha: int):
-        descs = list(factors) + [("R",)]
-        ords = [_factor_ord(d, alpha) for d in descs]
-        total = sum(ords)
-        prod: Optional[LaurentSeries] = None
-        for d, o in zip(descs, ords):
-            ser = _factor_series(d, alpha, -1 - (total - o))
-            prod = ser if prod is None else prod * ser
-        assert prod is not None
-        polord = max(0, -prod.ord)
-        pf: Dict[int, object] = {}
-        for m in range(polord):
-            v = prod.coeff(-1 - m)
-            if v:
-                pf[m + 1] = -v
-        zinv: object = Fraction(0)
-        for k in range(1, polord):
-            c = prod.coeff(-1 - k)
-            if c:
-                zinv = zinv - _mercator_coeff(alpha, k) * c
-        tally = -prod.coeff(-1)
-        return pf, zinv, tally
-
-    # -- general computation -------------------------------------------------------------
+    # -- the computation -------------------------------------------------------------
 
     def _compute(self, g: int, n: int) -> XiTensor:
         D = 3 * g - 3 + n
-        groups = self._groups(g, n)
-        final: Dict[Bucket, Dict[PfKey, Fraction]] = {}
-        live_acc: Dict[Bucket, Dict[PfKey, object]] = {}
-        tallies: Dict[Tuple[Bucket, int], object] = {}
-        for factors, buckets in groups.items():
+        acc: Dict[Bucket, PfTensor] = {}
+        tallies: Dict[Tuple[Bucket, int], PfTensor] = {}
+        for factors, buckets in self._groups(g, n).items():
             for alpha in (1, -1):
-                pf, zinv, tally = self._pf_data(factors, alpha)
+                data, tally = _pf_data(factors, alpha)
                 for bucket, w in buckets.items():
-                    tkey = (bucket, alpha)
-                    tallies[tkey] = tallies.get(tkey, 0) + w * tally
-                    acc = (live_acc if LIVE in bucket else final).setdefault(bucket, {})
-                    for j, v in pf.items():
-                        pkey = (alpha, j)
-                        acc[pkey] = acc.get(pkey, 0) + w * v
-                    if zinv:
-                        acc["zinv"] = acc.get("zinv", 0) + w * zinv
+                    _add_scaled(acc.setdefault(bucket, {}), data, w)
+                    _add_scaled(tallies.setdefault((bucket, alpha), {}), tally, w)
         for (bucket, alpha), t in tallies.items():
-            if t:
+            if any(t.values()):
                 raise EngineError(
                     f"({g},{n}): residual log coefficient at z = {alpha} "
                     f"for spectator assignment {bucket}"
                 )
-        for bucket, data in live_acc.items():
-            s = bucket.index(LIVE)
-            for pkey, val in data.items():
-                if not val:
-                    continue
-                for xik, gamma in xi_decompose(val, D).items():
-                    nb = bucket[:s] + (xik,) + bucket[s + 1:]
-                    d = final.setdefault(nb, {})
-                    d[pkey] = d.get(pkey, Fraction(0)) + gamma
         tensor: XiTensor = {}
-        for bucket, data in final.items():
-            f1 = _assemble_root_function(data)
-            if f1.is_zero:
-                continue
-            for xik, gamma in xi_decompose(f1, D).items():
-                out_key = (xik,) + bucket
+        for bucket, coeffs in acc.items():
+            for keys, gamma in _decompose_slots(coeffs, D).items():
+                live = iter(keys[1:])
+                out_key = (keys[0],) + tuple(next(live) if s == LIVE else s for s in bucket)
                 tensor[out_key] = tensor.get(out_key, Fraction(0)) + gamma
         return {k: v for k, v in tensor.items() if v}
 
-    # -- the (0,3) computation, with two live spectators ------------------------------------
 
-    def _tensor_03(self) -> XiTensor:
-        alphas = (1, -1)
-        # the two split terms: plain slot on one spectator, inverted on the other
-        final: Dict[Tuple[XiKey, XiKey], Dict[PfKey, Fraction]] = {}
-        pf_acc: Dict[PfKey, SepSum] = {}
-        for alpha in alphas:
-            tally = SepSum()
-            for order in (0, 1):
-                pf, zinv, t = _sep_pf_data(alpha, order)
-                tally = tally + t
-                for pkey, val in pf.items():
-                    pf_acc[pkey] = pf_acc.get(pkey, SepSum()) + val
-                pf_acc["zinv"] = pf_acc.get("zinv", SepSum()) + zinv
-            if not tally.is_zero():
-                raise EngineError(f"(0,3): residual log coefficient at z = {alpha}")
-        for pkey, val in pf_acc.items():
-            for pair_key, gamma in _sep_decompose(val, 0).items():
-                d = final.setdefault(pair_key, {})
-                d[pkey] = d.get(pkey, Fraction(0)) + gamma
-        tensor: XiTensor = {}
-        for (k2, k3), data in final.items():
-            f1 = _assemble_root_function(data)
-            if f1.is_zero:
-                continue
-            for k1, gamma in xi_decompose(f1, 0).items():
-                key = (k1, k2, k3)
-                tensor[key] = tensor.get(key, Fraction(0)) + gamma
-        return {k: v for k, v in tensor.items() if v}
-
-
-def _assemble_root_function(data: Dict[PfKey, Fraction]) -> RationalFunction:
-    """Rebuild Σ c_{α,j} (z-α)^{-j} + c_inv/z from accumulated coefficients."""
-    z = RationalFunction.var()
-    f1 = RationalFunction(0)
-    for pkey, c in data.items():
-        if not c:
-            continue
-        if pkey == "zinv":
-            f1 = f1 + c / z
-        else:
-            alpha, j = pkey
-            f1 = f1 + RationalFunction(Poly([c]), Poly([-alpha, 1]) ** j)
-    return f1
-
-
-def _sep_pf_data(alpha: int, order: int):
-    """Principal-part data of one (0,3) bracket term at one branch point.
-
-    ``order`` 0 means the plain two-point slot watches the first spectator;
-    1 means the spectators are exchanged.  Coefficients are separable sums.
-    """
-    descs = [("o2p",), ("o2i",), ("R",)]
-    ords = [_factor_ord(d, alpha) for d in descs]
-    total = sum(ords)
-    sers = [
-        _factor_series(d, alpha, -1 - (total - o)) for d, o in zip(descs, ords)
-    ]
-    sa, sb, sr = sers
-
-    def coeff_pairs(e: int) -> SepSum:
-        pairs = []
-        for i in range(sa.ord, sa.ord + len(sa.coeffs)):
-            fa = sa.coeffs[i - sa.ord]
-            if not fa:
-                continue
-            for j in range(sb.ord, sb.ord + len(sb.coeffs)):
-                r = e - i - j
-                fb = sb.coeffs[j - sb.ord]
-                if not fb:
-                    continue
-                if r < sr.ord or r >= sr.ord + len(sr.coeffs):
-                    continue
-                c = sr.coeffs[r - sr.ord]
-                if not c:
-                    continue
-                left, right = (fa, fb) if order == 0 else (fb, fa)
-                pairs.append((c * left, right))
-        return SepSum(pairs)
-
-    polord = max(0, -total)
-    pf: Dict[Tuple[int, int], SepSum] = {}
-    for m in range(polord):
-        pf[(alpha, m + 1)] = -coeff_pairs(-1 - m)
-    zinv = SepSum()
-    for k in range(1, polord):
-        zinv = zinv + coeff_pairs(-1 - k).scale(-_mercator_coeff(alpha, k))
-    tally = -coeff_pairs(-1)
-    return pf, zinv, tally
-
-
-def _sep_decompose(val: SepSum, kmax: int) -> Dict[Tuple[XiKey, XiKey], Fraction]:
-    """Express a separable sum as Σ γ ξ(z_a) ξ(z_b), certified by a round trip."""
-    if not val.pairs:
-        return {}
-    evens = [2 * i for i in range(kmax + 3)]
-    odds = [2 * i + 1 for i in range(kmax + 3)]
-    nodes = evens + odds
-    upto = max(nodes) - 1
-    expansions = [(f.series_at_zero(upto), g) for f, g in val.pairs]
-    for ser, _ in expansions:
-        if ser.ord < -1:
-            raise EngineError("(0,3): spectator pole at 0 is not simple")
-    per_node: Dict[int, Dict[XiKey, Fraction]] = {}
-    keys3: set = set()
-    for b in nodes:
-        h = RationalFunction(0)
-        for ser, gfun in expansions:
-            c = ser.coeff(b - 1)
-            if c:
-                h = h + c * gfun
-        per_node[b] = xi_decompose(h, kmax)
-        keys3.update(per_node[b])
-    out: Dict[Tuple[XiKey, XiKey], Fraction] = {}
-    for key3 in sorted(keys3):
-        for parity, ns in ((0, evens), (1, odds)):
-            rows = [[Fraction(br(b) * b ** (2 * k)) for k in range(kmax + 1)] for b in ns]
-            rhs = [per_node[b].get(key3, Fraction(0)) for b in ns]
-            sol = linsolve(rows[: kmax + 1], rhs[: kmax + 1])
-            for row, want in zip(rows[kmax + 1:], rhs[kmax + 1:]):
-                got = sum((c * x for c, x in zip(row, sol)), Fraction(0))
-                if got != want:
-                    raise EngineError("(0,3): spectator fit fails its surplus nodes")
-            for k, c in enumerate(sol):
-                if c:
-                    out[((parity, k), key3)] = c
-    recon = SepSum([(g * xi(*ka), xi(*kb)) for (ka, kb), g in out.items()])
-    if not (recon - val).is_zero():
-        raise EngineError("(0,3): spectator decomposition fails its round trip")
-    return out
+def _add_scaled(target: PfTensor, src: PfTensor, w: Fraction) -> None:
+    for key, c in src.items():
+        target[key] = target.get(key, 0) + w * c
 
 
 _ENGINE = Correlators()
@@ -676,6 +587,11 @@ def string_scalar(parity: int, k: int) -> Fraction:
     return total
 
 
+def _log_tail_residue(ser: LaurentSeries, alpha: int) -> Fraction:
+    """Residue at u = 0 of (log z - log α) times the series ``ser`` at z = α + u."""
+    return sum((mercator(alpha, k) * ser.coeff(-1 - k) for k in range(1, -ser.ord)), Fraction(0))
+
+
 def dilaton_scalar(parity: int, k: int) -> Fraction:
     """Σ_α Res_{z=α} (z²/2 - log z) ξ_{parity,k}(z) dz.
 
@@ -689,8 +605,7 @@ def dilaton_scalar(parity: int, k: int) -> Fraction:
         if ser.coeff(-1):
             raise EngineError(f"basis function ({parity},{k}) has residue at {alpha}")
         sq = LaurentSeries(0, [Fraction(alpha * alpha, 2), Fraction(alpha), HALF], None)
-        merc = log_series(alpha, max(1, -1 - ser.ord)).plain
-        total += (sq * ser).coeff(-1) - (merc * ser).coeff(-1)
+        total += (sq * ser).coeff(-1) - _log_tail_residue(ser, alpha)
     return total
 
 
@@ -702,8 +617,7 @@ def resatzero_check(parity: int, k: int) -> bool:
         ser = f.laurent_at(alpha, -1)
         if ser.coeff(-1):
             raise EngineError(f"basis function ({parity},{k}) has residue at {alpha}")
-        merc = log_series(alpha, max(1, -1 - ser.ord)).plain
-        lhs += (merc * ser).coeff(-1)
+        lhs += _log_tail_residue(ser, alpha)
     rhs = f.series_at_zero(-1).coeff(-1)
     return lhs == rhs
 

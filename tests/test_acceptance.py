@@ -25,11 +25,12 @@ from nbar.exact import Poly, RationalFunction
 
 F = Fraction
 
-# every stable case with 2g - 2 + n ≤ 4: both engines must produce identical
+# every stable case with 2g - 2 + n ≤ 5: both engines must produce identical
 # polynomials, all of them inside a ten-minute budget
 MANDATORY_CROSS = [
     (0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1),
     (2, 2), (0, 6), (1, 4), (3, 1),
+    (4, 1), (3, 2), (2, 3), (1, 5), (0, 7),
 ]
 
 # the flagged (0,6) k=0 row differs from the computed one in exactly these
@@ -68,7 +69,7 @@ def test_criterion_2_engine_cross_validation():
     assert elapsed < 600, f"cross-validation took {elapsed:.1f}s"
     print(
         f"ACCEPTANCE 2 (engine cross-validation, {len(MANDATORY_CROSS)} cases"
-        f" up to chi = 4, {elapsed:.1f}s): PASS"
+        f" up to chi = 5, {elapsed:.1f}s): PASS"
     )
 
 

@@ -12,12 +12,11 @@ import pytest
 
 from nbar.exact import (
     LaurentSeries,
-    LogLaurentSeries,
     Poly,
     RationalFunction,
     invert_scalar,
     linsolve,
-    log_series,
+    mercator,
     poly_lcm,
 )
 
@@ -231,35 +230,9 @@ def test_laurent_zero_handling():
 
 def test_log_series_tails():
     # log(1 + u) = u - u^2/2 + u^3/3 - ...
-    ls = log_series(1, 4)
-    assert [ls.plain.coeff(e) for e in range(1, 5)] == [1, F(-1, 2), F(1, 3), F(-1, 4)]
-    # at alpha = -1 the tail is -u - u^2/2 - u^3/3 - ...
-    lm = log_series(-1, 4)
-    assert [lm.plain.coeff(e) for e in range(1, 5)] == [-1, F(-1, 2), F(-1, 3), F(-1, 4)]
-    # the symbol coefficient is the constant 1 in both cases
-    assert ls.logpart.coeff(0) == 1
-    assert lm.logpart.coeff(0) == 1
-
-
-def test_log_laurent_product_rules():
-    ls = log_series(1, 6)
-    plain = LaurentSeries(-2, [1, 0, 3], None)
-    prod = ls * plain
-    # residue of log(z) * (u^{-2} + 3) at z = 1: u^{-2} picks the u coefficient
-    rp, rl = prod.residue()
-    assert rp == 1  # from u^{-2} * u
-    assert rl == 0  # the symbol sits at u^0 * u^{-2} = u^{-2}, not u^{-1}
-    with pytest.raises(ArithmeticError):
-        _ = ls * ls
-
-
-def test_log_laurent_addition():
-    a = log_series(1, 3)
-    b = -log_series(1, 3)
-    s = a + b
-    rp, rl = s.residue()
-    assert rp == 0 and rl == 0
-    assert s.logpart.coeff(0) == 0
+    assert [mercator(1, k) for k in range(1, 5)] == [1, F(-1, 2), F(1, 3), F(-1, 4)]
+    # at alpha = -1, log(-1 + u) - log(-1) = log(1 - u) = -u - u^2/2 - u^3/3 - ...
+    assert [mercator(-1, k) for k in range(1, 5)] == [-1, F(-1, 2), F(-1, 3), F(-1, 4)]
 
 
 def test_linsolve_exact():

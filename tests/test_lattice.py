@@ -200,8 +200,8 @@ def test_clear_caches_empties_every_registered_memo():
     qp = nbar_poly(0, 4)
     sizes = memo.sizes()
     for name in ("lattice.values", "lattice.polys", "lattice.splits", "quasipoly.fit_plans",
-                 "tr.tensors", "tr.decompositions", "tr.factor_rf", "tr.factor_ord",
-                 "tr.factor_ser", "tr.xi", "tr.xi_inverse_slot"):
+                 "tr.tensors", "tr.signatures", "tr.bases", "tr.factor_rf", "tr.factor_ord",
+                 "tr.factor_ser", "tr.xi", "tr.xi_inverse_slot", "tr.xi_principal_parts"):
         assert sizes[name] > 0, name
     clear_caches()
     assert set(memo.sizes().values()) == {0}

@@ -128,6 +128,59 @@ def test_xi_decompose_rejects_foreign_functions():
         tr.xi_decompose(Z / (1 - Z * Z) ** 3, 1)
 
 
+def principal_parts_by_series(f: RationalFunction):
+    """Principal parts at -1, +1 and 0 read off Laurent expansions, independently of the engine."""
+    out = {}
+    for a in (1, -1, 0):
+        s = f.laurent_at(a, -1)
+        for j in range(1, 1 - s.ord):
+            if s.coeff(-j):
+                out[(a, j)] = s.coeff(-j)
+    return out
+
+
+def test_xi_principal_parts_match_laurent_expansions():
+    for parity in (0, 1):
+        for k in range(0, 9):
+            want = principal_parts_by_series(tr.xi(parity, k))
+            assert dict(tr.xi_principal_parts(parity, k)) == want, (parity, k)
+
+
+def test_two_point_coefficients_match_laurent_expansions():
+    for kind in ("o2p", "o2i"):
+        for alpha in (1, -1):
+            ser = tr._factor_rf((kind,)).laurent_at(alpha, 6)
+            assert ser.ord == 0
+            for k in range(0, 7):
+                want = principal_parts_by_series(ser.coeff(k))
+                assert tr.two_point_coeff(kind, alpha, k) == want, (kind, alpha, k)
+
+
+def test_xi_decompose_accepts_and_certifies_vectors():
+    f = F(2) * tr.xi(1, 2) - tr.xi(0, 0)
+    v = tr.principal_parts(f)
+    assert v == principal_parts_by_series(f)
+    assert tr.xi_decompose(v, 0) == {(1, 2): F(2), (0, 0): F(-1)}
+    with pytest.raises(tr.EngineError):
+        tr.xi_decompose({**v, (0, 2): F(1)}, 2)  # double pole at 0
+    with pytest.raises(tr.EngineError):
+        tr.xi_decompose({(1, 2): F(1)}, 2)  # a pole at +1 alone is outside the span
+    with pytest.raises(tr.EngineError):
+        tr.xi_decompose({**v, (-1, 5): F(1, 3)}, 2)
+
+
+def test_residual_log_coefficient_raises(monkeypatch):
+    real = tr._pf_data
+
+    def skewed(factors, alpha):
+        data, tally = real(factors, alpha)
+        return data, {**tally, (): F(1)}
+
+    monkeypatch.setattr(tr, "_pf_data", skewed)
+    with pytest.raises(tr.EngineError, match="residual log"):
+        tr.Correlators().tensor(1, 1)
+
+
 def test_one_handle_tensor():
     assert tr.tr_tensor(1, 1) == {((0, 0),): F(5, 12), ((0, 1),): F(1, 48)}
 
