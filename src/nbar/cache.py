@@ -80,8 +80,7 @@ def cache_get(directory: Path, g: int, n: int, provenance: str) -> Optional[Quas
             break
     if entry is None:
         return None
-    name = entry.get("file") or _entry_filename(g, n, provenance)
-    path = directory / name
+    path = directory / _entry_filename(g, n, provenance)
     try:
         blob = path.read_bytes()
     except OSError:
@@ -100,8 +99,7 @@ def cache_get(directory: Path, g: int, n: int, provenance: str) -> Optional[Quas
 def cache_put(directory: Path, qp: QuasiPolynomial, provenance: str) -> Path:
     """Store a polynomial, replacing any previous entry for its key."""
     directory = Path(directory)
-    name = _entry_filename(qp.g, qp.n, provenance)
-    path = directory / name
+    path = directory / _entry_filename(qp.g, qp.n, provenance)
     text = qp_to_json(qp)
     _atomic_write(path, text)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -116,7 +114,7 @@ def cache_put(directory: Path, qp: QuasiPolynomial, provenance: str) -> Path:
             and e.get("provenance") == provenance
         )
     ]
-    entries.append({"g": qp.g, "n": qp.n, "provenance": provenance, "digest": digest, "file": name})
+    entries.append({"g": qp.g, "n": qp.n, "provenance": provenance, "digest": digest})
     entries.sort(key=lambda e: (e.get("g", 0), e.get("n", 0), e.get("provenance", "")))
     manifest["entries"] = entries
     _atomic_write(directory / MANIFEST_NAME, json.dumps(manifest, indent=2))

@@ -32,6 +32,16 @@ def _check_stable(g: int, n: int) -> None:
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
 
 
+def _check_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
+    """b as a tuple of ints; raises unless (g, n) is stable and b is n non-negative integers."""
+    _check_stable(g, n)
+    if len(b) != n:
+        raise ValueError(f"expected {n} boundary parameters, got {len(b)}")
+    if any(v < 0 or v != int(v) for v in b):
+        raise ValueError("boundary parameters must be non-negative integers")
+    return tuple(int(v) for v in b)
+
+
 def br(p: int) -> int:
     """The weight [p]: p for positive p, and 1 at p = 0."""
     return p if p else 1
@@ -49,12 +59,7 @@ def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
     The all-zero point is excluded here because its value is defined by
     polynomial continuation; use ``nbar_poly(g, n).evaluate(b)`` for it.
     """
-    _check_stable(g, n)
-    if len(b) != n:
-        raise ValueError(f"expected {n} boundary parameters, got {len(b)}")
-    if any(v < 0 or v != int(v) for v in b):
-        raise ValueError("boundary parameters must be non-negative integers")
-    b = tuple(int(v) for v in b)
+    b = _check_point(g, n, b)
     if not any(b):
         raise ValueError(
             "the value at b = 0 is defined by polynomial continuation; "
@@ -168,12 +173,7 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     evaluator, so agreement with :func:`nbar_eval` exercises exactly the
     outermost step of this alternative recursion.
     """
-    _check_stable(g, n)
-    if len(b) != n:
-        raise ValueError(f"expected {n} boundary parameters, got {len(b)}")
-    b = tuple(int(v) for v in b)
-    if any(v < 0 for v in b):
-        raise ValueError("boundary parameters must be non-negative integers")
+    b = _check_point(g, n, b)
     if sum(b) % 2:
         return Fraction(0)
     if b[0] <= 0:

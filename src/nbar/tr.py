@@ -5,20 +5,23 @@ of basis functions ξ_{parity,k} in each variable.  Every such function, and
 every coefficient function the recursion meets on the way, is proper with
 poles only at -1, 0 and +1, so it is fixed by its principal parts: the
 coefficients of (z - α)^{-j} for α ∈ {-1, 0, +1}.  The engine works in these
-coordinates throughout.  It expands each product of factors as a Laurent
-series at the branch points z = ±1, carrying any coefficient that depends on
-a live spectator variable as a principal-part vector in that variable (the
-two-point factors have closed forms), and reads off the residues against the
-kernel.  Summing the residues is then plain arithmetic on exact rational
-vectors; no rational function is built per term.  Finally every slot, the
-root's and each live spectator's, is re-expressed in the ξ basis by a change
-of basis, precomputed once per index from principal parts of ξ that are
-themselves built exactly in coordinates.
+coordinates only.  Each factor of a term is a principal-part vector (ξ is
+built in coordinates by its defining operators; the kernel's rational part
+and the diagonal two-point factor are constants), and its Laurent series at
+a branch point z = ±1 is read off that vector.  A factor that depends on a
+live spectator has principal-part vectors in that variable as coefficients
+(the two-point factors have closed forms).  The residues against the kernel
+are then plain arithmetic on exact rational vectors.  A ξ factor in a slot
+substituted by z ↦ 1/z is just a sign, as the basis forms are anti-invariant:
+ξ(1/z) d(1/z) = -ξ(z) dz.  Finally every slot, the root's and each live
+spectator's, is re-expressed in the ξ basis by back-substitution.
 
-Certificates: each decomposition must reproduce its vector exactly in every
-coordinate (Σ γ·PP(ξ) = v), and the formal log z terms at each branch point
-must cancel in every sum.  Anything else raises :class:`EngineError`, so a
-returned tensor is correct, not plausible.
+Certificates: each decomposition must leave an exactly empty residual, i.e.
+reproduce its vector in every coordinate (Σ γ·PP(ξ) = v), and the formal
+log z terms at each branch point must cancel in every sum.  Anything else
+raises :class:`EngineError`, so a returned tensor is correct, not plausible.
+:class:`RationalFunction` is left to the reference functions (:func:`xi`,
+the slot functions, :func:`principal_parts`) and the check helpers below.
 
 The two-point input of the recursion is the modified form
 dz₁ dz₂ / (z₁ - z₂)² + dz₁ dz₂ / (z₁ z₂); substitutions z ↦ 1/z always act
@@ -31,7 +34,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .exact import (
     LaurentSeries,
@@ -84,13 +87,6 @@ def xi(parity: int, k: int) -> RationalFunction:
     return f
 
 
-@lru_cache(maxsize=None)
-def xi_inverse_slot(parity: int, k: int) -> RationalFunction:
-    """ξ_{parity,k} composed with z ↦ 1/z as a form slot (Jacobian included)."""
-    jac = RationalFunction(Poly([-1]), Poly([0, 0, 1]))
-    return xi(parity, k).substitute_inverse() * jac
-
-
 def _d_dz(v: PfVector) -> PfVector:
     return {(a, j + 1): -j * c for (a, j), c in v.items()}
 
@@ -125,12 +121,7 @@ def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[PfKey, Fraction], ...
 
 
 register("tr.xi", xi)
-register("tr.xi_inverse_slot", xi_inverse_slot)
 register("tr.xi_principal_parts", xi_principal_parts)
-
-
-def xi_rf(key: XiKey) -> RationalFunction:
-    return xi(key[0], key[1])
 
 
 def omega02_plain() -> RationalFunction:
@@ -179,73 +170,55 @@ def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
     return out
 
 
-# -- factor bookkeeping --------------------------------------------------------------
+# -- factor series ------------------------------------------------------------------
 
 Desc = Tuple
 TWO_POINT = ("o2p", "o2i")  # the factors that carry a live spectator
-_FACTOR_RF_CACHE: Dict[Desc, RationalFunction] = register("tr.factor_rf", {})
-_FACTOR_ORD_CACHE: Dict[Tuple[Desc, int], int] = register("tr.factor_ord", {})
-_FACTOR_SER_CACHE: Dict[Tuple[Desc, int, int], LaurentSeries] = register("tr.factor_ser", {})
+# principal parts of kernel_rational_part() and of omega02_diagonal()
+KERNEL_PP: PfVector = {(1, 2): Fraction(1, 4), (1, 1): HALF, (-1, 2): Fraction(-1, 4), (-1, 1): HALF}
+DIAGONAL_PP: PfVector = {(1, 2): Fraction(-1, 4), (1, 1): Fraction(1, 4), (-1, 2): Fraction(-1, 4),
+                         (-1, 1): Fraction(-1, 4), (0, 2): Fraction(-1)}
 
 
-def _factor_rf(desc: Desc) -> RationalFunction:
-    hit = _FACTOR_RF_CACHE.get(desc)
-    if hit is None:
-        kind = desc[0]
-        if kind == "xi":
-            _, p, k, inv = desc
-            hit = xi_inverse_slot(p, k) if inv else xi(p, k)
-        elif kind == "o2p":
-            hit = omega02_plain()
-        elif kind == "o2i":
-            hit = omega02_inverse_first()
-        elif kind == "diag":
-            hit = omega02_diagonal()
-        elif kind == "R":
-            hit = kernel_rational_part()
-        else:
-            raise AssertionError(f"unknown factor {desc}")
-        _FACTOR_RF_CACHE[desc] = hit
-    return hit
+def _factor_pp(desc: Desc) -> Iterable[Tuple[PfKey, Fraction]]:
+    """Principal parts of a factor that watches no spectator."""
+    if desc[0] == "xi":
+        return xi_principal_parts(desc[1], desc[2])
+    return {"R": KERNEL_PP, "diag": DIAGONAL_PP}[desc[0]].items()
 
 
 def _factor_ord(desc: Desc, alpha: int) -> int:
     if desc[0] in TWO_POINT:
         return 0  # regular and non-zero at z = ±1 for a generic spectator
-    key = (desc, alpha)
-    hit = _FACTOR_ORD_CACHE.get(key)
-    if hit is None:
-        hit = _factor_rf(desc).order_at(alpha)
-        _FACTOR_ORD_CACHE[key] = hit
-    return hit
-
-
-def _factor_series(desc: Desc, alpha: int, upto: int) -> LaurentSeries:
-    key = (desc, alpha, upto)
-    hit = _FACTOR_SER_CACHE.get(key)
-    if hit is None:
-        hit = _factor_rf(desc).laurent_at(alpha, upto)
-        _FACTOR_SER_CACHE[key] = hit
-    return hit
+    return -max(j for (a, j), _ in _factor_pp(desc) if a == alpha)
 
 
 PfTensor = Dict[Tuple[PfKey, ...], Fraction]  # principal-part coordinates, one key per slot
 
 
 def _factor_terms(desc: Desc, alpha: int, upto: int) -> Dict[int, PfTensor]:
-    """Series coefficients of one factor at z = α through u^upto, by exponent.
+    """Series coefficients of one factor at z = α + u through u^upto, by exponent.
 
     Each coefficient is a tensor over the principal parts of the live
     spectator the factor watches: one slot for a two-point factor, none
-    (the key ``()``) for the others.
+    (the key ``()``) for the others.  Those are expanded from their
+    principal parts: the part at α is the singular part of the series, and
+    each pole β ≠ α adds (z - β)^{-j} = Σ_m C(-j, m) (α - β)^{-j-m} u^m.
     """
     if desc[0] in TWO_POINT:
         return {
             k: {(pk,): c for pk, c in two_point_coeff(desc[0], alpha, k).items()}
             for k in range(upto + 1)
         }
-    ser = _factor_series(desc, alpha, upto)
-    return {ser.ord + i: {(): Fraction(c)} for i, c in enumerate(ser.coeffs) if c}
+    ser: Dict[int, Fraction] = {}
+    for (beta, j), c in _factor_pp(desc):
+        if beta == alpha:
+            ser[-j] = c
+            continue
+        d = Fraction(alpha - beta)
+        for m in range(upto + 1):
+            ser[m] = ser.get(m, 0) + (-1) ** m * comb(j + m - 1, m) * c / d ** (j + m)
+    return {e: {(): c} for e, c in ser.items() if c}
 
 
 _SIGNATURES: Dict[Tuple[Tuple[Desc, ...], int], Tuple[PfTensor, PfTensor]] = register("tr.signatures", {})
@@ -295,28 +268,22 @@ def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor]
 
 # -- decomposition over the basis -------------------------------------------------------
 
-_BASES: Dict[int, Dict[PfKey, List[Tuple[Tuple[int, int], Fraction]]]] = register("tr.bases", {})
+_PIVOTS: Dict[int, Tuple[Tuple[Fraction, Fraction], ...]] = register("tr.pivots", {})
 
 
-def _left_inverse(kmax: int) -> Dict[PfKey, List[Tuple[Tuple[int, int], Fraction]]]:
-    """A left inverse of the principal parts of ξ_{p,k}, k ≤ kmax.
+def _pivot(k: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """Inverse of the principal parts of ξ_{0,k}, ξ_{1,k} on the rows (+1, 2k + 2), (-1, 2k + 2).
 
-    ξ_{p,k} has poles of order exactly 2k + 2 at both branch points, so the
-    rows (±1, 2k + 2) of the basis matrix form an invertible square,
-    block-triangular in k.  The inverse of that square is stored by row: the
-    ξ coefficients that a vector's entry on the row contributes to.
+    ξ_{p,k} has poles of order exactly 2k + 2 at both branch points, so this
+    square is invertible and the basis matrix is block-triangular in k.  Row
+    p of the inverse maps a vector's entries on those rows to γ_{p,k}.
     """
-    hit = _BASES.get(kmax)
+    hit = _PIVOTS.get(k)
     if hit is None:
-        keys = [(p, k) for k in range(kmax + 1) for p in (0, 1)]
-        rows = [(a, 2 * k + 2) for k in range(kmax + 1) for a in (1, -1)]
-        pps = [dict(xi_principal_parts(*key)) for key in keys]
-        square = [[pp.get(r, Fraction(0)) for pp in pps] for r in rows]
-        hit = {}
-        for i, r in enumerate(rows):
-            unit = [Fraction(int(i == t)) for t in range(len(rows))]
-            hit[r] = [(key, c) for key, c in zip(keys, linsolve(square, unit)) if c]
-        _BASES[kmax] = hit
+        pps = [dict(xi_principal_parts(p, k)) for p in (0, 1)]
+        square = [[pp[(a, 2 * k + 2)] for pp in pps] for a in (1, -1)]
+        hit = tuple(zip(*(linsolve(square, unit) for unit in ((1, 0), (0, 1)))))
+        _PIVOTS[k] = hit
     return hit
 
 
@@ -342,38 +309,36 @@ def principal_parts(f: RationalFunction) -> PfVector:
     return v
 
 
-def xi_decompose(f: Union[RationalFunction, PfVector], kmax: int) -> Dict[Tuple[int, int], Fraction]:
-    """Write f exactly as Σ γ_{p,k} ξ_{p,k}.
+def xi_decompose(v: PfVector) -> Dict[XiKey, Fraction]:
+    """Write a principal-part vector exactly as Σ γ_{p,k} PP(ξ_{p,k}).
 
-    ``f`` is a rational function or its principal-part vector.  The index
-    worked at is ``kmax``, raised to what the highest pole order needs
-    (ξ_{p,k} has poles of order 2k + 2 at ±1), so a low bound is not an
-    error.  The coefficients are read through the precomputed left inverse
-    and certified by exact equality of Σ γ·PP(ξ) with the vector in every
-    coordinate; a vector outside the span raises :class:`EngineError`.
+    The highest pole order at ±1 fixes the top index.  From there down,
+    γ_{0,k} and γ_{1,k} are read off the rows (±1, 2k + 2) of the running
+    residual through :func:`_pivot`, and γ·PP(ξ) is subtracted from it.  The
+    residual must end exactly empty, which certifies Σ γ·PP(ξ) = v in every
+    coordinate; a vector outside the span raises :class:`EngineError`.  For a
+    rational function f, pass ``principal_parts(f)``.
     """
-    v = principal_parts(f) if isinstance(f, RationalFunction) else {k: c for k, c in f.items() if c}
-    if not v:
-        return {}
-    top = max((j for a, j in v if a), default=0)
-    index = max(kmax, (top - 1) // 2)
-    gammas: Dict[Tuple[int, int], Fraction] = {}
-    for row, col in _left_inverse(index).items():
-        c = v.get(row)
-        if c:
-            for key, x in col:
-                gammas[key] = gammas.get(key, 0) + c * x
-    gammas = {key: c for key, c in gammas.items() if c}
-    recon: PfVector = {}
-    for key, c in gammas.items():
-        for pk, x in xi_principal_parts(*key):
-            recon[pk] = recon.get(pk, 0) + c * x
-    if {pk: c for pk, c in recon.items() if c} != v:
-        raise EngineError(f"principal parts {sorted(v)} are not in the span of ξ up to index {index}")
+    res = {key: c for key, c in v.items() if c}
+    gammas: Dict[XiKey, Fraction] = {}
+    top = max((j for a, j in res if a), default=0)
+    for k in reversed(range(top // 2)):
+        rows = (res.get((1, 2 * k + 2), 0), res.get((-1, 2 * k + 2), 0))
+        if not any(rows):
+            continue
+        for p, inv in enumerate(_pivot(k)):
+            gamma = inv[0] * rows[0] + inv[1] * rows[1]
+            if gamma:
+                gammas[(p, k)] = gamma
+                for pk, x in xi_principal_parts(p, k):
+                    res[pk] = res.get(pk, 0) - gamma * x
+    left = sorted(key for key, c in res.items() if c)
+    if left:
+        raise EngineError(f"principal parts {sorted(v)} are not in the span of ξ; {left} are left")
     return gammas
 
 
-def _decompose_slots(coeffs: PfTensor, kmax: int) -> Dict[Tuple[Tuple[int, int], ...], Fraction]:
+def _decompose_slots(coeffs: PfTensor) -> Dict[Tuple[XiKey, ...], Fraction]:
     """ξ coordinates, in every slot, of a tensor given in principal-part coordinates.
 
     The slots are decomposed one at a time, spectators first and the root
@@ -386,7 +351,7 @@ def _decompose_slots(coeffs: PfTensor, kmax: int) -> Dict[Tuple[Tuple[int, int],
                 slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
         coeffs = {}
         for rest, vec in slices.items():
-            for xik, gamma in xi_decompose(vec, kmax).items():
+            for xik, gamma in xi_decompose(vec).items():
                 key = rest[:s] + (xik,) + rest[s:]
                 coeffs[key] = coeffs.get(key, 0) + gamma
     return coeffs
@@ -419,10 +384,9 @@ class Correlators:
         """Terms of one side of a split: weight, factor in z, spectator assignment."""
         if (g, n) == (0, 2):
             return [(Fraction(1), (TWO_POINT[inv],), {slots[0]: LIVE})]
-        return [
-            (c, ("xi", key[0][0], key[0][1], inv), dict(zip(slots, key[1:])))
-            for key, c in self.tensor(g, n).items()
-        ]
+        sign = -1 if inv else 1  # ξ(1/z) d(1/z) = -ξ(z) dz
+        return [(sign * c, ("xi",) + key[0], dict(zip(slots, key[1:])))
+                for key, c in self.tensor(g, n).items()]
 
     def _groups(self, g: int, n: int) -> Dict[Tuple[Desc, ...], Dict[Bucket, Fraction]]:
         spect = n - 1
@@ -438,11 +402,8 @@ class Correlators:
                 add(Fraction(1), (("diag",),), ())
             else:
                 for key, c in self.tensor(gp, np_).items():
-                    factors = (
-                        ("xi", key[0][0], key[0][1], 0),
-                        ("xi", key[1][0], key[1][1], 1),
-                    )
-                    add(c, factors, key[2:])
+                    # the second slot is substituted: ξ(1/z) d(1/z) = -ξ(z) dz
+                    add(-c, (("xi",) + key[0], ("xi",) + key[1]), key[2:])
         for g1 in range(g + 1):
             g2 = g - g1
             for mask in range(1 << spect):
@@ -465,7 +426,6 @@ class Correlators:
     # -- the computation -------------------------------------------------------------
 
     def _compute(self, g: int, n: int) -> XiTensor:
-        D = 3 * g - 3 + n
         acc: Dict[Bucket, PfTensor] = {}
         tallies: Dict[Tuple[Bucket, int], PfTensor] = {}
         for factors, buckets in self._groups(g, n).items():
@@ -482,7 +442,7 @@ class Correlators:
                 )
         tensor: XiTensor = {}
         for bucket, coeffs in acc.items():
-            for keys, gamma in _decompose_slots(coeffs, D).items():
+            for keys, gamma in _decompose_slots(coeffs).items():
                 live = iter(keys[1:])
                 out_key = (keys[0],) + tuple(next(live) if s == LIVE else s for s in bucket)
                 tensor[out_key] = tensor.get(out_key, Fraction(0)) + gamma
@@ -517,7 +477,7 @@ def tensor_value_at(tensor: XiTensor, zs: Sequence[Fraction]) -> Fraction:
     for key, c in tensor.items():
         term = c
         for kk, z in zip(key, zs):
-            term *= xi_rf(kk)(z)
+            term *= xi(*kk)(z)
         total += term
     return total
 
@@ -526,7 +486,7 @@ def correlator_rf_1pt(g: int) -> RationalFunction:
     """One-variable correlators assembled back into a single rational function."""
     out = RationalFunction(0)
     for key, c in tr_tensor(g, 1).items():
-        out = out + c * xi_rf(key[0])
+        out = out + c * xi(*key[0])
     return out
 
 
@@ -646,10 +606,10 @@ def string_check(g: int, n: int) -> bool:
     terms: List[Tuple[Fraction, List[RationalFunction]]] = []
     for rest, c in lhs.items():
         if c:
-            terms.append((c, [xi_rf(kk) for kk in rest]))
+            terms.append((c, [xi(*kk) for kk in rest]))
     for key, c in t0.items():
         for slot in range(n):
-            funcs = [xi_rf(kk) for kk in key]
+            funcs = [xi(*kk) for kk in key]
             funcs[slot] = string_transform(funcs[slot])
             terms.append((c, funcs))
     return multilinear_is_zero(terms)

@@ -208,6 +208,22 @@ def test_cache_detects_corrupt_manifest(tmp_path):
     assert cache_get(tmp_path, 0, 4, "comb") == qp
 
 
+def test_cache_ignores_file_named_by_manifest(tmp_path):
+    # a manifest entry cannot send a read outside the cache directory
+    qp = nbar_poly(0, 4)
+    cache_dir = tmp_path / "cache"
+    path = cache_put(cache_dir, qp, "comb")
+    outside = tmp_path / "x.json"
+    outside.write_bytes(path.read_bytes())
+    path.unlink()
+    manifest = json.loads((cache_dir / "manifest.json").read_text())
+    (entry,) = manifest["entries"]
+    assert "file" not in entry
+    entry["file"] = "../x.json"  # its digest matches the file there
+    (cache_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert cache_get(cache_dir, 0, 4, "comb") is None
+
+
 def test_cache_heals_after_corruption_via_cli(capsys, tmp_path):
     code, _, _ = run(
         capsys, ["poly", "0", "4", "--format", "json", "--cache-dir", str(tmp_path)]

@@ -118,6 +118,14 @@ def test_asymmetric_recursion_needs_positive_first_argument():
         nbar_eval_asym(0, 4, (0, 2, 0, 0))
 
 
+def test_both_evaluators_reject_non_integers():
+    # truncating 7/2 to 3 would return the value at (3, 1), 17/12
+    for evaluate in (nbar_eval, nbar_eval_asym):
+        for bad in (1.5, F(7, 2)):
+            with pytest.raises(ValueError):
+                evaluate(1, 2, (bad, 1))
+
+
 def test_poly_engines_agree():
     for g, n in [(0, 4), (1, 2)]:
         assert nbar_poly(g, n, engine="comb") == nbar_poly(g, n, engine="comb-asym")
@@ -200,8 +208,7 @@ def test_clear_caches_empties_every_registered_memo():
     qp = nbar_poly(0, 4)
     sizes = memo.sizes()
     for name in ("lattice.values", "lattice.polys", "lattice.splits", "quasipoly.fit_plans",
-                 "tr.tensors", "tr.signatures", "tr.bases", "tr.factor_rf", "tr.factor_ord",
-                 "tr.factor_ser", "tr.xi", "tr.xi_inverse_slot", "tr.xi_principal_parts"):
+                 "tr.tensors", "tr.signatures", "tr.pivots", "tr.xi_principal_parts"):
         assert sizes[name] > 0, name
     clear_caches()
     assert set(memo.sizes().values()) == {0}

@@ -63,6 +63,7 @@ def test_xi_sum_and_difference_closed_forms():
 
 
 def test_xi_forms_are_antiinvariant():
+    # the engine folds a ξ factor in a slot substituted by z ↦ 1/z into a sign on this
     for parity in (0, 1):
         for k in range(0, 6):
             assert tr.is_form_antiinvariant(tr.xi(parity, k))
@@ -108,24 +109,26 @@ def test_kernel_rational_part():
 
 def test_xi_decompose_round_trip():
     f = 3 * tr.xi(0, 0) - F(7, 2) * tr.xi(1, 2) + tr.xi(0, 1)
-    got = tr.xi_decompose(f, 2)
+    got = tr.xi_decompose(tr.principal_parts(f))
     assert got == {(0, 0): F(3), (1, 2): F(-7, 2), (0, 1): F(1)}
-    assert tr.xi_decompose(RationalFunction(0), 3) == {}
+    assert tr.xi_decompose(tr.principal_parts(RationalFunction(0))) == {}
 
 
-def test_xi_decompose_escalates_past_low_bound():
-    f = tr.xi(0, 3)
-    # the sharp index is 3; asking with bound 1 still succeeds via escalation
-    assert tr.xi_decompose(f, 1) == {(0, 3): F(1)}
+def test_xi_decompose_reads_index_off_highest_pole():
+    # ξ_{0,3} has poles of order 8 at ±1, which alone fixes the top index 3
+    assert tr.xi_decompose(tr.principal_parts(tr.xi(0, 3))) == {(0, 3): F(1)}
+    # odd top order 3: no ξ has it, so the residual cannot be emptied
+    with pytest.raises(tr.EngineError):
+        tr.xi_decompose(tr.principal_parts(Z / (1 - Z * Z) ** 3))
 
 
 def test_xi_decompose_rejects_foreign_functions():
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose(1 / (Z - 2), 2)
+        tr.xi_decompose(tr.principal_parts(1 / (Z - 2)))
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose(1 / (Z * Z), 2)
+        tr.xi_decompose(tr.principal_parts(1 / (Z * Z)))
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose(Z / (1 - Z * Z) ** 3, 1)
+        tr.xi_decompose(tr.principal_parts(Z / (1 - Z * Z) ** 3))
 
 
 def principal_parts_by_series(f: RationalFunction):
@@ -146,10 +149,26 @@ def test_xi_principal_parts_match_laurent_expansions():
             assert dict(tr.xi_principal_parts(parity, k)) == want, (parity, k)
 
 
-def test_two_point_coefficients_match_laurent_expansions():
-    for kind in ("o2p", "o2i"):
+def test_constant_factor_vectors_match_reference_functions():
+    assert tr.KERNEL_PP == tr.principal_parts(tr.kernel_rational_part())
+    assert tr.DIAGONAL_PP == tr.principal_parts(tr.omega02_diagonal())
+
+
+def test_factor_series_match_laurent_expansions():
+    factors = [(("xi", p, k), tr.xi(p, k)) for p in (0, 1) for k in range(0, 9)]
+    factors += [(("R",), tr.kernel_rational_part()), (("diag",), tr.omega02_diagonal())]
+    for desc, f in factors:
         for alpha in (1, -1):
-            ser = tr._factor_rf((kind,)).laurent_at(alpha, 6)
+            ser = f.laurent_at(alpha, 6)
+            want = {ser.ord + i: {(): c} for i, c in enumerate(ser.coeffs) if c}
+            assert tr._factor_terms(desc, alpha, 6) == want, (desc, alpha)
+            assert tr._factor_ord(desc, alpha) == ser.ord, (desc, alpha)
+
+
+def test_two_point_coefficients_match_laurent_expansions():
+    for kind, slot in (("o2p", tr.omega02_plain()), ("o2i", tr.omega02_inverse_first())):
+        for alpha in (1, -1):
+            ser = slot.laurent_at(alpha, 6)
             assert ser.ord == 0
             for k in range(0, 7):
                 want = principal_parts_by_series(ser.coeff(k))
@@ -160,13 +179,13 @@ def test_xi_decompose_accepts_and_certifies_vectors():
     f = F(2) * tr.xi(1, 2) - tr.xi(0, 0)
     v = tr.principal_parts(f)
     assert v == principal_parts_by_series(f)
-    assert tr.xi_decompose(v, 0) == {(1, 2): F(2), (0, 0): F(-1)}
+    assert tr.xi_decompose(v) == {(1, 2): F(2), (0, 0): F(-1)}
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose({**v, (0, 2): F(1)}, 2)  # double pole at 0
+        tr.xi_decompose({**v, (0, 2): F(1)})  # double pole at 0
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose({(1, 2): F(1)}, 2)  # a pole at +1 alone is outside the span
+        tr.xi_decompose({(1, 2): F(1)})  # a pole at +1 alone is outside the span
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose({**v, (-1, 5): F(1, 3)}, 2)
+        tr.xi_decompose({**v, (-1, 5): F(1, 3)})
 
 
 def test_residual_log_coefficient_raises(monkeypatch):
