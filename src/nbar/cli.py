@@ -11,11 +11,11 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache as cache_mod
-from . import golden
 from .lattice import (
+    _check_point,
     euler_char,
     is_stable,
     nbar_eval,
@@ -137,9 +137,8 @@ def _emit(text: str, out: Optional[Path]) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        if not is_stable(args.g, args.n):
-            raise ValueError(f"(g, n) = ({args.g}, {args.n}) is not stable")
-        if len(args.b) == args.n and not any(args.b):
+        _check_point(args.g, args.n, args.b)
+        if not any(args.b):
             raise ValueError(
                 "the value at b = 0 is defined by polynomial continuation; "
                 "use the poly command and evaluate at zero"
@@ -149,10 +148,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         elif args.engine == "comb-asym":
             value = nbar_eval_asym(args.g, args.n, args.b)
         else:
-            if len(args.b) != args.n:
-                raise ValueError(f"expected {args.n} boundary parameters, got {len(args.b)}")
-            if any(v < 0 for v in args.b):
-                raise ValueError("boundary parameters must be non-negative integers")
             value = nbar_poly(args.g, args.n, engine="tr").evaluate(args.b)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -188,37 +183,19 @@ def cmd_poly(args: argparse.Namespace) -> int:
     return _emit(render_poly(qp, args.format), args.out)
 
 
+def _report(outcomes: Iterable) -> bool:
+    """Print each outcome's line; whether every outcome passed."""
+    ok = True
+    for outcome in outcomes:
+        print(outcome.line)
+        ok = ok and outcome.ok
+    return ok
+
+
 def cmd_table(_args: argparse.Namespace) -> int:
-    failed = False
-    for g, n in golden.EXACT_CASES:
-        qp = nbar_poly(g, n)
-        want = golden.golden_rows(g, n)
-        extra = sorted(set(qp.classes) - set(want))
-        if extra:
-            failed = True
-            print(f"({g},{n}): FAIL unexpected parity classes {extra}")
-        for k in sorted(want):
-            got_class = qp.classes.get(k, {})
-            diffs = golden.diff_class(got_class, want[k])
-            if diffs:
-                failed = True
-                print(f"({g},{n}) k={k}: FAIL {len(diffs)} coefficient(s) differ")
-                for key, a, b in diffs:
-                    print(f"    {key}: computed {a}, reference {b}")
-            else:
-                print(f"({g},{n}) k={k}: ok ({len(want[k])} coefficients)")
-    for g, n in golden.SUSPECT_CASES:
-        qp = nbar_poly(g, n)
-        for k, want_class in sorted(golden.golden_rows(g, n).items()):
-            got_class = qp.classes.get(k, {})
-            diffs = golden.diff_class(got_class, want_class)
-            tag = "suspect row" if (g, n, k) in golden.SUSPECT else "row"
-            if diffs:
-                print(f"({g},{n}) k={k}: {tag} differs in {len(diffs)} coefficient(s) (report only)")
-                for key, a, b in diffs:
-                    print(f"    {key}: computed {a}, published {b}")
-            else:
-                print(f"({g},{n}) k={k}: {tag} matches")
+    from . import checks
+
+    ok = _report(checks.table())
     report = positivity_report()
     if report:
         print(f"note: {len(report)} negative stored coefficient(s) found:")
@@ -226,102 +203,25 @@ def cmd_table(_args: argparse.Namespace) -> int:
             print(f"    ({g},{n}) k={k} {key}: {c}")
     else:
         print("all stored coefficients non-negative over the table range")
-    return EXIT_VERIFY if failed else EXIT_OK
-
-
-def _euler_cases(max_chi: int) -> List[Tuple[int, int]]:
-    cases = []
-    for chi in range(1, max_chi + 1):
-        g = 0
-        while True:
-            n = chi + 2 - 2 * g
-            if n < 1:
-                break
-            if is_stable(g, n):
-                cases.append((g, n))
-            g += 1
-    return cases
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    what = args.what
-    ok = True
-    if what in ("euler", "all"):
-        for g, n in _euler_cases(args.max_chi):
-            try:
-                chi = euler_char(g, n)
-            except ValueError as exc:
-                print(f"euler ({g},{n}): unavailable ({exc})")
-                continue
-            zero = nbar_poly(g, n).evaluate((0,) * n)
-            good = chi == zero
-            ok = ok and good
-            status = "ok" if good else f"FAIL (count polynomial gives {zero})"
-            print(f"euler ({g},{n}): {chi} {status}")
-    if what in ("desk", "string", "dilaton", "engines", "residues", "all"):
-        from . import tr
-
-        if what in ("desk", "all"):
-            want11 = _closed_form_11()
-            good = tr.correlator_rf_1pt(1) == want11
-            ok = ok and good
-            print(f"desk (1,1): {'ok' if good else 'FAIL'}")
-            good = _desk_03(tr)
-            ok = ok and good
-            print(f"desk (0,3): {'ok' if good else 'FAIL'}")
-        if what in ("string", "all"):
-            for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
-                good = tr.string_check(g, n)
-                ok = ok and good
-                print(f"string ({g},{n}): {'ok' if good else 'FAIL'}")
-        if what in ("dilaton", "all"):
-            for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
-                good = tr.dilaton_check(g, n)
-                ok = ok and good
-                print(f"dilaton ({g},{n}): {'ok' if good else 'FAIL'}")
-        if what in ("engines", "all"):
-            for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
-                good = tr.tr_correlator(g, n) == nbar_poly(g, n)
-                ok = ok and good
-                print(f"engines ({g},{n}) residue vs recursion: {'ok' if good else 'FAIL'}")
-            for g, n, bs in [(0, 4, (4, 2, 0, 2)), (1, 2, (3, 5)), (1, 2, (6, 2))]:
-                good = nbar_eval_asym(g, n, bs) == nbar_eval(g, n, bs)
-                ok = ok and good
-                print(f"engines ({g},{n}) asymmetric at b={bs}: {'ok' if good else 'FAIL'}")
-        if what in ("residues", "all"):
-            for k in range(6):
-                for parity in (0, 1):
-                    good = tr.resatzero_check(parity, k)
-                    ok = ok and good
-                    print(f"residues parity={parity} k={k}: {'ok' if good else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _closed_form_11():
-    from .exact import Poly, RationalFunction
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_chi < 1:
+        print(f"error: --max-chi must be at least 1, got {args.max_chi}", file=sys.stderr)
+        return EXIT_INVALID
+    from . import checks
 
-    return RationalFunction(
-        Poly([5, 0, -8, 0, 18, 0, -8, 0, 5]),
-        Poly([0, 12]) * Poly([-1, 0, 1]) ** 4,
-    )
-
-
-def _desk_03(tr) -> bool:
-    tensor = tr.tr_tensor(0, 3)
-
-    def engine(*zs: Fraction) -> Fraction:
-        return tr.tensor_value_at(tensor, zs)
-
-    def printed(*zs: Fraction) -> Fraction:
-        prod_minus = Fraction(1)
-        prod_plus = Fraction(1)
-        for z in zs:
-            prod_minus *= (z * z - z + 1) / (z - 1) ** 2
-            prod_plus *= (z * z + z + 1) / (z + 1) ** 2
-        denom = 2 * zs[0] * zs[1] * zs[2]
-        return (prod_minus + prod_plus) / denom
-
-    return tr.grid_equal(engine, printed, 3, 8)
+    topics = {
+        "euler": lambda: checks.euler(args.max_chi),
+        "desk": checks.desk,
+        "string": checks.string,
+        "dilaton": checks.dilaton,
+        "engines": checks.engines,
+        "residues": checks.residues,
+    }
+    ok = _report(o for name, run in topics.items() if args.what in (name, "all") for o in run())
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_psi(args: argparse.Namespace) -> int:

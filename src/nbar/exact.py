@@ -252,10 +252,6 @@ class RationalFunction:
         """The identity function z."""
         return RationalFunction(Poly([0, 1]))
 
-    @staticmethod
-    def const(c: Scalar) -> "RationalFunction":
-        return RationalFunction(Poly([c]))
-
     # -- predicates -----------------------------------------------------------
 
     @property
@@ -353,15 +349,6 @@ class RationalFunction:
 
         return RationalFunction(rev(self.num), rev(self.den))
 
-    def order_at(self, alpha: Scalar) -> int:
-        """Order of vanishing at ``alpha``; negative means a pole."""
-        if self.is_zero:
-            raise ValueError("the zero function has no finite order")
-        a = self.num.shifted(alpha).valuation()
-        b = self.den.shifted(alpha).valuation()
-        assert a is not None and b is not None
-        return a - b
-
     def laurent_at(self, alpha: Scalar, upto: int) -> "LaurentSeries":
         """Laurent expansion around z = alpha in the local variable u = z - alpha.
 
@@ -453,46 +440,6 @@ class LaurentSeries:
         if i >= len(self.coeffs):
             return 0
         return self.coeffs[i]
-
-    @property
-    def residue(self) -> Scalar:
-        return self.coeff(-1)
-
-    def _window(self, other: "LaurentSeries") -> Tuple[int, Optional[int]]:
-        p1, p2 = self.prec, other.prec
-        if p1 is None and p2 is None:
-            prec = None
-        elif p1 is None:
-            prec = p2
-        elif p2 is None:
-            prec = p1
-        else:
-            prec = min(p1, p2)
-        return min(self.ord, other.ord), prec
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        lo, prec = self._window(other)
-        if prec is None:
-            hi = max(self.ord + len(self.coeffs), other.ord + len(other.coeffs))
-        else:
-            hi = prec
-        out = [self.coeff(e) + other.coeff(e) for e in range(lo, hi)]
-        return LaurentSeries(lo, out, prec)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.ord, [-c for c in self.coeffs], self.prec)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "LaurentSeries":
-        if not c:
-            if self.prec is None:
-                return LaurentSeries(0, [], None)
-            return LaurentSeries(self.prec, [], self.prec)
-        return LaurentSeries(self.ord, [c * a for a in self.coeffs], self.prec)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):

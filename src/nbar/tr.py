@@ -21,7 +21,8 @@ reproduce its vector in every coordinate (Σ γ·PP(ξ) = v), and the formal
 log z terms at each branch point must cancel in every sum.  Anything else
 raises :class:`EngineError`, so a returned tensor is correct, not plausible.
 :class:`RationalFunction` is left to the reference functions (:func:`xi`,
-the slot functions, :func:`principal_parts`) and the check helpers below.
+the slot functions, :func:`principal_parts`); the checks against them live
+in :mod:`nbar.checks`.
 
 The two-point input of the recursion is the modified form
 dz₁ dz₂ / (z₁ - z₂)² + dz₁ dz₂ / (z₁ z₂); substitutions z ↦ 1/z always act
@@ -30,21 +31,12 @@ on forms, i.e. they carry a Jacobian -1/z² per substituted slot.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .exact import (
-    LaurentSeries,
-    Poly,
-    RationalFunction,
-    invert_scalar,
-    linsolve,
-    mercator,
-    poly_lcm,
-)
+from .exact import Poly, RationalFunction, invert_scalar, linsolve, mercator
 from .lattice import is_stable
 from .memo import register
 from .quasipoly import QuasiPolynomial, XiKey, XiTensor, qp_from_xi_tensor
@@ -466,233 +458,3 @@ def tr_tensor(g: int, n: int) -> XiTensor:
 def tr_correlator(g: int, n: int) -> QuasiPolynomial:
     """The count polynomial read off the residue recursion."""
     return qp_from_xi_tensor(g, n, tr_tensor(g, n))
-
-
-# -- evaluation helpers for cross-checks ------------------------------------------------------
-
-
-def tensor_value_at(tensor: XiTensor, zs: Sequence[Fraction]) -> Fraction:
-    """Value of Σ c ∏ ξ at a rational point away from poles."""
-    total = Fraction(0)
-    for key, c in tensor.items():
-        term = c
-        for kk, z in zip(key, zs):
-            term *= xi(*kk)(z)
-        total += term
-    return total
-
-
-def correlator_rf_1pt(g: int) -> RationalFunction:
-    """One-variable correlators assembled back into a single rational function."""
-    out = RationalFunction(0)
-    for key, c in tr_tensor(g, 1).items():
-        out = out + c * xi(*key[0])
-    return out
-
-
-def grid_equal(
-    fa: Callable[..., Fraction],
-    fb: Callable[..., Fraction],
-    nvars: int,
-    degree_bound: int,
-    start: int = 2,
-) -> bool:
-    """Deterministic equality of rational expressions on an oversized grid.
-
-    Both callables must be rational of per-variable degree at most
-    ``degree_bound`` (numerator and denominator separately); agreement on
-    2·degree_bound + 1 nodes per variable then forces identity.
-    """
-    nodes = [Fraction(start + i) for i in range(2 * degree_bound + 1)]
-    for pt in itertools.product(nodes, repeat=nvars):
-        if fa(*pt) != fb(*pt):
-            return False
-    return True
-
-
-def is_form_antiinvariant(f: RationalFunction) -> bool:
-    """Whether f(z) dz + f(1/z) d(1/z) = 0, i.e. f(z) = f(1/z)/z²."""
-    z2 = RationalFunction(Poly([0, 0, 1]))
-    return f == f.substitute_inverse() / z2
-
-
-def poles_confined(f: RationalFunction) -> bool:
-    """Poles only at -1, 0, +1, the one at 0 at most simple."""
-    den = f.den
-    v = den.valuation()
-    if v is None:
-        return True
-    if v > 1:
-        return False
-    rem = Poly(den.coeffs[v:])
-    for root in (1, -1):
-        while True:
-            q, r = divmod(rem, Poly([-root, 1]))
-            if r.is_zero:
-                rem = q
-            else:
-                break
-    return rem.degree == 0
-
-
-# -- residue identities ------------------------------------------------------------------------
-
-
-def string_scalar(parity: int, k: int) -> Fraction:
-    """Σ_α Res_{z=α} z ξ_{parity,k}(z) dz over the branch points α = ±1."""
-    f = RationalFunction.var() * xi(parity, k)
-    total = Fraction(0)
-    for alpha in (1, -1):
-        total += f.laurent_at(alpha, -1).coeff(-1)
-    return total
-
-
-def _log_tail_residue(ser: LaurentSeries, alpha: int) -> Fraction:
-    """Residue at u = 0 of (log z - log α) times the series ``ser`` at z = α + u."""
-    return sum((mercator(alpha, k) * ser.coeff(-1 - k) for k in range(1, -ser.ord)), Fraction(0))
-
-
-def dilaton_scalar(parity: int, k: int) -> Fraction:
-    """Σ_α Res_{z=α} (z²/2 - log z) ξ_{parity,k}(z) dz.
-
-    The log residue splits into the formal branch value times Res ξ — which
-    must vanish, and is asserted to — plus an explicit Mercator-tail part.
-    """
-    f = xi(parity, k)
-    total = Fraction(0)
-    for alpha in (1, -1):
-        ser = f.laurent_at(alpha, -1)
-        if ser.coeff(-1):
-            raise EngineError(f"basis function ({parity},{k}) has residue at {alpha}")
-        sq = LaurentSeries(0, [Fraction(alpha * alpha, 2), Fraction(alpha), HALF], None)
-        total += (sq * ser).coeff(-1) - _log_tail_residue(ser, alpha)
-    return total
-
-
-def resatzero_check(parity: int, k: int) -> bool:
-    """Branch-point residues of ξ log z against the residue at the origin."""
-    f = xi(parity, k)
-    lhs = Fraction(0)
-    for alpha in (1, -1):
-        ser = f.laurent_at(alpha, -1)
-        if ser.coeff(-1):
-            raise EngineError(f"basis function ({parity},{k}) has residue at {alpha}")
-        lhs += _log_tail_residue(ser, alpha)
-    rhs = f.series_at_zero(-1).coeff(-1)
-    return lhs == rhs
-
-
-def string_transform(f: RationalFunction) -> RationalFunction:
-    """Slot transform (f · z²/(z² - 1))' appearing in the string identity."""
-    w = RationalFunction(Poly([0, 0, 1]), Poly([-1, 0, 1]))
-    return (f * w).derivative()
-
-
-def string_check(g: int, n: int) -> bool:
-    """Form-level string identity tying the (g, n+1) correlator to (g, n).
-
-    Contracts the extra slot of the larger correlator with Σ_α Res z ξ and
-    compares, as a multilinear exact zero test, against the per-slot
-    transform of the smaller correlator.
-    """
-    t1 = tr_tensor(g, n + 1)
-    t0 = tr_tensor(g, n)
-    lhs: Dict[Tuple[XiKey, ...], Fraction] = {}
-    for key, c in t1.items():
-        s = string_scalar(*key[0])
-        if s:
-            rest = key[1:]
-            lhs[rest] = lhs.get(rest, Fraction(0)) + c * s
-    terms: List[Tuple[Fraction, List[RationalFunction]]] = []
-    for rest, c in lhs.items():
-        if c:
-            terms.append((c, [xi(*kk) for kk in rest]))
-    for key, c in t0.items():
-        for slot in range(n):
-            funcs = [xi(*kk) for kk in key]
-            funcs[slot] = string_transform(funcs[slot])
-            terms.append((c, funcs))
-    return multilinear_is_zero(terms)
-
-
-def dilaton_check(g: int, n: int) -> bool:
-    """Form-level dilaton identity: contracting with Σ_α Res (z²/2 - log z) ξ
-    recovers 2g - 2 + n times the smaller correlator."""
-    t1 = tr_tensor(g, n + 1)
-    t0 = tr_tensor(g, n)
-    lhs: Dict[Tuple[XiKey, ...], Fraction] = {}
-    for key, c in t1.items():
-        s = dilaton_scalar(*key[0])
-        if s:
-            rest = key[1:]
-            lhs[rest] = lhs.get(rest, Fraction(0)) + c * s
-    lhs = {k: v for k, v in lhs.items() if v}
-    want = {k: (2 * g - 2 + n) * v for k, v in t0.items()}
-    return lhs == want
-
-
-# -- multilinear exact zero testing --------------------------------------------------------------
-
-
-def multilinear_is_zero(
-    terms: Sequence[Tuple[Fraction, Sequence[RationalFunction]]],
-) -> bool:
-    """Whether Σ c_t ∏_s f_{t,s}(z_s) vanishes identically.
-
-    Each slot's functions are reduced to coordinates over an exact echelon
-    basis; the resulting coefficient tensor must vanish entirely.  No
-    sampling is involved.
-    """
-    terms = [t for t in terms if t[0]]
-    if not terms:
-        return True
-    nslots = len(terms[0][1])
-    coords_per_slot: List[List[Dict[int, Fraction]]] = []
-    for s in range(nslots):
-        funcs = [list(t[1])[s] for t in terms]
-        coords_per_slot.append(_echelon_coords(funcs))
-    acc: Dict[Tuple[int, ...], Fraction] = {}
-    for t, (c, _) in enumerate(terms):
-        partial: Dict[Tuple[int, ...], Fraction] = {(): c}
-        for s in range(nslots):
-            co = coords_per_slot[s][t]
-            nxt: Dict[Tuple[int, ...], Fraction] = {}
-            for prof, w in partial.items():
-                for bi, x in co.items():
-                    key = prof + (bi,)
-                    nxt[key] = nxt.get(key, Fraction(0)) + w * x
-            partial = nxt
-        for prof, w in partial.items():
-            acc[prof] = acc.get(prof, Fraction(0)) + w
-    return not any(acc.values())
-
-
-def _echelon_coords(funcs: Sequence[RationalFunction]) -> List[Dict[int, Fraction]]:
-    """Coordinates of each function over an incrementally built echelon basis."""
-    den = Poly([1])
-    for f in funcs:
-        den = poly_lcm(den, f.den)
-    vecs = []
-    width = 0
-    for f in funcs:
-        p = f.num * den.exact_div(f.den)
-        vecs.append(list(p.coeffs))
-        width = max(width, len(p.coeffs))
-    basis: List[Tuple[int, List[Fraction]]] = []
-    out: List[Dict[int, Fraction]] = []
-    for vec in vecs:
-        v = [Fraction(c) for c in vec] + [Fraction(0)] * (width - len(vec))
-        co: Dict[int, Fraction] = {}
-        for bi, (piv, bv) in enumerate(basis):
-            if v[piv]:
-                fct = v[piv]
-                v = [a - fct * bb for a, bb in zip(v, bv)]
-                co[bi] = co.get(bi, Fraction(0)) + fct
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is not None:
-            lead = v[piv]
-            bv = [a / lead for a in v]
-            basis.append((piv, bv))
-            co[len(basis) - 1] = lead
-        out.append(co)
-    return out

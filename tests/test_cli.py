@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nbar
+from nbar import checks
 from nbar.cache import cache_get, cache_put, default_cache_dir
 from nbar.cli import main
 from nbar.lattice import nbar_poly
@@ -160,12 +166,48 @@ def test_verify_euler(capsys):
     assert code == 0
     assert "5/12" in out
     assert "247/1440" in out
-    assert "ok" in out
+    # one line per stable case with chi ≤ 3
+    assert len(out.splitlines()) == 7
+    assert all(line.endswith(" ok") for line in out.splitlines())
+
+
+def test_verify_rejects_an_empty_euler_range(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, ["verify", "euler", "--max-chi", bad])
+        assert code == 3
+        assert out == ""
+        assert "--max-chi" in err
 
 
 def test_verify_residues(capsys):
     code, out, _ = run(capsys, ["verify", "residues"])
     assert code == 0
+    assert out.splitlines() == [f"residues parity={p} k={k}: ok" for k in range(6) for p in (0, 1)]
+
+
+def test_verify_desk_fails_on_a_perturbed_engine(capsys, monkeypatch):
+    real = checks.tr_tensor
+    monkeypatch.setattr(checks, "tr_tensor", lambda g, n: {k: 2 * c for k, c in real(g, n).items()})
+    code, out, _ = run(capsys, ["verify", "desk"])
+    assert code == 1
+    assert out.splitlines() == ["desk (1,1): FAIL", "desk (0,3): FAIL"]
+
+
+def test_table_fails_on_a_perturbed_polynomial(capsys, monkeypatch):
+    real = checks.nbar_poly
+    monkeypatch.setattr(checks, "nbar_poly", lambda g, n: real(g, n).scale(2 if (g, n) == (1, 1) else 1))
+    code, out, _ = run(capsys, ["table"])
+    assert code == 1
+    assert "(1,1) k=0: FAIL 2 coefficient(s) differ\n    (0,): computed 5/6, reference 5/12\n" in out
+    assert "(0,4) k=0: ok (5 coefficients)" in out
+
+
+def test_cli_import_loads_no_checks_engine_or_table():
+    # `nbar poly` on a cache hit needs none of them, so importing the CLI must stay light
+    probe = "import sys, nbar.cli; print([m for m in ('nbar.checks', 'nbar.tr', 'nbar.golden') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(nbar.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -- cache unit behaviour ---------------------------------------------------------------

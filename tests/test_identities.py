@@ -1,9 +1,9 @@
-"""String and dilaton identities, checked two independent ways.
+"""String and dilaton identities at the coefficient level.
 
-Coefficient level: identities between values of the count polynomials on
-integer grids, using only the combinatorial recursion.  Form level: the
-same identities as statements about residue contractions of the engine's
-correlators, using only exact rational-function algebra.
+These are identities between values of the count polynomials on integer
+grids, using only the combinatorial recursion.  The form-level tests state
+the same identities as residue contractions of the residue engine's
+correlators (``checks.string_check`` and ``checks.dilaton_check``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from nbar import tr
+from nbar import checks
 from nbar.lattice import euler_char, nbar_eval, nbar_poly
 
 F = Fraction
@@ -94,12 +94,12 @@ def test_spot_values_from_the_identities():
 
 def test_string_identity_form_level():
     for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
-        assert tr.string_check(g, n)
+        assert checks.string_check(g, n)
 
 
 def test_dilaton_identity_form_level():
     for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
-        assert tr.dilaton_check(g, n)
+        assert checks.dilaton_check(g, n)
 
 
 def test_euler_agrees_with_counts_at_origin():
