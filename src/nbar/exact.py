@@ -1,10 +1,8 @@
 """Exact univariate polynomial, rational-function and Laurent-series arithmetic.
 
 Everything in this module is exact.  Coefficients are ``int``/
-``fractions.Fraction`` values, or — for two-variable work — nested
-:class:`RationalFunction` instances used as scalars (a rational function of
-``z`` whose coefficients are rational functions of a spectator variable).
-There is no floating point anywhere.
+``fractions.Fraction`` values, and every division goes through
+:class:`~fractions.Fraction`, so there is no floating point anywhere.
 
 The module also provides truncated Laurent series with precision tracking
 (:class:`LaurentSeries`), the Mercator coefficients of log z at z = ±1
@@ -17,24 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-Scalar = Union[int, Fraction, "RationalFunction"]
-
-
-def invert_scalar(c: Scalar) -> Scalar:
-    """Multiplicative inverse of a coefficient, never falling into floats."""
-    if isinstance(c, int):
-        return Fraction(1, c)
-    return 1 / c
+Scalar = Union[int, Fraction]
 
 
 class Poly:
-    """Dense univariate polynomial over an exact (duck-typed) field.
+    """Dense univariate polynomial over the rationals.
 
     Coefficients are stored low degree first and trailing zeroes are
     trimmed, so the zero polynomial has an empty coefficient list.  ``int``
-    and ``Fraction`` coefficients mix freely; a :class:`RationalFunction`
-    may also appear as a coefficient, which is how functions of two
-    variables are represented.
+    and ``Fraction`` coefficients mix freely.
     """
 
     __slots__ = ("coeffs",)
@@ -136,7 +125,7 @@ class Poly:
         rem = list(self.coeffs)
         qsize = len(rem) - len(other.coeffs) + 1
         q: List[Scalar] = [0] * max(qsize, 0)
-        dinv = invert_scalar(other.coeffs[-1])
+        dinv = Fraction(1, other.coeffs[-1])
         while len(rem) >= len(other.coeffs) and rem:
             f = rem[-1] * dinv
             shift = len(rem) - len(other.coeffs)
@@ -158,7 +147,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(invert_scalar(self.coeffs[-1]))
+        return self.scale(Fraction(1, self.coeffs[-1]))
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor (Euclid's algorithm)."""
@@ -241,7 +230,7 @@ class RationalFunction:
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        inv = invert_scalar(den.coeffs[-1])
+        inv = Fraction(1, den.coeffs[-1])
         self.num = num.scale(inv)
         self.den = den.scale(inv)
 
@@ -329,7 +318,7 @@ class RationalFunction:
         d = self.den(x)
         if not d:
             raise ZeroDivisionError("evaluation at a pole")
-        return self.num(x) * invert_scalar(d)
+        return Fraction(self.num(x), d)
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
@@ -370,7 +359,7 @@ class RationalFunction:
             return LaurentSeries(ord_, [], upto + 1)
         ncs = nu.coeffs[a:]
         dcs = de.coeffs[b:]
-        inv0 = invert_scalar(dcs[0])
+        inv0 = Fraction(1, dcs[0])
         out: List[Scalar] = []
         for k in range(length):
             s: Scalar = ncs[k] if k < len(ncs) else 0
@@ -504,7 +493,7 @@ def linsolve(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> List[
         if piv is None:
             raise ValueError("singular linear system")
         a[col], a[piv] = a[piv], a[col]
-        inv = invert_scalar(a[col][col])
+        inv = Fraction(1, a[col][col])
         a[col] = [inv * v for v in a[col]]
         for r in range(n):
             if r != col and a[r][col]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .memo import clear_all, register
@@ -287,19 +288,12 @@ def euler_char(g: int, n: int) -> Fraction:
                 continue
             total += (
                 HALF
-                * _binom(m, i)
+                * comb(m, i)
                 * euler_char(g1, i + 1)
                 * euler_char(g2, j + 1)
             )
     _EULER_MEMO[key] = total
     return total
-
-
-def _binom(m: int, i: int) -> int:
-    out = 1
-    for t in range(i):
-        out = out * (m - t) // (t + 1)
-    return out
 
 
 # -- intersection numbers ---------------------------------------------------------------------
@@ -336,15 +330,8 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
         raise AssertionError(f"top coefficients disagree across parity classes: {seen}")
     scale = Fraction(2) ** (5 * g - 6 + 2 * n)
     for a in alphas:
-        scale *= _factorial(a)
+        scale *= factorial(a)
     return seen[0] * scale
-
-
-def _factorial(a: int) -> int:
-    out = 1
-    for t in range(2, a + 1):
-        out *= t
-    return out
 
 
 # -- coefficient positivity --------------------------------------------------------------------

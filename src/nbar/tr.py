@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Iterable, List, Tuple
 
-from .exact import Poly, RationalFunction, invert_scalar, linsolve, mercator
+from .exact import Poly, RationalFunction, linsolve, mercator
 from .lattice import is_stable
 from .memo import register
 from .quasipoly import QuasiPolynomial, XiKey, XiTensor, qp_from_xi_tensor
@@ -116,20 +116,14 @@ register("tr.xi", xi)
 register("tr.xi_principal_parts", xi_principal_parts)
 
 
-def omega02_plain() -> RationalFunction:
-    """Two-point slot function 1/(z - w)² + 1/(z w), rational in z over ℚ(w)."""
-    w = RationalFunction.var()
-    main = RationalFunction(Poly([1]), Poly([w * w, -2 * w, 1]))
-    extra = RationalFunction(Poly([invert_scalar(w)]), Poly([0, 1]))
-    return main + extra
+def omega02_plain(w: Fraction) -> RationalFunction:
+    """Two-point slot function 1/(z - w)² + 1/(z w) at a rational w ≠ 0, as a function of z."""
+    return RationalFunction(1, Poly([w * w, -2 * w, 1])) + RationalFunction(1, Poly([0, w]))
 
 
-def omega02_inverse_first() -> RationalFunction:
+def omega02_inverse_first(w: Fraction) -> RationalFunction:
     """The same two-point slot with its z entry replaced by 1/z as a form."""
-    w = RationalFunction.var()
-    main = RationalFunction(Poly([1]), Poly([1, -2 * w, w * w]))
-    extra = RationalFunction(Poly([invert_scalar(w)]), Poly([0, 1]))
-    return -(main + extra)
+    return -(RationalFunction(1, Poly([1, -2 * w, w * w])) + RationalFunction(1, Poly([0, w])))
 
 
 def omega02_diagonal() -> RationalFunction:

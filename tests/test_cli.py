@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import nbar
-from nbar import checks
+from nbar import checks, cli
 from nbar.cache import cache_get, cache_put, default_cache_dir
 from nbar.cli import main
 from nbar.lattice import nbar_poly
-from nbar.quasipoly import qp_from_json
+from nbar.quasipoly import qp_from_json, qp_to_json
 
 F = Fraction
 
@@ -128,13 +129,20 @@ def test_poly_out_unwritable_path(capsys, tmp_path):
     assert "cannot write" in err
 
 
-def test_poly_uses_cache(capsys, tmp_path):
+def test_poly_uses_cache(capsys, tmp_path, monkeypatch):
     code, first, _ = run(
         capsys, ["poly", "1", "2", "--format", "json", "--cache-dir", str(tmp_path)]
     )
     assert code == 0
-    assert (tmp_path / "manifest.json").exists()
-    assert (tmp_path / "nbar_g1_n2_comb.json").exists()
+    entry = tmp_path / "nbar_g1_n2_comb.json"
+    digest = hashlib.sha256(entry.read_bytes()).hexdigest()
+    assert (tmp_path / "nbar_g1_n2_comb.sha256").read_text() == digest
+    assert not (tmp_path / "manifest.json").exists()
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("a cache hit must not recompute")
+
+    monkeypatch.setattr(cli, "nbar_poly", no_engine)
     code, second, _ = run(
         capsys, ["poly", "1", "2", "--format", "json", "--cache-dir", str(tmp_path)]
     )
@@ -169,6 +177,21 @@ def test_verify_euler(capsys):
     # one line per stable case with chi ≤ 3
     assert len(out.splitlines()) == 7
     assert all(line.endswith(" ok") for line in out.splitlines())
+
+
+def test_verify_euler_fails_on_an_unavailable_case(capsys, monkeypatch):
+    real = checks.euler_char
+
+    def unseeded(g, n):
+        if (g, n) == (1, 1):
+            raise ValueError("not seeded")
+        return real(g, n)
+
+    monkeypatch.setattr(checks, "euler_char", unseeded)
+    code, out, _ = run(capsys, ["verify", "euler"])
+    assert code == 1
+    assert "euler (1,1): unavailable (not seeded)" in out.splitlines()
+    assert "euler (0,3): 1 ok" in out.splitlines()
 
 
 def test_verify_rejects_an_empty_euler_range(capsys):
@@ -220,6 +243,13 @@ def test_cache_round_trip(tmp_path):
     assert cache_get(tmp_path, 0, 4, "comb") == qp
 
 
+def test_cache_put_returns_entry_with_canonical_bytes(tmp_path):
+    qp = nbar_poly(0, 4)
+    path = cache_put(tmp_path, qp, "tr")
+    assert path == tmp_path / "nbar_g0_n4_tr.json"
+    assert path.read_bytes() == qp_to_json(qp).encode("utf-8")
+
+
 def test_cache_miss_on_empty_dir(tmp_path):
     assert cache_get(tmp_path, 0, 4, "comb") is None
 
@@ -240,30 +270,40 @@ def test_cache_detects_tampered_payload(tmp_path):
     assert cache_get(tmp_path, 0, 4, "comb") is None
 
 
-def test_cache_detects_corrupt_manifest(tmp_path):
+def test_cache_detects_corrupt_digest(tmp_path):
     qp = nbar_poly(0, 4)
     cache_put(tmp_path, qp, "comb")
-    (tmp_path / "manifest.json").write_text("{not json")
+    (tmp_path / "nbar_g0_n4_comb.sha256").write_text("{not a digest")
     assert cache_get(tmp_path, 0, 4, "comb") is None
     # a subsequent write heals the cache
     cache_put(tmp_path, qp, "comb")
     assert cache_get(tmp_path, 0, 4, "comb") == qp
 
 
-def test_cache_ignores_file_named_by_manifest(tmp_path):
-    # a manifest entry cannot send a read outside the cache directory
+def test_cache_bad_digest_misses_only_its_entry(tmp_path):
+    qps = {key: nbar_poly(*key) for key in [(0, 3), (0, 4), (1, 1)]}
+    for qp in qps.values():
+        cache_put(tmp_path, qp, "comb")
+    (tmp_path / "nbar_g0_n3_comb.sha256").write_text("0" * 64)
+    (tmp_path / "nbar_g1_n1_comb.sha256").unlink()
+    assert cache_get(tmp_path, 0, 3, "comb") is None
+    assert cache_get(tmp_path, 1, 1, "comb") is None
+    assert cache_get(tmp_path, 0, 4, "comb") == qps[(0, 4)]
+
+
+def test_cache_ignores_stale_manifest(tmp_path):
+    # a directory written by the manifest-based layout: the entry has no digest sidecar
     qp = nbar_poly(0, 4)
-    cache_dir = tmp_path / "cache"
-    path = cache_put(cache_dir, qp, "comb")
-    outside = tmp_path / "x.json"
-    outside.write_bytes(path.read_bytes())
-    path.unlink()
-    manifest = json.loads((cache_dir / "manifest.json").read_text())
-    (entry,) = manifest["entries"]
-    assert "file" not in entry
-    entry["file"] = "../x.json"  # its digest matches the file there
-    (cache_dir / "manifest.json").write_text(json.dumps(manifest))
-    assert cache_get(cache_dir, 0, 4, "comb") is None
+    text = qp_to_json(qp)
+    (tmp_path / "nbar_g0_n4_comb.json").write_text(text)
+    manifest = {"version": 1, "entries": [
+        {"g": 0, "n": 4, "provenance": "comb", "digest": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    ]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert cache_get(tmp_path, 0, 4, "comb") is None
+    cache_put(tmp_path, qp, "comb")
+    assert cache_get(tmp_path, 0, 4, "comb") == qp
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
 
 def test_cache_heals_after_corruption_via_cli(capsys, tmp_path):

@@ -14,7 +14,6 @@ from nbar.exact import (
     LaurentSeries,
     Poly,
     RationalFunction,
-    invert_scalar,
     linsolve,
     mercator,
     poly_lcm,
@@ -24,10 +23,15 @@ F = Fraction
 Z = RationalFunction.var()
 
 
-def test_invert_scalar_stays_exact():
-    assert invert_scalar(3) == F(1, 3)
-    assert invert_scalar(F(2, 5)) == F(5, 2)
-    assert isinstance(invert_scalar(7), Fraction)
+def test_integer_division_stays_exact():
+    # dividing integer coefficients yields Fractions, never floats
+    monic = Poly([1, 2, 3]).monic()
+    assert monic.coeffs == [F(1, 3), F(2, 3), 1]
+    assert all(type(c) is Fraction for c in monic.coeffs)
+    sol = linsolve([[2, 1], [1, 3]], [1, 2])
+    assert sol == [F(1, 5), F(3, 5)]
+    assert all(type(x) is Fraction for x in sol)
+    assert type(RationalFunction(Poly([1]), Poly([0, 2]))(3)) is Fraction
 
 
 def test_poly_basic_algebra():

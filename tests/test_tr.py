@@ -7,7 +7,6 @@ b ≥ 0 of parity p, with [b] = b for b > 0 and [0] = 1.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -62,17 +61,8 @@ def test_xi_sum_and_difference_closed_forms():
     assert diff == want_diff
 
 
-def test_xi_forms_are_antiinvariant():
-    # the engine folds a ξ factor in a slot substituted by z ↦ 1/z into a sign on this
-    for parity in (0, 1):
-        for k in range(0, 6):
-            assert checks.is_form_antiinvariant(tr.xi(parity, k))
-
-
-def test_xi_poles_confined():
-    for parity in (0, 1):
-        for k in range(0, 6):
-            assert checks.poles_confined(tr.xi(parity, k))
+def test_poles_confined_rejects_foreign_poles():
+    # the basis functions themselves are checked in criterion 7
     assert not checks.poles_confined(1 / (Z - 2))
     assert not checks.poles_confined(1 / (Z * Z))
 
@@ -85,21 +75,17 @@ def test_xi_invalid_index():
 
 
 def test_two_point_slot_functions():
-    plain = tr.omega02_plain()
-    for zq in (F(2), F(3), F(1, 2)):
-        fw = plain(zq)  # rational in the second variable
-        for wq in (F(5), F(7, 2)):
-            want = 1 / (zq - wq) ** 2 + 1 / (zq * wq)
-            assert fw(wq) == want
+    for wq in (F(5), F(7, 2)):
+        plain = tr.omega02_plain(wq)
+        for zq in (F(2), F(3), F(1, 2)):
+            assert plain(zq) == 1 / (zq - wq) ** 2 + 1 / (zq * wq)
     diag = tr.omega02_diagonal()
     for q in (F(2), F(3, 2), F(-4, 3)):
         assert diag(q) == -(1 / (q * q - 1) ** 2 + 1 / (q * q))
-    inv = tr.omega02_inverse_first()
-    for zq in (F(2), F(5, 3)):
-        fw = inv(zq)
-        for wq in (F(3), F(7, 2)):
-            want = -(1 / (1 - zq * wq) ** 2 + F(1) / (zq * wq))
-            assert fw(wq) == want
+    for wq in (F(3), F(7, 2)):
+        inv = tr.omega02_inverse_first(wq)
+        for zq in (F(2), F(5, 3)):
+            assert inv(zq) == -(1 / (1 - zq * wq) ** 2 + F(1) / (zq * wq))
 
 
 def test_kernel_rational_part():
@@ -166,13 +152,18 @@ def test_factor_series_match_laurent_expansions():
 
 
 def test_two_point_coefficients_match_laurent_expansions():
-    for kind, slot in (("o2p", tr.omega02_plain()), ("o2i", tr.omega02_inverse_first())):
+    # Both sides of each comparison are proper rational functions of w whose
+    # denominators divide (w - α)^{k+2} w, so for k ≤ 6 agreement at 10 rational
+    # points (away from -1, 0, 1) makes them equal as functions of w.
+    for kind, slot in (("o2p", tr.omega02_plain), ("o2i", tr.omega02_inverse_first)):
         for alpha in (1, -1):
-            ser = slot.laurent_at(alpha, 6)
-            assert ser.ord == 0
-            for k in range(0, 7):
-                want = principal_parts_by_series(ser.coeff(k))
-                assert tr.two_point_coeff(kind, alpha, k) == want, (kind, alpha, k)
+            for w in (F(6 + i, 3) for i in range(10)):
+                ser = slot(w).laurent_at(alpha, 6)
+                assert ser.ord == 0
+                for k in range(0, 7):
+                    pp = tr.two_point_coeff(kind, alpha, k)
+                    got = sum((c / (w - beta) ** j for (beta, j), c in pp.items()), F(0))
+                    assert got == ser.coeff(k), (kind, alpha, k, w)
 
 
 def test_xi_decompose_accepts_and_certifies_vectors():
@@ -222,23 +213,6 @@ def test_three_point_tensor():
     assert tr.tr_tensor(0, 3) == want
 
 
-def test_three_point_product_formula():
-    tensor = tr.tr_tensor(0, 3)
-
-    def engine(*zs):
-        return checks.tensor_value_at(tensor, zs)
-
-    def printed(*zs):
-        prod_minus = F(1)
-        prod_plus = F(1)
-        for z in zs:
-            prod_minus *= (z * z - z + 1) / (z - 1) ** 2
-            prod_plus *= (z * z + z + 1) / (z + 1) ** 2
-        return (prod_minus + prod_plus) / (2 * zs[0] * zs[1] * zs[2])
-
-    assert checks.grid_equal(engine, printed, 3, 8)
-
-
 def test_engine_matches_combinatorial_counts():
     for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
         assert tr.tr_tensor(g, n) == qp_to_xi_tensor(nbar_poly(g, n))
@@ -272,11 +246,6 @@ def test_residues_at_origin_match_branch_points():
     for parity in (0, 1):
         for k in range(0, 6):
             assert checks.resatzero_check(parity, k)
-
-
-def test_grid_equal_detects_differences():
-    assert checks.grid_equal(lambda z: z * z, lambda z: z * z, 1, 2)
-    assert not checks.grid_equal(lambda z: z * z, lambda z: z * z + 1, 1, 2)
 
 
 def test_multilinear_zero_testing():
