@@ -9,8 +9,10 @@ for a table row the coefficients that differ.  The tests assert on the
 same records.
 
 The helpers below test identities between the residue engine's tensors and
-rational functions exactly, over an exact echelon basis
-(:func:`multilinear_is_zero`), never by sampling.
+rational functions exactly, never by sampling, in one coordinate system: the
+certified principal parts at -1, 0 and +1 (:func:`tr.principal_parts`).  An
+identity between functions holds when its tensor of principal parts is
+empty (:func:`multilinear_is_zero`), and each residue is read off them.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import golden
-from .exact import LaurentSeries, Poly, RationalFunction, mercator, poly_lcm
+from .exact import Poly, RationalFunction, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly
 from .quasipoly import XiKey, XiTensor
-from .tr import HALF, EngineError, tr_correlator, tr_tensor, xi
+from .tr import HALF, EngineError, PfKey, PfVector, principal_parts, tr_correlator, tr_tensor, xi
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,8 @@ def euler(max_chi: int) -> Iterator[Outcome]:
 
 def desk() -> Iterator[Outcome]:
     """The residue engine against the closed forms for (1,1) and (0,3)."""
-    yield _check("desk (1,1)", correlator_rf_1pt(1) == ONE_HANDLE)
-    terms = [(c, [xi(*kk) for kk in key]) for key, c in tr_tensor(0, 3).items()]
-    terms += [(-HALF, [f] * 3) for f in THREE_POINT_FACTORS]
+    yield _check("desk (1,1)", multilinear_is_zero(_xi_terms(tr_tensor(1, 1)) + [(-1, [ONE_HANDLE])]))
+    terms = _xi_terms(tr_tensor(0, 3)) + [(-HALF, [f] * 3) for f in THREE_POINT_FACTORS]
     yield _check("desk (0,3)", multilinear_is_zero(terms))
 
 
@@ -151,9 +152,9 @@ def _with_diffs(head: str, diffs, source: str) -> str:
 # -- correlator and form helpers ---------------------------------------------------------
 
 
-def correlator_rf_1pt(g: int) -> RationalFunction:
-    """One-variable correlators assembled back into a single rational function."""
-    return sum((c * xi(*key[0]) for key, c in tr_tensor(g, 1).items()), RationalFunction(0))
+def _xi_terms(tensor: XiTensor) -> List[Tuple[Fraction, List[RationalFunction]]]:
+    """The tensor as terms c ∏_s ξ_{key_s}(z_s) for :func:`multilinear_is_zero`."""
+    return [(c, [xi(*kk) for kk in key]) for key, c in tensor.items()]
 
 
 def is_form_antiinvariant(f: RationalFunction) -> bool:
@@ -163,68 +164,50 @@ def is_form_antiinvariant(f: RationalFunction) -> bool:
 
 
 def poles_confined(f: RationalFunction) -> bool:
-    """Poles only at -1, 0, +1, the one at 0 at most simple."""
-    den = f.den
-    v = den.valuation()
-    if v is None:
-        return True
-    if v > 1:
+    """Whether f is proper with poles only at -1, 0, +1, the one at 0 at most simple."""
+    try:
+        v = principal_parts(f)
+    except EngineError:
         return False
-    rem = Poly(den.coeffs[v:])
-    for root in (1, -1):
-        while True:
-            q, r = divmod(rem, Poly([-root, 1]))
-            if r.is_zero:
-                rem = q
-            else:
-                break
-    return rem.degree == 0
+    return not any(j > 1 for a, j in v if a == 0)
 
 
 # -- residue identities ------------------------------------------------------------------------
 
 
+def _branch_residue(v: PfVector, p: Poly, log: int = 0) -> Fraction:
+    """Σ_α Res_{z=α} (p(z) + log · (log z - log α)) f(z) dz over α = ±1, for f with principal parts v.
+
+    Res_{z=α} h · (z - α)^{-j} is the u^{j-1} Taylor coefficient of h at
+    z = α + u, so only the principal parts of f at α are read; log z - log α
+    is the Mercator tail.  The branch value log α would pair with Res_α f,
+    which must vanish, and is asserted to.
+    """
+    total = Fraction(0)
+    for (a, j), c in v.items():
+        if not a:
+            continue
+        if j == 1:
+            raise EngineError(f"residue {c} at the branch point {a}")
+        taylor = p.shifted(a).coeffs
+        total += c * ((taylor[j - 1] if j <= len(taylor) else 0) + log * mercator(a, j - 1))
+    return total
+
+
 def string_scalar(parity: int, k: int) -> Fraction:
     """Σ_α Res_{z=α} z ξ_{parity,k}(z) dz over the branch points α = ±1."""
-    f = RationalFunction.var() * xi(parity, k)
-    return sum((f.laurent_at(alpha, -1).coeff(-1) for alpha in (1, -1)), Fraction(0))
-
-
-def _branch_series(parity: int, k: int) -> Iterator[Tuple[int, LaurentSeries]]:
-    """The Laurent series of ξ_{parity,k} at each branch point α = ±1.
-
-    A residue there would pair with the branch value of log z, so it must
-    vanish, and is asserted to.
-    """
-    for alpha in (1, -1):
-        ser = xi(parity, k).laurent_at(alpha, -1)
-        if ser.coeff(-1):
-            raise EngineError(f"basis function ({parity},{k}) has residue at {alpha}")
-        yield alpha, ser
-
-
-def _log_tail_residue(alpha: int, ser: LaurentSeries) -> Fraction:
-    """Residue at u = 0 of (log z - log α) times the series ``ser`` at z = α + u."""
-    return sum((mercator(alpha, k) * ser.coeff(-1 - k) for k in range(1, -ser.ord)), Fraction(0))
+    return _branch_residue(principal_parts(xi(parity, k)), Poly([0, 1]))
 
 
 def dilaton_scalar(parity: int, k: int) -> Fraction:
-    """Σ_α Res_{z=α} (z²/2 - log z) ξ_{parity,k}(z) dz.
-
-    The log residue splits into the formal branch value times Res ξ, which
-    vanishes, plus an explicit Mercator-tail part.
-    """
-    total = Fraction(0)
-    for alpha, ser in _branch_series(parity, k):
-        sq = LaurentSeries(0, [Fraction(alpha * alpha, 2), Fraction(alpha), HALF], None)
-        total += (sq * ser).coeff(-1) - _log_tail_residue(alpha, ser)
-    return total
+    """Σ_α Res_{z=α} (z²/2 - log z) ξ_{parity,k}(z) dz over the branch points α = ±1."""
+    return _branch_residue(principal_parts(xi(parity, k)), Poly([0, 0, HALF]), -1)
 
 
 def resatzero_check(parity: int, k: int) -> bool:
     """Branch-point residues of ξ log z against the residue at the origin."""
-    lhs = sum((_log_tail_residue(*branch) for branch in _branch_series(parity, k)), Fraction(0))
-    return lhs == xi(parity, k).series_at_zero(-1).coeff(-1)
+    v = principal_parts(xi(parity, k))
+    return _branch_residue(v, Poly(), 1) == v.get((0, 1), 0)
 
 
 def string_transform(f: RationalFunction) -> RationalFunction:
@@ -240,12 +223,13 @@ def string_check(g: int, n: int) -> bool:
     compares, as a multilinear exact zero test, against the per-slot
     transform of the smaller correlator.
     """
-    lhs = _contract(tr_tensor(g, n + 1), string_scalar)
-    terms = [(c, [xi(*kk) for kk in rest]) for rest, c in lhs.items()]
-    for key, c in tr_tensor(g, n).items():
+    terms = _xi_terms(_contract(tr_tensor(g, n + 1), string_scalar))
+    small = tr_tensor(g, n)
+    moved = {kk: string_transform(xi(*kk)) for kk in {kk for key in small for kk in key}}
+    for key, c in small.items():
         for slot in range(n):
             funcs = [xi(*kk) for kk in key]
-            funcs[slot] = string_transform(funcs[slot])
+            funcs[slot] = moved[key[slot]]
             terms.append((c, funcs))
     return multilinear_is_zero(terms)
 
@@ -259,9 +243,10 @@ def dilaton_check(g: int, n: int) -> bool:
 
 def _contract(tensor: XiTensor, scalar: Callable[[int, int], Fraction]) -> Dict[Tuple[XiKey, ...], Fraction]:
     """The tensor with its first slot contracted against ``scalar`` of each basis index."""
+    scalars = {kk: scalar(*kk) for kk in {key[0] for key in tensor}}
     out: Dict[Tuple[XiKey, ...], Fraction] = {}
     for key, c in tensor.items():
-        s = scalar(*key[0])
+        s = scalars[key[0]]
         if s:
             out[key[1:]] = out.get(key[1:], Fraction(0)) + c * s
     return {rest: c for rest, c in out.items() if c}
@@ -275,60 +260,20 @@ def multilinear_is_zero(
 ) -> bool:
     """Whether Σ c_t ∏_s f_{t,s}(z_s) vanishes identically.
 
-    Each slot's functions are reduced to coordinates over an exact echelon
-    basis; the resulting coefficient tensor must vanish entirely.  No
-    sampling is involved.
+    Each function is replaced by its principal parts, computed once per
+    distinct function.  Those are exact coordinates, so the sum vanishes
+    exactly when the coefficient tensor Σ c ⊗_s PP(f_s) is empty.  A function
+    outside their span raises :class:`EngineError`.  No sampling is involved.
     """
-    terms = [t for t in terms if t[0]]
-    if not terms:
-        return True
-    nslots = len(terms[0][1])
-    coords_per_slot: List[List[Dict[int, Fraction]]] = []
-    for s in range(nslots):
-        funcs = [list(t[1])[s] for t in terms]
-        coords_per_slot.append(_echelon_coords(funcs))
-    acc: Dict[Tuple[int, ...], Fraction] = {}
-    for t, (c, _) in enumerate(terms):
-        partial: Dict[Tuple[int, ...], Fraction] = {(): c}
-        for s in range(nslots):
-            co = coords_per_slot[s][t]
-            nxt: Dict[Tuple[int, ...], Fraction] = {}
-            for prof, w in partial.items():
-                for bi, x in co.items():
-                    key = prof + (bi,)
-                    nxt[key] = nxt.get(key, Fraction(0)) + w * x
-            partial = nxt
-        for prof, w in partial.items():
-            acc[prof] = acc.get(prof, Fraction(0)) + w
+    pps: Dict[RationalFunction, PfVector] = {}
+    acc: Dict[Tuple[PfKey, ...], Fraction] = {}
+    for c, funcs in terms:
+        partial: Dict[Tuple[PfKey, ...], Fraction] = {(): c}
+        for f in funcs:
+            pp = pps.get(f)
+            if pp is None:
+                pp = pps[f] = principal_parts(f)
+            partial = {key + (pk,): w * x for key, w in partial.items() for pk, x in pp.items()}
+        for key, w in partial.items():
+            acc[key] = acc.get(key, 0) + w
     return not any(acc.values())
-
-
-def _echelon_coords(funcs: Sequence[RationalFunction]) -> List[Dict[int, Fraction]]:
-    """Coordinates of each function over an incrementally built echelon basis."""
-    den = Poly([1])
-    for f in funcs:
-        den = poly_lcm(den, f.den)
-    vecs = []
-    width = 0
-    for f in funcs:
-        p = f.num * den.exact_div(f.den)
-        vecs.append(list(p.coeffs))
-        width = max(width, len(p.coeffs))
-    basis: List[Tuple[int, List[Fraction]]] = []
-    out: List[Dict[int, Fraction]] = []
-    for vec in vecs:
-        v = [Fraction(c) for c in vec] + [Fraction(0)] * (width - len(vec))
-        co: Dict[int, Fraction] = {}
-        for bi, (piv, bv) in enumerate(basis):
-            if v[piv]:
-                fct = v[piv]
-                v = [a - fct * bb for a, bb in zip(v, bv)]
-                co[bi] = co.get(bi, Fraction(0)) + fct
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is not None:
-            lead = v[piv]
-            bv = [a / lead for a in v]
-            basis.append((piv, bv))
-            co[len(basis) - 1] = lead
-        out.append(co)
-    return out

@@ -1,13 +1,15 @@
-"""Exact univariate polynomial, rational-function and Laurent-series arithmetic.
+"""Exact univariate polynomial and rational-function arithmetic.
 
 Everything in this module is exact.  Coefficients are ``int``/
 ``fractions.Fraction`` values, and every division goes through
 :class:`~fractions.Fraction`, so there is no floating point anywhere.
 
-The module also provides truncated Laurent series with precision tracking
-(:class:`LaurentSeries`), the Mercator coefficients of log z at z = ±1
-(:func:`mercator`) and a small exact linear solver used by the fitting
-routines elsewhere in the package.
+:meth:`RationalFunction.laurent_at` expands a function around a point as a
+truncated Laurent series with precision tracking (:class:`LaurentSeries`);
+:func:`nbar.tr.principal_parts` reads its exact coordinates off those
+expansions.  The module also provides the Mercator coefficients of log z at
+z = ±1 (:func:`mercator`) and a small exact linear solver, used by the fit
+and by the residue engine's pivots.
 """
 
 from __future__ import annotations
@@ -198,13 +200,6 @@ class Poly:
         return " + ".join(parts)
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    """Monic least common multiple."""
-    if a.is_zero or b.is_zero:
-        return Poly()
-    return (a.exact_div(a.gcd(b)) * b).monic()
-
-
 class RationalFunction:
     """Quotient of two polynomials in canonical form.
 
@@ -367,9 +362,6 @@ class RationalFunction:
                 s = s - dcs[i] * out[k - i]
             out.append(s * inv0)
         return LaurentSeries(ord_, out, upto + 1)
-
-    def series_at_zero(self, upto: int) -> "LaurentSeries":
-        return self.laurent_at(0, upto)
 
     def __repr__(self) -> str:
         if self.den == Poly([1]):

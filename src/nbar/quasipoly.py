@@ -52,20 +52,8 @@ class QuasiPolynomial:
         """Value at an integer point; arguments may come in any order."""
         if len(b) != self.n:
             raise ValueError(f"expected {self.n} arguments, got {len(b)}")
-        ordered = sorted(b, key=lambda v: v % 2, reverse=True)
         k = sum(1 for v in b if v % 2)
-        d = self.classes.get(k)
-        if not d:
-            return Fraction(0)
-        total = Fraction(0)
-        sq = [v * v for v in ordered]
-        for key, c in d.items():
-            term = c
-            for v2, e in zip(sq, key):
-                if e:
-                    term *= Fraction(v2) ** e
-            total += term
-        return total
+        return _eval_dict(self.classes.get(k, {}), sorted(b, key=lambda v: v % 2, reverse=True))
 
     def coefficient(self, odd_count: int, exponents: Sequence[int]) -> Fraction:
         """Coefficient of ∏ b_i^{2 e_i} in the given parity class (odd slots first)."""
@@ -478,6 +466,7 @@ def _unisolvent(k: int, n: int, basis) -> Tuple[List[Tuple[int, ...]], List[List
 
 
 def _eval_dict(d: ClassDict, b: Sequence[int]) -> Fraction:
+    """Value of one parity class at b, given with its odd entries first."""
     total = Fraction(0)
     sq = [v * v for v in b]
     for key, c in d.items():
