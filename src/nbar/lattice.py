@@ -310,9 +310,9 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
     """
     n = len(alphas)
     _check_stable(g, n)
+    if any(a != int(a) or a < 0 for a in alphas):
+        raise ValueError("psi exponents must be non-negative integers")
     alphas = tuple(int(a) for a in alphas)
-    if any(a < 0 for a in alphas):
-        raise ValueError("psi exponents must be non-negative")
     if sum(alphas) != 3 * g - 3 + n:
         return Fraction(0)
     qp = nbar_poly(g, n)

@@ -52,6 +52,9 @@ class QuasiPolynomial:
         """Value at an integer point; arguments may come in any order."""
         if len(b) != self.n:
             raise ValueError(f"expected {self.n} arguments, got {len(b)}")
+        if any(v != int(v) for v in b):
+            raise ValueError(f"arguments must be integers, got {tuple(b)}")
+        b = [int(v) for v in b]
         k = sum(1 for v in b if v % 2)
         return _eval_dict(self.classes.get(k, {}), sorted(b, key=lambda v: v % 2, reverse=True))
 

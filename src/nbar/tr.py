@@ -13,13 +13,19 @@ live spectator has principal-part vectors in that variable as coefficients
 (the two-point factors have closed forms).  The residues against the kernel
 are then plain arithmetic on exact rational vectors.  A ξ factor in a slot
 substituted by z ↦ 1/z is just a sign, as the basis forms are anti-invariant:
-ξ(1/z) d(1/z) = -ξ(z) dz.  Finally every slot, the root's and each live
-spectator's, is re-expressed in the ξ basis by back-substitution.
+ξ(1/z) d(1/z) = -ξ(z) dz.
 
-Certificates: each decomposition must leave an exactly empty residual, i.e.
-reproduce its vector in every coordinate (Σ γ·PP(ξ) = v), and the formal
-log z terms at each branch point must cancel in every sum.  Anything else
-raises :class:`EngineError`, so a returned tensor is correct, not plausible.
+Each residue term lies in the ξ span by itself, so it is computed once, as a
+table of structure constants in ξ coordinates, and reused for every (g, n);
+a correlator is a contraction of smaller ones with these tables.  The
+certificates sit in the tables: the formal log z terms at each branch point
+must cancel, and the back-substitution into the ξ basis must leave an
+exactly empty residual in every slot (Σ γ·PP(ξ) = v).  Anything else raises
+:class:`EngineError`.  The contraction is symmetric in the spectators by
+construction but not in the root and a spectator, which
+:func:`qp_from_xi_tensor` checks.  So a returned tensor is correct, not
+plausible.
+
 :class:`RationalFunction` is left to the reference functions (:func:`xi`,
 the slot functions, :func:`principal_parts`); the checks against them live
 in :mod:`nbar.checks`.
@@ -34,14 +40,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .exact import Poly, RationalFunction, linsolve, mercator
-from .lattice import is_stable
+from .lattice import _stable_splits, is_stable
 from .memo import register
 from .quasipoly import QuasiPolynomial, XiKey, XiTensor, qp_from_xi_tensor
 
-LIVE = "live"
 HALF = Fraction(1, 2)
 
 PfKey = Tuple[int, int]  # (α, j): the coefficient of (z - α)^{-j}, α ∈ {-1, 0, +1}
@@ -207,21 +212,16 @@ def _factor_terms(desc: Desc, alpha: int, upto: int) -> Dict[int, PfTensor]:
     return {e: {(): c} for e, c in ser.items() if c}
 
 
-_SIGNATURES: Dict[Tuple[Tuple[Desc, ...], int], Tuple[PfTensor, PfTensor]] = register("tr.signatures", {})
-
-
 def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor]:
-    """Residue data of one factor signature at one branch point, memoized across all (g, n).
+    """Residue data of one factor order at one branch point.
 
     Returns ``(data, tally)``.  ``data`` is the contribution to the root
     function: its keys are the root's principal-part key — (α, j), or (0, 1)
     for the 1/z term that the Mercator tail of log z feeds — followed by the
-    live spectators' keys.  ``tally`` holds the coefficient of the formal
-    log z at α by live keys; it must cancel in every sum.
+    live spectators' keys, in the order of their factors.  ``tally`` holds
+    the coefficient of the formal log z at α by live keys; it must cancel in
+    every table.
     """
-    hit = _SIGNATURES.get((factors, alpha))
-    if hit is not None:
-        return hit
     descs = factors + (("R",),)
     ords = [_factor_ord(d, alpha) for d in descs]
     total = sum(ords)
@@ -247,9 +247,7 @@ def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor]
                 zkey = ((0, 1),) + live
                 data[zkey] = data.get(zkey, 0) - m * c
     tally = {live: -c for live, c in prod.get(-1, {}).items() if c}
-    hit = ({key: c for key, c in data.items() if c}, tally)
-    _SIGNATURES[(factors, alpha)] = hit
-    return hit
+    return {key: c for key, c in data.items() if c}, tally
 
 
 # -- decomposition over the basis -------------------------------------------------------
@@ -347,13 +345,55 @@ def _decompose_slots(coeffs: PfTensor) -> Dict[Tuple[XiKey, ...], Fraction]:
     return coeffs
 
 
-# -- the engine -------------------------------------------------------------------------
+# -- the tables --------------------------------------------------------------------------
 
-Bucket = Tuple  # per spectator slot: an (parity, k) pair or the LIVE marker
+Order = Tuple[int, Tuple[Desc, ...]]  # a sign and one order of factors
+Table = Dict[Tuple[XiKey, ...], Fraction]  # ξ coordinates: the root's key, then each live spectator's
+
+_TABLES: Dict[Tuple[Order, ...], Table] = register("tr.tables", {})
+
+
+def _table(*orders: Order) -> Table:
+    """Σ_α Σ sign · (residue data of each order), certified in ξ coordinates; memoized across all (g, n).
+
+    The log tally at each branch point must cancel over the orders, and every
+    slot must decompose exactly; otherwise :class:`EngineError` is raised.
+    """
+    hit = _TABLES.get(orders)
+    if hit is None:
+        acc: PfTensor = {}
+        for alpha in (1, -1):
+            tally: PfTensor = {}
+            for sign, factors in orders:
+                for target, part in zip((acc, tally), _pf_data(factors, alpha)):
+                    for key, c in part.items():
+                        target[key] = target.get(key, 0) + sign * c
+            if any(tally.values()):
+                raise EngineError(f"residual log coefficient at z = {alpha} in the table of {orders}")
+        hit = _TABLES[orders] = _decompose_slots(acc)
+    return hit
+
+
+def _pair(a: XiKey, b: XiKey) -> Table:
+    """C[a, b] = -Σ_α Res K ξ_a(z) ξ_b(z): two correlators met in z and 1/z, the sign from ξ_b's slot."""
+    return _table((-1, (("xi",) + min(a, b), ("xi",) + max(a, b))))
+
+
+def _two_point(a: XiKey) -> Table:
+    """P[a]: ξ_a(z) with ω_{0,2}(1/z, w) minus ω_{0,2}(z, w) with ξ_a(1/z); slots (root, w)."""
+    return _table((1, (("xi",) + a, ("o2i",))), (-1, (("o2p",), ("xi",) + a)))
+
+
+# -- the engine -------------------------------------------------------------------------
 
 
 class Correlators:
-    """Memoized computation of correlator tensors in the ξ basis."""
+    """Memoized computation of correlator tensors in the ξ basis.
+
+    (1,1) and (0,3) are tables.  Any other correlator contracts C with
+    ω_{g-1,n+1} and with each ω_{g1} ω_{g2} over the stable splits of the
+    spectators, and P with ω_{g,n-1} once per spectator.
+    """
 
     def __init__(self) -> None:
         self._tensors: Dict[Tuple[int, int], XiTensor] = {}
@@ -368,80 +408,34 @@ class Correlators:
             self._tensors[key] = hit
         return hit
 
-    # -- term enumeration -------------------------------------------------------
+    def _compute(self, g: int, n: int) -> XiTensor:
+        if (g, n) == (1, 1):
+            return dict(_table((1, (("diag",),))))
+        if (g, n) == (0, 3):
+            return dict(_table((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",)))))
+        out: XiTensor = {}
 
-    def _side(self, g: int, n: int, slots: List[int], inv: int) -> List[Tuple[Fraction, Desc, Dict]]:
-        """Terms of one side of a split: weight, factor in z, spectator assignment."""
-        if (g, n) == (0, 2):
-            return [(Fraction(1), (TWO_POINT[inv],), {slots[0]: LIVE})]
-        sign = -1 if inv else 1  # ξ(1/z) d(1/z) = -ξ(z) dz
-        return [(sign * c, ("xi",) + key[0], dict(zip(slots, key[1:])))
-                for key, c in self.tensor(g, n).items()]
-
-    def _groups(self, g: int, n: int) -> Dict[Tuple[Desc, ...], Dict[Bucket, Fraction]]:
-        spect = n - 1
-        groups: Dict[Tuple[Desc, ...], Dict[Bucket, Fraction]] = {}
-
-        def add(w: Fraction, factors: Tuple[Desc, ...], bucket: Bucket) -> None:
-            d = groups.setdefault(factors, {})
-            d[bucket] = d.get(bucket, Fraction(0)) + w
+        def add(table: Table, c: Fraction, before: Tuple, after: Tuple = ()) -> None:
+            """c times the table, its live slots placed between spectators ``before`` and ``after``."""
+            for slots, x in table.items():
+                key = slots[:1] + before + slots[1:] + after
+                out[key] = out.get(key, 0) + c * x
 
         if g >= 1:
-            gp, np_ = g - 1, n + 1
-            if (gp, np_) == (0, 2):
-                add(Fraction(1), (("diag",),), ())
-            else:
-                for key, c in self.tensor(gp, np_).items():
-                    # the second slot is substituted: ξ(1/z) d(1/z) = -ξ(z) dz
-                    add(-c, (("xi",) + key[0], ("xi",) + key[1]), key[2:])
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for mask in range(1 << spect):
-                left = [t for t in range(spect) if mask >> t & 1]
-                right = [t for t in range(spect) if not mask >> t & 1]
-                n1, n2 = len(left) + 1, len(right) + 1
-                if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
-                    continue
-                terms2 = self._side(g2, n2, right, 1)
-                for c1, f1, a1 in self._side(g1, n1, left, 0):
-                    for c2, f2, a2 in terms2:
-                        assign = {**a1, **a2}
-                        # two live spectators (only in (0,3)): order the factors as
-                        # their spectators, so live keys line up with LIVE slots
-                        swap = f1 == ("o2p",) and f2 == ("o2i",) and left[0] > right[0]
-                        add(c1 * c2, (f2, f1) if swap else (f1, f2),
-                            tuple(assign[t] for t in range(spect)))
-        return groups
-
-    # -- the computation -------------------------------------------------------------
-
-    def _compute(self, g: int, n: int) -> XiTensor:
-        acc: Dict[Bucket, PfTensor] = {}
-        tallies: Dict[Tuple[Bucket, int], PfTensor] = {}
-        for factors, buckets in self._groups(g, n).items():
-            for alpha in (1, -1):
-                data, tally = _pf_data(factors, alpha)
-                for bucket, w in buckets.items():
-                    _add_scaled(acc.setdefault(bucket, {}), data, w)
-                    _add_scaled(tallies.setdefault((bucket, alpha), {}), tally, w)
-        for (bucket, alpha), t in tallies.items():
-            if any(t.values()):
-                raise EngineError(
-                    f"({g},{n}): residual log coefficient at z = {alpha} "
-                    f"for spectator assignment {bucket}"
-                )
-        tensor: XiTensor = {}
-        for bucket, coeffs in acc.items():
-            for keys, gamma in _decompose_slots(coeffs).items():
-                live = iter(keys[1:])
-                out_key = (keys[0],) + tuple(next(live) if s == LIVE else s for s in bucket)
-                tensor[out_key] = tensor.get(out_key, Fraction(0)) + gamma
-        return {k: v for k, v in tensor.items() if v}
-
-
-def _add_scaled(target: PfTensor, src: PfTensor, w: Fraction) -> None:
-    for key, c in src.items():
-        target[key] = target.get(key, 0) + w * c
+            for key, c in self.tensor(g - 1, n + 1).items():
+                add(_pair(key[0], key[1]), c, key[2:])
+        for g1, si, g2, sj in _stable_splits(g, n - 1):
+            pick = sorted(range(n - 1), key=(si + sj).__getitem__)  # spectator t is both[pick[t]]
+            right = self.tensor(g2, len(sj) + 1).items()
+            for k1, c1 in self.tensor(g1, len(si) + 1).items():
+                for k2, c2 in right:
+                    both = k1[1:] + k2[1:]
+                    add(_pair(k1[0], k2[0]), c1 * c2, tuple(both[t] for t in pick))
+        if n > 1:
+            for key, c in self.tensor(g, n - 1).items():
+                for i in range(1, n):  # P's live slot becomes spectator i
+                    add(_two_point(key[0]), c, key[1:i], key[i:])
+        return {key: c for key, c in out.items() if c}
 
 
 _ENGINE = Correlators()

@@ -11,9 +11,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from nbar import checks
 from nbar.lattice import nbar_eval, nbar_poly
 
 F = Fraction
+
+# the grids of the small cases, on which both identities are also checked pointwise
+SMALL_GRIDS = {(0, 3): range(0, 5), (0, 4): range(0, 4), (1, 1): range(0, 10), (1, 2): range(0, 6)}
 
 
 def string_rhs(g: int, n: int, b) -> Fraction:
@@ -28,18 +32,13 @@ def string_rhs(g: int, n: int, b) -> Fraction:
 
 
 def test_string_identity_on_grids():
-    cases = [
-        (0, 3, range(0, 5), 3),
-        (0, 4, range(0, 4), 4),
-        (1, 1, range(0, 10), 1),
-        (1, 2, range(0, 6), 2),
-    ]
-    for g, n, rng, reps in cases:
+    # every case whose (g, n+1) both engines cross-validate, on b_i ≤ 2 or the wider grid of SMALL_GRIDS
+    for g, n in checks.stable_cases(4):
         big = nbar_poly(g, n + 1)
-        for b in itertools.product(rng, repeat=reps):
+        for b in itertools.product(SMALL_GRIDS.get((g, n), range(0, 3)), repeat=n):
             if sum(b) % 2 == 0:
                 continue  # the extra argument is 1, so Σb must be odd
-            assert big.evaluate((1,) + b) == string_rhs(g, n, b)
+            assert big.evaluate((1,) + b) == string_rhs(g, n, b), (g, n, b)
 
 
 def test_string_identity_includes_the_zero_term():
@@ -51,17 +50,11 @@ def test_string_identity_includes_the_zero_term():
 
 
 def test_dilaton_identity_on_grids():
-    cases = [
-        (0, 3, range(0, 5), 3),
-        (0, 4, range(0, 4), 4),
-        (1, 1, range(0, 10), 1),
-        (1, 2, range(0, 6), 2),
-    ]
-    for g, n, rng, reps in cases:
+    for (g, n), rng in SMALL_GRIDS.items():
         big = nbar_poly(g, n + 1)
         small = nbar_poly(g, n)
         factor = 2 * g - 2 + n
-        for b in itertools.product(rng, repeat=reps):
+        for b in itertools.product(rng, repeat=n):
             if sum(b) % 2:
                 continue
             lhs = big.evaluate((2,) + b) - big.evaluate((0,) + b)
@@ -70,18 +63,12 @@ def test_dilaton_identity_on_grids():
 
 def test_dilaton_identity_symbolically():
     # pinning the extra even argument at 2 and 0 and subtracting must give
-    # (2g - 2 + n) times the smaller count polynomial, as polynomials
-    qp12 = nbar_poly(1, 2)
-    diff = qp12.pin_even(2) - qp12.pin_even(0)
-    assert diff == nbar_poly(1, 1).scale(1)
-
-    qp04 = nbar_poly(0, 4)
-    diff = qp04.pin_even(2) - qp04.pin_even(0)
-    assert diff == nbar_poly(0, 3).scale(1)
-
-    qp13 = nbar_poly(1, 3)
-    diff = qp13.pin_even(2) - qp13.pin_even(0)
-    assert diff == nbar_poly(1, 2).scale(2)
+    # (2g - 2 + n) times the smaller count polynomial, as polynomials, for
+    # every case whose (g, n+1) both engines cross-validate
+    for g, n in checks.stable_cases(4):
+        big = nbar_poly(g, n + 1)
+        diff = big.pin_even(2) - big.pin_even(0)
+        assert diff == nbar_poly(g, n).scale(2 * g - 2 + n), (g, n)
 
 
 def test_spot_values_from_the_identities():

@@ -9,11 +9,12 @@ boundary to a zero one, so N̄_{0,4}(2,0,0,0) = 6/2 = 3.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from nbar import memo, tr
+from nbar import checks, memo, tr
 from nbar.lattice import (
     clear_caches,
     euler_char,
@@ -133,6 +134,19 @@ def test_poly_engines_agree():
         nbar_poly(0, 4, engine="magic")
 
 
+def test_engines_agree_at_seeded_random_points():
+    # both recursions and both engines' polynomials, at 6 random points of even
+    # total per χ ≤ 4 case; the seed makes every run check the same points
+    rng = random.Random(2019)
+    for g, n in checks.stable_cases(4):
+        comb, residue = nbar_poly(g, n), nbar_poly(g, n, engine="tr")
+        for _ in range(6):
+            b = [rng.randint(1, 12)] + [rng.randint(0, 12) for _ in range(n - 1)]
+            b[0] += sum(b) % 2
+            want = nbar_eval(g, n, b)
+            assert nbar_eval_asym(g, n, b) == comb.evaluate(b) == residue.evaluate(b) == want, (g, n, b)
+
+
 def test_poly_matches_pointwise_values():
     qp = nbar_poly(1, 2)
     for b in itertools.product(range(0, 7), repeat=2):
@@ -191,6 +205,10 @@ def test_psi_validation():
         psi_number(0, (1, 0))  # unstable
     with pytest.raises(ValueError):
         psi_number(0, (-1, 1, 0))
+    # truncating 1.5 to 1 would return ⟨τ_1⟩_1 = 1/24
+    for bad in (1.5, F(3, 2)):
+        with pytest.raises(ValueError):
+            psi_number(1, (bad,))
 
 
 def test_positivity_over_table_range():
@@ -208,7 +226,7 @@ def test_clear_caches_empties_every_registered_memo():
     qp = nbar_poly(0, 4)
     sizes = memo.sizes()
     for name in ("lattice.values", "lattice.polys", "lattice.splits", "quasipoly.fit_plans",
-                 "tr.tensors", "tr.signatures", "tr.pivots", "tr.xi_principal_parts"):
+                 "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_principal_parts"):
         assert sizes[name] > 0, name
     clear_caches()
     assert set(memo.sizes().values()) == {0}

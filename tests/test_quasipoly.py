@@ -55,6 +55,15 @@ def test_evaluate_wrong_arity():
         sample_qp().evaluate((1, 2, 3))
 
 
+def test_evaluate_rejects_non_integers():
+    # 1.5 is neither even nor odd: counting it as odd would give a value of a wrong class
+    for bad in (1.5, F(3, 2)):
+        with pytest.raises(ValueError):
+            sample_qp().evaluate((bad, 1))
+    with pytest.raises(ValueError):
+        sample_qp().evaluate((1.5, 0.5))
+
+
 def test_constructor_drops_zero_terms():
     qp = QuasiPolynomial(0, 2, {0: {(1, 0): F(0)}, 1: {}})
     assert qp.classes == {}

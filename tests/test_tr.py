@@ -13,7 +13,7 @@ import pytest
 
 from nbar.exact import Poly, RationalFunction
 from nbar import checks, tr
-from nbar.lattice import nbar_poly
+from nbar.lattice import clear_caches, nbar_poly
 from nbar.quasipoly import qp_to_xi_tensor
 
 F = Fraction
@@ -194,9 +194,38 @@ def test_residual_log_coefficient_raises(monkeypatch):
         data, tally = real(factors, alpha)
         return data, {**tally, (): F(1)}
 
+    clear_caches()  # a table built before the patch would be reused, never reaching the skewed data
     monkeypatch.setattr(tr, "_pf_data", skewed)
     with pytest.raises(tr.EngineError, match="residual log"):
         tr.Correlators().tensor(1, 1)
+
+
+def test_one_two_point_order_alone_raises():
+    # only the sum of the two orders of ω_{0,2}(·, w) and ξ_a has its log terms cancel
+    for p, k in ((0, 0), (1, 0), (0, 2)):
+        with pytest.raises(tr.EngineError, match="residual log"):
+            tr._table((1, (("xi", p, k), ("o2i",))))
+        with pytest.raises(tr.EngineError, match="residual log"):
+            tr._table((-1, (("o2p",), ("xi", p, k))))
+        assert tr._two_point((p, k))  # the sum is certified
+
+
+def test_asymmetric_pair_table_fails_the_symmetry_certificate(monkeypatch):
+    # the contraction is symmetric in the spectators by construction, but not
+    # in the root and a spectator: qp_from_xi_tensor has to check that
+    real = tr._pair
+
+    def doubled(a, b):
+        table = real(a, b)
+        return {key: 2 * c for key, c in table.items()} if a == b == (0, 0) else table
+
+    clear_caches()
+    monkeypatch.setattr(tr, "_pair", doubled)
+    try:
+        with pytest.raises(ValueError, match="not slot-symmetric"):
+            tr.tr_correlator(1, 2)
+    finally:
+        clear_caches()  # the engine memo now holds the skewed (1,2) tensor
 
 
 def test_one_handle_tensor():
