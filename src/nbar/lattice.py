@@ -258,14 +258,18 @@ _EULER_MEMO: Dict[Tuple[int, int], Fraction] = register("lattice.euler", {})
 
 
 def euler_char(g: int, n: int) -> Fraction:
-    """Orbifold Euler characteristic of the compactified moduli space.
+    """Orbifold Euler characteristic of the compactified moduli space, for stable (g, n).
 
     Computed by removing one puncture at a time down to the seeded one-point
-    (and unstable) values.  One-point values are only seeded for g ≤ 2, so
-    higher genus with n = 1 is out of reach of this recursion and raises.
+    values.  One-point values are only seeded for g ≤ 2, so higher genus
+    with n = 1 is out of reach of this recursion and raises.
     """
-    if g < 0 or n < 1:
-        raise ValueError(f"(g, n) = ({g}, {n}) is not a valid pair")
+    _check_stable(g, n)
+    return _euler(g, n)
+
+
+def _euler(g: int, n: int) -> Fraction:
+    """The puncture-removal recursion; also answers the unstable seeds (0,1) and (0,2)."""
     seeded = _EULER_SEEDS.get((g, n))
     if seeded is not None:
         return seeded
@@ -276,9 +280,9 @@ def euler_char(g: int, n: int) -> Fraction:
     if hit is not None:
         return hit
     m = n - 1
-    total = (2 - 2 * g - m) * euler_char(g, m)
+    total = (2 - 2 * g - m) * _euler(g, m)
     if g >= 1:
-        total += HALF * euler_char(g - 1, m + 2)
+        total += HALF * _euler(g - 1, m + 2)
     for g1 in range(g + 1):
         g2 = g - g1
         for i in range(m + 1):
@@ -289,8 +293,8 @@ def euler_char(g: int, n: int) -> Fraction:
             total += (
                 HALF
                 * comb(m, i)
-                * euler_char(g1, i + 1)
-                * euler_char(g2, j + 1)
+                * _euler(g1, i + 1)
+                * _euler(g2, j + 1)
             )
     _EULER_MEMO[key] = total
     return total

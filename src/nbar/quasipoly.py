@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import linsolve
 from .memo import register
@@ -160,15 +159,19 @@ def qp_parse(data: object) -> QuasiPolynomial:
     def fail(path: str, msg: str):
         raise ValueError(f"{path}: {msg}")
 
+    def natural(v: object) -> bool:
+        # JSON true/false load as bool, a subclass of int
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
     if not isinstance(data, dict):
         fail("$", f"expected object, got {type(data).__name__}")
     for field in ("g", "n", "classes"):
         if field not in data:
             fail("$", f"missing field {field!r}")
     g, n, classes = data["g"], data["n"], data["classes"]
-    if not isinstance(g, int) or g < 0:
+    if not natural(g):
         fail("$.g", f"expected non-negative integer, got {g!r}")
-    if not isinstance(n, int) or n < 1:
+    if not natural(n) or n < 1:
         fail("$.n", f"expected positive integer, got {n!r}")
     if not isinstance(classes, list):
         fail("$.classes", f"expected list, got {type(classes).__name__}")
@@ -180,7 +183,7 @@ def qp_parse(data: object) -> QuasiPolynomial:
         if "odd_count" not in cls or "terms" not in cls:
             fail(path, "missing field 'odd_count' or 'terms'")
         k = cls["odd_count"]
-        if not isinstance(k, int) or not 0 <= k <= n:
+        if not natural(k) or k > n:
             fail(f"{path}.odd_count", f"expected integer in [0, {n}], got {k!r}")
         if k in out:
             fail(f"{path}.odd_count", f"duplicate class {k}")
@@ -196,7 +199,7 @@ def qp_parse(data: object) -> QuasiPolynomial:
             if (
                 not isinstance(exps, list)
                 or len(exps) != n
-                or not all(isinstance(e, int) and e >= 0 for e in exps)
+                or not all(natural(e) for e in exps)
             ):
                 fail(f"{tpath}.exponents", f"expected list of {n} non-negative integers, got {exps!r}")
             raw = term["coeff"]
@@ -293,7 +296,6 @@ def qp_fit(
     func: Callable[[Tuple[int, ...]], Fraction],
     g: int,
     n: int,
-    odd_counts: Optional[Iterable[int]] = None,
     degree: Optional[int] = None,
 ) -> QuasiPolynomial:
     """Fit the parity classes of a symmetric quasi-polynomial from exact values.
@@ -302,20 +304,20 @@ def qp_fit(
     the odd arguments first.  ``degree`` bounds the *total* degree in the
     b_i² and defaults to 3g - 3 + n.  The unknowns of class k are the
     block-symmetric monomials m_λ(odd b²) · m_μ(even b²) with λ of at most
-    k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree.  The class is
-    solved on a point set unisolvent for those monomials, then checked
-    exactly on the union of that set and one unisolvent for degree + 2;
-    any discrepancy raises.  A returned class therefore equals ``func`` on
-    its class whenever ``func`` is a block-symmetric polynomial of total
-    degree at most degree + 2 there.
+    k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree.  Each unknown
+    (λ, μ) has its own point: odd entries 2λ_i + 1 and even entries
+    2μ_j + 2, zero-padded and sorted within each block (:func:`_nodes`).
+    The class is solved on the points of degree, then checked exactly on
+    those of degree + 2, which contain them; any discrepancy raises.  A
+    returned class therefore equals ``func`` on its class whenever ``func``
+    is a block-symmetric polynomial of total degree at most degree + 2 there.
     """
     D = degree if degree is not None else 3 * g - 3 + n
     if D < 0:
         raise ValueError(f"degree bound {D} is negative")
-    ks = list(odd_counts) if odd_counts is not None else list(range(n + 1))
 
     classes: Dict[int, ClassDict] = {}
-    for k in ks:
+    for k in range(n + 1):
         expansions, fit_points, matrix, check_points = _fit_plan(k, n, D)
         values = {b: Fraction(func(b)) for b in check_points}
         coeffs = linsolve(matrix, [values[b] for b in fit_points])
@@ -347,15 +349,37 @@ def _fit_plan(k: int, n: int, D: int) -> FitPlan:
     """
     plan = _FIT_PLANS.get((k, n, D))
     if plan is None:
-        small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
-        fit_points, matrix = _unisolvent(k, n, small)
-        check_points = list(dict.fromkeys(fit_points + _unisolvent(k, n, large)[0]))
+        small = _block_basis(k, n - k, D)
+        fit_points = _nodes(small, k, n - k)
         expansions = [
             [a + c for a in _padded_perms(lam, k) for c in _padded_perms(mu, n - k)]
             for lam, mu in small
         ]
+        matrix = list(map(_row_maker(small, k, n), fit_points))
+        check_points = _nodes(_block_basis(k, n - k, D + 2), k, n - k)
         plan = _FIT_PLANS[(k, n, D)] = (expansions, fit_points, matrix, check_points)
     return plan
+
+
+def _nodes(basis, k: int, m: int) -> List[Tuple[int, ...]]:
+    """One block-sorted point per unknown (λ, μ) of ``basis``, by Σb, then lexicographically.
+
+    The point lists 2λ_i + 1 over the k odd slots and 2μ_j + 2 over the m
+    even ones, with λ and μ padded by zeros.  For a basis of total degree D
+    these are the orbit representatives of the lower set
+    {(a, c) ∈ ℕ^k × ℕ^m : |a| + |c| ≤ D} on the per-axis nodes (2i + 1)² and
+    (2j + 2)² in the b².  That set is unisolvent for total degree D
+    (Dyn–Floater, *Multivariate polynomial interpolation on lower sets*,
+    2014) and invariant under S_k × S_m, so a block-symmetric polynomial of
+    degree ≤ D that vanishes on these points is zero: the square system of
+    the basis at its nodes is non-singular.
+    """
+    points = [
+        tuple(sorted(2 * e + 1 for e in lam + (0,) * (k - len(lam))))
+        + tuple(sorted(2 * e + 2 for e in mu + (0,) * (m - len(mu))))
+        for lam, mu in basis
+    ]
+    return sorted(points, key=lambda b: (sum(b), b))
 
 
 def _partitions(parts: int, size: int) -> List[Tuple[int, ...]]:
@@ -402,70 +426,6 @@ def _row_maker(basis, k: int, n: int) -> Callable[[Tuple[int, ...]], List[int]]:
         return [mo[lam] * me[mu] for lam, mu in basis]
 
     return row
-
-
-def _block_points(k: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """Block-sorted positive points of class k: by increasing Σb, then lexicographically.
-
-    A point lists k odd entries, then n - k even ones, each block non-decreasing.
-    """
-    m = n - k
-    total = k + 2 * m
-    while True:
-        batch = [
-            odd + even
-            for s_odd in range(k, total - 2 * m + 1, 2)
-            for odd in _runs(k, s_odd, 1)
-            for even in _runs(m, total - s_odd, 2)
-        ]
-        yield from sorted(batch)
-        total += 2
-
-
-def _runs(count: int, total: int, low: int) -> Iterator[Tuple[int, ...]]:
-    """Non-decreasing tuples of ``count`` integers ≥ ``low`` and ≡ ``low`` (mod 2) summing to ``total``."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    v = low
-    while v * count <= total:
-        for rest in _runs(count - 1, total - v, v):
-            yield (v,) + rest
-        v += 2
-
-
-def _unisolvent(k: int, n: int, basis) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
-    """The first points of :func:`_block_points` that raise the exact rank of the basis rows.
-
-    Stops once the rank equals the number of unknowns, so the chosen points
-    determine every combination of the basis.  Returns the points and their
-    basis rows.  Elimination runs on integer rows, each divided by the gcd
-    of its entries.
-    """
-    make_row = _row_maker(basis, k, n)
-    pivots: List[Tuple[int, List[int]]] = []
-    chosen: List[Tuple[int, ...]] = []
-    rows: List[List[int]] = []
-    for b in _block_points(k, n):
-        if len(chosen) == len(basis):
-            break
-        row = original = make_row(b)
-        for col, prow in pivots:
-            c = row[col]
-            if c:
-                p = prow[col]
-                row = [p * x - c * y for x, y in zip(row, prow)]
-                div = math.gcd(*row)
-                if div > 1:
-                    row = [x // div for x in row]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        pivots.append((col, row))
-        chosen.append(b)
-        rows.append(original)
-    return chosen, rows
 
 
 def _eval_dict(d: ClassDict, b: Sequence[int]) -> Fraction:

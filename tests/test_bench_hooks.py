@@ -12,7 +12,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from nbar import cache, cli, exact, lattice, quasipoly, tr
+from nbar import cache, cli, exact, lattice, memo, quasipoly, tr
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HOOKED = (lattice, quasipoly, tr, cache, cli, exact.RationalFunction, exact.Poly, exact.LaurentSeries)
@@ -24,6 +24,9 @@ def test_tracer_records_spans_and_restores_every_attribute(monkeypatch):
         monkeypatch.delitem(sys.modules, name, raising=False)
     tracing = importlib.import_module("tracing")
     before = [dict(vars(owner)) for owner in HOOKED]
+    # the spans below need a cold start; later tests get the warm dict memos back,
+    # so that they do not refit the polynomials that earlier tests built
+    saved = {name: dict(table) for name, table in memo._TABLES.items() if isinstance(table, dict)}
     lattice.clear_caches()
     tracer = tracing.Tracer()
     tracer.install()
@@ -32,6 +35,9 @@ def test_tracer_records_spans_and_restores_every_attribute(monkeypatch):
         tr.tr_correlator(0, 4)
     finally:
         tracer.uninstall()
+        for name, entries in saved.items():
+            memo._TABLES[name].clear()
+            memo._TABLES[name].update(entries)
     names = {span[0] for span in tracer.spans}
     for name in ("lattice.poly.g0n4", "quasipoly.fit", "tr.tensor.g0n4", "tr.xi_decompose",
                  "exact.linsolve", "quasipoly.from_xi"):

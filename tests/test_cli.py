@@ -158,6 +158,14 @@ def test_euler_command(capsys):
     assert code == 3
 
 
+def test_euler_command_rejects_unstable_pairs(capsys):
+    for g, n in [("0", "1"), ("0", "2")]:
+        code, out, err = run(capsys, ["euler", g, n])
+        assert code == 3
+        assert out == ""
+        assert "not stable" in err
+
+
 def test_psi_command(capsys):
     code, out, _ = run(capsys, ["psi", "1", "1"])
     assert code == 0

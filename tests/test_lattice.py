@@ -176,6 +176,14 @@ def test_euler_unreachable_cases():
         euler_char(0, 0)
 
 
+def test_euler_rejects_unstable_pairs():
+    # (0,1) and (0,2) seed the recursion but are not stable moduli spaces
+    for g, n in [(0, 1), (0, 2), (-1, 4)]:
+        with pytest.raises(ValueError, match="not stable"):
+            euler_char(g, n)
+    assert euler_char(0, 3) == 1
+
+
 def test_euler_equals_count_at_origin():
     for g, n in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)]:
         assert euler_char(g, n) == nbar_poly(g, n).evaluate((0,) * n)

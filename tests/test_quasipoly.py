@@ -7,8 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from nbar.checks import stable_cases
+from nbar.exact import linsolve
 from nbar.quasipoly import (
     QuasiPolynomial,
+    _block_basis,
+    _nodes,
+    _row_maker,
     qp_fit,
     qp_from_json,
     qp_from_xi_tensor,
@@ -153,6 +158,28 @@ def test_parse_diagnostics_name_the_position():
         qp_parse(bad)
 
 
+def test_parse_rejects_booleans_as_integers():
+    good = qp_serialize(sample_qp())
+    with pytest.raises(ValueError, match=r"\$\.g: expected non-negative integer, got True"):
+        qp_parse({"g": True, "n": True, "classes": []})
+    with pytest.raises(ValueError, match=r"\$\.n: expected positive integer, got True"):
+        qp_parse({**good, "n": True})
+
+    bad = json.loads(json.dumps(good))
+    bad["classes"][1]["odd_count"] = True
+    with pytest.raises(ValueError, match=r"\$\.classes\[1\]\.odd_count: expected integer"):
+        qp_parse(bad)
+
+    bad = json.loads(json.dumps(good))
+    bad["classes"][0]["terms"][0]["exponents"] = [False, True]
+    with pytest.raises(ValueError, match=r"\$\.classes\[0\]\.terms\[0\]\.exponents"):
+        qp_parse(bad)
+
+    # the same objects as JSON text, where true and false are literals
+    with pytest.raises(ValueError, match=r"\$\.g"):
+        qp_from_json('{"g": true, "n": 1, "classes": []}')
+
+
 def test_parse_rejects_division_by_zero_coeff():
     data = qp_serialize(sample_qp())
     data["classes"][0]["terms"][0]["coeff"] = "1/0"
@@ -208,15 +235,6 @@ def test_fit_drops_identically_zero_classes():
     assert set(qp.classes) == {0}
 
 
-def test_fit_restricted_to_one_class():
-    def func(b):
-        return Fraction(sum(v * v for v in b))
-
-    qp = qp_fit(func, 0, 2, odd_counts=(1,), degree=1)
-    assert set(qp.classes) == {1}
-    assert qp.evaluate((3, 2)) == 13
-
-
 def test_fit_detects_wrong_degree_bound():
     def func(b):
         return Fraction(sum(v ** 4 for v in b))
@@ -235,6 +253,36 @@ def test_fit_degree_bounds_total_degree():
     # total degree 1 must be caught by the degree + 2 certificate
     with pytest.raises(ValueError, match="verification"):
         qp_fit(lambda b: F(b[0] ** 2 * b[1] ** 2), 0, 2, degree=1)
+
+    # so must every block-symmetric monomial of total degree 2 or 3, in any class
+    for n in range(1, 4):
+        for k in range(n + 1):
+            for lam, mu in _block_basis(k, n - k, 3):
+                if sum(lam) + sum(mu) < 2:
+                    continue
+                monomial = _row_maker([(lam, mu)], k, n)
+
+                def func(b, k=k, monomial=monomial):
+                    return F(monomial(b)[0]) if sum(v % 2 for v in b) == k else F(0)
+
+                with pytest.raises(ValueError, match=f"class {k} fails verification"):
+                    qp_fit(func, 0, n, degree=1)
+
+
+def test_certificate_points_are_unisolvent_for_degree_plus_two():
+    # the fit raises on a singular solve, but the certificate points are never
+    # solved on: their degree + 2 system must be square and non-singular
+    plans = 0
+    for g, n in stable_cases(4):
+        D = 3 * g - 3 + n
+        for k in range(n + 1):
+            small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
+            points = _nodes(large, k, n - k)
+            assert len(set(points)) == len(large)
+            assert set(_nodes(small, k, n - k)) <= set(points)
+            linsolve(list(map(_row_maker(large, k, n), points)), [F(0)] * len(points))
+            plans += 1
+    assert plans == 41
 
 
 def test_fit_uses_few_small_points():
