@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import golden
 from .exact import Poly, RationalFunction, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly
 from .quasipoly import XiKey, XiTensor
-from .tr import HALF, EngineError, PfKey, PfVector, principal_parts, tr_correlator, tr_tensor, xi
+from .tr import HALF, EngineError, PfTensor, PfVector, principal_parts, tr_correlator, tr_tensor, xi
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,22 @@ def table() -> Iterator[Outcome]:
     A flagged row's differences are reported, with the row still ok.
     """
     for g, n in golden.EXACT_CASES:
-        qp = nbar_poly(g, n)
+        classes = nbar_poly(g, n).classes
         want = golden.golden_rows(g, n)
-        extra = sorted(set(qp.classes) - set(want))
+        extra = sorted(set(classes) - set(want))
         if extra:
             yield Outcome(f"({g},{n}): FAIL unexpected parity classes {extra}", False)
         for k in sorted(want):
-            diffs = golden.diff_class(qp.classes.get(k, {}), want[k])
+            diffs = golden.diff_class(classes.get(k, {}), want[k])
             if diffs:
                 head = f"({g},{n}) k={k}: FAIL {len(diffs)} coefficient(s) differ"
                 yield Outcome(_with_diffs(head, diffs, "reference"), False, tuple(diffs))
             else:
                 yield Outcome(f"({g},{n}) k={k}: ok ({len(want[k])} coefficients)", True)
     for g, n in golden.SUSPECT_CASES:
-        qp = nbar_poly(g, n)
+        classes = nbar_poly(g, n).classes
         for k, want_class in sorted(golden.golden_rows(g, n).items()):
-            diffs = golden.diff_class(qp.classes.get(k, {}), want_class)
+            diffs = golden.diff_class(classes.get(k, {}), want_class)
             tag = "suspect row" if (g, n, k) in golden.SUSPECT else "row"
             if diffs:
                 head = f"({g},{n}) k={k}: {tag} differs in {len(diffs)} coefficient(s) (report only)"
@@ -262,18 +263,23 @@ def multilinear_is_zero(
 
     Each function is replaced by its principal parts, computed once per
     distinct function.  Those are exact coordinates, so the sum vanishes
-    exactly when the coefficient tensor Σ c ⊗_s PP(f_s) is empty.  A function
-    outside their span raises :class:`EngineError`.  No sampling is involved.
+    exactly when the coefficient tensor Σ c ⊗_s PP(f_s) is empty.  The terms
+    have one number of slots.  The tensor is built from the last slot to the
+    first, summing the terms that agree on the earlier slots first, so each
+    shared prefix is expanded once.  A function outside the span of
+    principal parts raises :class:`EngineError`.  No sampling is involved.
     """
-    pps: Dict[RationalFunction, PfVector] = {}
-    acc: Dict[Tuple[PfKey, ...], Fraction] = {}
-    for c, funcs in terms:
-        partial: Dict[Tuple[PfKey, ...], Fraction] = {(): c}
-        for f in funcs:
-            pp = pps.get(f)
-            if pp is None:
-                pp = pps[f] = principal_parts(f)
-            partial = {key + (pk,): w * x for key, w in partial.items() for pk, x in pp.items()}
-        for key, w in partial.items():
-            acc[key] = acc.get(key, 0) + w
-    return not any(acc.values())
+    parts = lru_cache(maxsize=None)(principal_parts)
+    # pairs (the functions of the slots still to expand, coefficients on the principal parts of the later slots)
+    slices: Iterable[Tuple[Tuple[RationalFunction, ...], PfTensor]] = [(tuple(fs), {(): c}) for c, fs in terms]
+    for _ in range(max((len(fs) for _, fs in terms), default=0)):
+        merged: Dict[Tuple[RationalFunction, ...], PfTensor] = {}
+        for funcs, tail in slices:
+            out = merged.setdefault(funcs[:-1], {})
+            for pk, x in parts(funcs[-1]).items():
+                for key, w in tail.items():
+                    if w:
+                        full = (pk,) + key
+                        out[full] = out.get(full, 0) + x * w
+        slices = merged.items()
+    return not any(w for _, tail in slices for w in tail.values())

@@ -103,19 +103,20 @@ def render_poly(qp: QuasiPolynomial, fmt: str) -> str:
     if fmt == "json":
         return qp_to_json(qp)
     lines: List[str] = []
+    classes = qp.classes
     if fmt == "csv":
         lines.append("odd_count," + ",".join(f"e{i + 1}" for i in range(qp.n)) + ",coeff")
-        for k in sorted(qp.classes):
-            for key, c in sorted(qp.classes[k].items()):
+        for k in sorted(classes):
+            for key, c in sorted(classes[k].items()):
                 lines.append(f"{k}," + ",".join(str(e) for e in key) + f",{c}")
         return "\n".join(lines) + "\n"
     maker = _term_latex if fmt == "latex" else _term_pretty
     joiner = " + "
-    for k in sorted(qp.classes):
+    for k in sorted(classes):
         marker = "%" if fmt == "latex" else "#"
         suffix = ", odd slots first" if 0 < k < qp.n else ""
         lines.append(f"{marker} {k} odd argument(s){suffix}")
-        terms = [maker(key, c) for key, c in _sorted_terms(qp.classes[k])]
+        terms = [maker(key, c) for key, c in _sorted_terms(classes[k])]
         lines.append(joiner.join(terms) if terms else "0")
     return "\n".join(lines) + "\n"
 

@@ -3,9 +3,9 @@
 These are the published closed forms for the first few (g, n), split by the
 number k of odd arguments (which by symmetry may be taken to be the first k
 slots).  They are stored as fully expanded coefficient dictionaries in the
-same layout as :class:`~nbar.quasipoly.QuasiPolynomial` classes, so the
-table command can compare computed output against them coefficient by
-coefficient.
+same layout as the expanded view :attr:`~nbar.quasipoly.QuasiPolynomial.classes`,
+so the table command can compare computed output against them coefficient
+by coefficient.
 
 One row is transcribed exactly as published but is known to be internally
 inconsistent (its top coefficients disagree with every recursion and with

@@ -306,11 +306,13 @@ def _euler(g: int, n: int) -> Fraction:
 def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
     """Intersection number ⟨ψ_1^{a_1} ⋯ ψ_n^{a_n}⟩ on the (g, n) moduli space.
 
-    Read off the top-degree coefficients of the count polynomial: for
-    Σ a_i = 3g - 3 + n the coefficient of ∏ b_i^{2 a_i} in every parity
-    class equals the intersection number divided by 2^{5g-6+2n} ∏ a_i!.
-    All classes and slot placements are required to agree.  For off-top
-    total degree the number is zero by definition.
+    Read off the top-degree coefficients: for Σ a_i = 3g - 3 + n the
+    coefficient of ∏ b_i^{2 a_i} in every parity class equals the
+    intersection number divided by 2^{5g-6+2n} ∏ a_i!.  Each class stores
+    one coefficient per orbit; the orbit of the exponents a, the first k of
+    them in the odd block of class k, is read from every class, and all
+    classes are required to agree.  For off-top total degree the number is
+    zero by definition.
     """
     n = len(alphas)
     _check_stable(g, n)
@@ -320,14 +322,7 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
     if sum(alphas) != 3 * g - 3 + n:
         return Fraction(0)
     qp = nbar_poly(g, n)
-    seen: List[Fraction] = []
-    for k, d in sorted(qp.classes.items()):
-        vals = {d.get(perm, Fraction(0)) for perm in set(itertools.permutations(alphas))}
-        if len(vals) != 1:
-            raise AssertionError(
-                f"top coefficients disagree across placements in class {k}: {sorted(vals)}"
-            )
-        seen.append(vals.pop())
+    seen = [qp.coefficient(k, alphas) for k in sorted(qp.orbits)]
     if not seen:
         raise AssertionError("count polynomial has no parity classes")
     if len(set(seen)) != 1:
@@ -346,7 +341,7 @@ def positivity_report(
 ) -> List[Tuple[int, int, int, Tuple[int, ...], Fraction]]:
     """All negative stored coefficients over the given (g, n) cases.
 
-    Returns tuples (g, n, odd_count, exponents, coefficient).  An empty
+    Returns tuples (g, n, odd_count, orbit key, coefficient).  An empty
     report means every stored coefficient in range is non-negative.
     """
     if cases is None:
@@ -354,7 +349,7 @@ def positivity_report(
     found = []
     for g, n in cases:
         qp = nbar_poly(g, n)
-        for k, d in sorted(qp.classes.items()):
+        for k, d in sorted(qp.orbits.items()):
             for key, c in sorted(d.items()):
                 if c < 0:
                     found.append((g, n, k, key, c))

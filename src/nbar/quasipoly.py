@@ -3,18 +3,23 @@
 The counting functions computed by this package are, for each fixed pattern
 of argument parities, polynomials in b_1², …, b_n² that are symmetric under
 permutations preserving the parity pattern.  A :class:`QuasiPolynomial`
-stores one coefficient dictionary per number of odd arguments ("parity
-class"); keys list the exponents of b_i² with the odd slots first.  Each
-class dictionary is fully expanded: every block permutation of a key is
-present with the same coefficient, so lookups never need symmetrization.
+stores, per number k of odd arguments ("parity class"), one coefficient per
+block orbit (λ, μ): the coefficient of m_λ(odd b²) · m_μ(even b²), keyed by
+the exponents of b_i² with the k odd slots first and each block sorted
+ascending.  :attr:`QuasiPolynomial.classes` is the expanded view, with every
+block permutation of every orbit key; JSON and rendering list those terms.
+Expanded data coming in (JSON, slot tensors) is collapsed back to orbits
+under one exact symmetry certificate (:func:`_collapse`).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from math import comb, lcm, prod
+from operator import mul
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact import linsolve
 from .memo import register
@@ -26,24 +31,34 @@ XiTensor = Dict[XiKey, Fraction]
 
 
 class QuasiPolynomial:
-    """A parity-split polynomial in b_1², …, b_n² with exact coefficients."""
+    """A parity-split polynomial in b_1², …, b_n² with exact coefficients, one per block orbit."""
 
-    __slots__ = ("g", "n", "classes")
+    __slots__ = ("g", "n", "orbits")
 
-    def __init__(self, g: int, n: int, classes: Dict[int, ClassDict]):
+    def __init__(self, g: int, n: int, orbits: Dict[int, ClassDict]):
         self.g = g
         self.n = n
         cleaned: Dict[int, ClassDict] = {}
-        for k, d in classes.items():
+        for k, d in orbits.items():
             if not 0 <= k <= n:
                 raise ValueError(f"odd count {k} out of range for n={n}")
             dd = {tuple(key): Fraction(c) for key, c in d.items() if c}
             for key in dd:
                 if len(key) != n:
                     raise ValueError(f"exponent key {key} has wrong length for n={n}")
+                if key != _sort_blocks(key, k):
+                    raise ValueError(f"exponent key {key} of class {k} is not sorted within its blocks")
             if dd:
                 cleaned[k] = dd
-        self.classes = cleaned
+        self.orbits = cleaned
+
+    @property
+    def classes(self) -> Dict[int, ClassDict]:
+        """The expanded view: every block permutation of every orbit key, with its orbit's coefficient."""
+        return {
+            k: {key: c for orbit, c in d.items() for key in _placements(orbit, k)}
+            for k, d in self.orbits.items()
+        }
 
     # -- evaluation -----------------------------------------------------------
 
@@ -53,31 +68,34 @@ class QuasiPolynomial:
             raise ValueError(f"expected {self.n} arguments, got {len(b)}")
         if any(v != int(v) for v in b):
             raise ValueError(f"arguments must be integers, got {tuple(b)}")
-        b = [int(v) for v in b]
-        k = sum(1 for v in b if v % 2)
-        return _eval_dict(self.classes.get(k, {}), sorted(b, key=lambda v: v % 2, reverse=True))
+        odd = [int(v) for v in b if v % 2]
+        k = len(odd)
+        d = self.orbits.get(k, {})
+        values = _row_maker(list(d), k)(odd + [int(v) for v in b if v % 2 == 0])
+        return sum(map(mul, d.values(), values), Fraction(0))
 
     def coefficient(self, odd_count: int, exponents: Sequence[int]) -> Fraction:
         """Coefficient of ∏ b_i^{2 e_i} in the given parity class (odd slots first)."""
-        return self.classes.get(odd_count, {}).get(tuple(exponents), Fraction(0))
+        key = _sort_blocks(tuple(exponents), odd_count)
+        return self.orbits.get(odd_count, {}).get(key, Fraction(0))
 
     # -- algebra ----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiPolynomial):
             return NotImplemented
-        return self.n == other.n and self.classes == other.classes
+        return self.n == other.n and self.orbits == other.orbits
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted((k, tuple(sorted(d.items()))) for k, d in self.classes.items()))))
+        return hash((self.n, tuple(sorted((k, tuple(sorted(d.items()))) for k, d in self.orbits.items()))))
 
     def __sub__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         if self.n != other.n:
             raise ValueError("cannot combine quasi-polynomials in different arities")
         out: Dict[int, ClassDict] = {}
-        for k in set(self.classes) | set(other.classes):
-            d: ClassDict = dict(self.classes.get(k, {}))
-            for key, c in other.classes.get(k, {}).items():
+        for k in set(self.orbits) | set(other.orbits):
+            d: ClassDict = dict(self.orbits.get(k, {}))
+            for key, c in other.orbits.get(k, {}).items():
                 d[key] = d.get(key, Fraction(0)) - c
             out[k] = d
         return QuasiPolynomial(self.g, self.n, out)
@@ -86,65 +104,108 @@ class QuasiPolynomial:
         c = Fraction(c)
         return QuasiPolynomial(
             self.g, self.n,
-            {k: {key: c * v for key, v in d.items()} for k, d in self.classes.items()},
+            {k: {key: c * v for key, v in d.items()} for k, d in self.orbits.items()},
         )
 
     @property
     def is_zero(self) -> bool:
-        return not self.classes
+        return not self.orbits
 
     # -- pinning one argument ----------------------------------------------------
 
-    def pin_odd(self, value: int) -> "QuasiPolynomial":
-        """Substitute an odd integer for one odd-parity slot.
-
-        Returns the resulting quasi-polynomial in the remaining n-1 arguments.
-        Parity classes with no odd slot do not survive the substitution.
-        """
-        if value % 2 == 0:
-            raise ValueError("pin_odd needs an odd value")
-        v2 = Fraction(value * value)
-        out: Dict[int, ClassDict] = {}
-        for k, d in self.classes.items():
-            if k == 0:
-                continue
-            nd = out.setdefault(k - 1, {})
-            for key, c in d.items():
-                nkey = key[1:]
-                nd[nkey] = nd.get(nkey, Fraction(0)) + c * v2 ** key[0]
-        return QuasiPolynomial(self.g, self.n - 1, out)
-
     def pin_even(self, value: int) -> "QuasiPolynomial":
-        """Substitute an even integer for one even-parity slot."""
+        """Substitute an even integer for one even-parity slot.
+
+        With y = value², m_μ(y_1, …, y_m) = Σ over the distinct parts e of μ
+        of y^e · m_{μ∖e}(y_1, …, y_{m-1}), so each orbit (λ, μ) spreads over
+        the orbits (λ, μ∖e).  The class with no even slot does not survive.
+        """
         if value % 2:
             raise ValueError("pin_even needs an even value")
-        v2 = Fraction(value * value)
+        v2 = value * value
         out: Dict[int, ClassDict] = {}
-        for k, d in self.classes.items():
+        for k, d in self.orbits.items():
             if k == self.n:
                 continue
             nd = out.setdefault(k, {})
             for key, c in d.items():
-                nkey = key[:-1]
-                nd[nkey] = nd.get(nkey, Fraction(0)) + c * v2 ** key[-1]
+                for i in range(k, self.n):
+                    if i == k or key[i] != key[i - 1]:  # one removal per distinct part
+                        nkey = key[:i] + key[i + 1:]
+                        nd[nkey] = nd.get(nkey, Fraction(0)) + c * v2 ** key[i]
         return QuasiPolynomial(self.g, self.n - 1, out)
 
     def __repr__(self) -> str:
-        sizes = {k: len(d) for k, d in sorted(self.classes.items())}
-        return f"QuasiPolynomial(g={self.g}, n={self.n}, classes={sizes})"
+        sizes = {k: len(d) for k, d in sorted(self.orbits.items())}
+        return f"QuasiPolynomial(g={self.g}, n={self.n}, orbits={sizes})"
+
+
+# -- orbits and their placements --------------------------------------------------
+
+
+def _sort_blocks(key: ExpKey, k: int) -> ExpKey:
+    """The orbit key of an exponent key: its first k entries and the rest, each sorted ascending."""
+    return tuple(sorted(key[:k])) + tuple(sorted(key[k:]))
+
+
+@lru_cache(maxsize=None)
+def _arrangements(block: tuple) -> Tuple[tuple, ...]:
+    """The distinct orderings of an ascending tuple, in lexicographic order."""
+    if len(block) <= 1:
+        return (block,)
+    return tuple(
+        (e,) + rest
+        for i, e in enumerate(block)
+        if i == 0 or block[i - 1] != e
+        for rest in _arrangements(block[:i] + block[i + 1:])
+    )
+
+
+register("quasipoly.arrangements", _arrangements)
+
+
+def _placements(orbit: ExpKey, k: int) -> List[ExpKey]:
+    """Every exponent key of an orbit: the distinct orderings within each block."""
+    return [a + c for a in _arrangements(orbit[:k]) for c in _arrangements(orbit[k:])]
+
+
+def _collapse(
+    entries: Iterable[Tuple[int, ExpKey, Fraction]],
+    spread: Callable[[int], int] = lambda k: 1,
+) -> Dict[int, ClassDict]:
+    """Orbit coefficients of expanded data, certified in one pass.
+
+    ``entries`` are distinct (odd count k, key with the k odd slots first,
+    non-zero coefficient).  Every entry must carry its orbit's coefficient,
+    and each orbit must be hit once per distinct placement: per ordering
+    within the blocks, times ``spread(k)`` ways to put the blocks in the
+    slots.  So every placement is present; otherwise ``ValueError`` is raised.
+    """
+    orbits: Dict[int, ClassDict] = {}
+    hits: Dict[Tuple[int, ExpKey], int] = {}
+    for k, key, c in entries:
+        orbit = _sort_blocks(key, k)
+        have = orbits.setdefault(k, {}).setdefault(orbit, c)
+        if have is not c and have != c:
+            raise ValueError(f"not slot-symmetric: class {k} key {key} has {c}, its orbit {orbit} has {have}")
+        hits[k, orbit] = hits.get((k, orbit), 0) + 1
+    for (k, orbit), hit in hits.items():
+        want = spread(k) * len(_arrangements(orbit[:k])) * len(_arrangements(orbit[k:]))
+        if hit != want:
+            raise ValueError(f"not slot-symmetric: class {k} orbit {orbit} has {hit} of its {want} placements")
+    return orbits
 
 
 # -- serialization ----------------------------------------------------------------
 
 
 def qp_serialize(qp: QuasiPolynomial) -> dict:
-    """Plain-data form of a quasi-polynomial, suitable for JSON."""
+    """Plain-data form of a quasi-polynomial, suitable for JSON: every term of the expanded view."""
     classes = []
-    for k in sorted(qp.classes):
-        terms = [
-            {"exponents": list(key), "coeff": str(c)}
-            for key, c in sorted(qp.classes[k].items())
-        ]
+    for k, d in sorted(qp.orbits.items()):
+        texts = {orbit: str(c) for orbit, c in d.items()}  # each coefficient formatted once
+        placed = sorted((key, text) for orbit, text in texts.items() for key in _placements(orbit, k))
+        terms = [{"exponents": list(key), "coeff": text} for key, text in placed]
         classes.append({"odd_count": k, "terms": terms})
     return {"g": qp.g, "n": qp.n, "classes": classes}
 
@@ -154,7 +215,7 @@ def qp_to_json(qp: QuasiPolynomial) -> str:
 
 
 def qp_parse(data: object) -> QuasiPolynomial:
-    """Rebuild a quasi-polynomial from plain data, with positional diagnostics."""
+    """Rebuild a quasi-polynomial from plain data, with positional diagnostics; see :func:`_collapse`."""
 
     def fail(path: str, msg: str):
         raise ValueError(f"{path}: {msg}")
@@ -176,6 +237,7 @@ def qp_parse(data: object) -> QuasiPolynomial:
     if not isinstance(classes, list):
         fail("$.classes", f"expected list, got {type(classes).__name__}")
     out: Dict[int, ClassDict] = {}
+    rationals: Dict[str, Fraction] = {}
     for i, cls in enumerate(classes):
         path = f"$.classes[{i}]"
         if not isinstance(cls, dict):
@@ -205,15 +267,20 @@ def qp_parse(data: object) -> QuasiPolynomial:
             raw = term["coeff"]
             if not isinstance(raw, str):
                 fail(f"{tpath}.coeff", f"expected rational string like '5/12', got {raw!r}")
-            try:
-                c = Fraction(raw)
-            except (ValueError, ZeroDivisionError):
-                fail(f"{tpath}.coeff", f"not a rational number: {raw!r}")
+            c = rationals.get(raw)  # an orbit repeats its coefficient in every placement: parse it once
+            if c is None:
+                try:
+                    c = rationals[raw] = Fraction(raw)
+                except (ValueError, ZeroDivisionError):
+                    fail(f"{tpath}.coeff", f"not a rational number: {raw!r}")
             key = tuple(exps)
             if key in d:
                 fail(f"{tpath}.exponents", f"duplicate exponent key {key}")
             d[key] = c
-        out[k] = d
+        try:
+            out[k] = _collapse((k, key, c) for key, c in d.items() if c).get(k, {})
+        except ValueError as exc:
+            fail(path, str(exc))
     return QuasiPolynomial(g, n, out)
 
 
@@ -229,66 +296,36 @@ def qp_to_xi_tensor(qp: QuasiPolynomial) -> XiTensor:
 
     The tensor assigns to each slot of the correlator a parity bit and an
     exponent of b²; it is the fully expanded (slot-ordered) view of the
-    block-symmetric class dictionaries.
+    orbits.  An orbit's entries are the distinct orderings of its multiset
+    of (parity, exponent) pairs over the n slots.
     """
-    n = qp.n
-    tensor: XiTensor = {}
-    for k, d in qp.classes.items():
-        for odd_slots in itertools.combinations(range(n), k):
-            odd_set = set(odd_slots)
-            even_slots = [i for i in range(n) if i not in odd_set]
-            for key, c in d.items():
-                entry: List[Tuple[int, int]] = [(0, 0)] * n
-                for j, s in enumerate(odd_slots):
-                    entry[s] = (1, key[j])
-                for j, s in enumerate(even_slots):
-                    entry[s] = (0, key[k + j])
-                tensor[tuple(entry)] = c
-    return tensor
+    return {
+        key: c
+        for k, d in qp.orbits.items()
+        for orbit, c in d.items()
+        for key in _arrangements(tuple(sorted([(1, e) for e in orbit[:k]] + [(0, e) for e in orbit[k:]])))
+    }
 
 
 def qp_from_xi_tensor(g: int, n: int, tensor: XiTensor) -> QuasiPolynomial:
-    """Inverse of :func:`qp_to_xi_tensor`; checks slot-permutation symmetry."""
-    classes: Dict[int, ClassDict] = {}
-    for key, c in tensor.items():
-        if len(key) != n:
-            raise ValueError(f"tensor key {key} has wrong arity for n={n}")
-        if not c:
-            continue
-        odd = [kk for p, kk in key if p == 1]
-        even = [kk for p, kk in key if p == 0]
-        k = len(odd)
-        exps = tuple(odd + even)
-        d = classes.setdefault(k, {})
-        if exps in d and d[exps] != c:
-            raise ValueError(
-                f"tensor is not slot-symmetric: class {k} key {exps} has conflicting "
-                f"coefficients {d[exps]} and {c}"
-            )
-        d[exps] = c
-    qp = QuasiPolynomial(g, n, classes)
-    # every block permutation of every key must be present with equal weight
-    for k, d in qp.classes.items():
-        for key, c in d.items():
-            for op in set(itertools.permutations(key[:k])):
-                for ep in set(itertools.permutations(key[k:])):
-                    if d.get(op + ep) != c:
-                        raise ValueError(
-                            f"tensor is not slot-symmetric: class {k} misses permutation "
-                            f"{op + ep} of {key}"
-                        )
-    # and re-expanding must reproduce the input exactly, so that no slot
-    # placement of any key was silently absent
-    given = {key: Fraction(c) for key, c in tensor.items() if c}
-    if qp_to_xi_tensor(qp) != given:
-        raise ValueError("tensor is not slot-symmetric: expansion mismatch")
-    return qp
+    """Inverse of :func:`qp_to_xi_tensor`; certifies slot-permutation symmetry (:func:`_collapse`)."""
+
+    def entries():
+        for key, c in tensor.items():
+            if len(key) != n:
+                raise ValueError(f"tensor key {key} has wrong arity for n={n}")
+            if c:
+                odd = tuple(e for p, e in key if p == 1)
+                yield len(odd), odd + tuple(e for p, e in key if p == 0), c
+
+    # the k odd slots of an orbit can be any C(n, k) of the n slots
+    return QuasiPolynomial(g, n, _collapse(entries(), lambda k: comb(n, k)))
 
 
 # -- exact fitting --------------------------------------------------------------------
 
-# (odd count, arity, degree) -> (expanded keys per unknown, fit points, fit matrix, checked points)
-FitPlan = Tuple[List[List[ExpKey]], List[Tuple[int, ...]], List[List[int]], List[Tuple[int, ...]]]
+# (odd count, arity, degree) -> (unknowns' orbit keys, fit points, fit matrix, checked points, their rows)
+FitPlan = Tuple[List[ExpKey], List[Tuple[int, ...]], List[List[int]], List[Tuple[int, ...]], List[List[int]]]
 _FIT_PLANS: Dict[Tuple[int, int, int], FitPlan] = register("quasipoly.fit_plans", {})
 
 
@@ -304,11 +341,12 @@ def qp_fit(
     the odd arguments first.  ``degree`` bounds the *total* degree in the
     b_i² and defaults to 3g - 3 + n.  The unknowns of class k are the
     block-symmetric monomials m_λ(odd b²) · m_μ(even b²) with λ of at most
-    k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree.  Each unknown
-    (λ, μ) has its own point: odd entries 2λ_i + 1 and even entries
-    2μ_j + 2, zero-padded and sorted within each block (:func:`_nodes`).
+    k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree, one per orbit.
+    Each unknown (λ, μ) has its own point: odd entries 2λ_i + 1 and even
+    entries 2μ_j + 2, zero-padded and sorted within each block (:func:`_nodes`).
     The class is solved on the points of degree, then checked exactly on
-    those of degree + 2, which contain them; any discrepancy raises.  A
+    those of degree + 2, which contain them: each check is an integer row of
+    monomial values dotted with the solution, and any discrepancy raises.  A
     returned class therefore equals ``func`` on its class whenever ``func``
     is a block-symmetric polynomial of total degree at most degree + 2 there.
     """
@@ -318,124 +356,81 @@ def qp_fit(
 
     classes: Dict[int, ClassDict] = {}
     for k in range(n + 1):
-        expansions, fit_points, matrix, check_points = _fit_plan(k, n, D)
+        keys, fit_points, matrix, check_points, rows = _fit_plan(k, n, D)
         values = {b: Fraction(func(b)) for b in check_points}
         coeffs = linsolve(matrix, [values[b] for b in fit_points])
-        fitted: ClassDict = {key: c for keys, c in zip(expansions, coeffs) if c for key in keys}
-        for b in check_points:
-            got = _eval_dict(fitted, b)
+        # the solution over one denominator, so that each check is an integer dot product
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        for b, row in zip(check_points, rows):
+            got = Fraction(sum(map(mul, row, nums)), den)
             if got != values[b]:
                 raise ValueError(
                     f"fit for class {k} fails verification at b={b}: "
                     f"fitted {got}, actual {values[b]}"
                 )
-        # each unknown was spread over every block permutation of its key, and
-        # lookups rely on that: re-check the stored class
-        for key, c in fitted.items():
-            for op in set(itertools.permutations(key[:k])):
-                for ep in set(itertools.permutations(key[k:])):
-                    if fitted.get(op + ep, Fraction(0)) != c:
-                        raise ValueError(f"fitted class {k} is not block-symmetric at {key}")
-        if fitted:
-            classes[k] = fitted
+        classes[k] = dict(zip(keys, coeffs))
     return QuasiPolynomial(g, n, classes)
 
 
 def _fit_plan(k: int, n: int, D: int) -> FitPlan:
-    """Unknowns, solve points and certificate points of class k under degree D (memoized).
-
-    ``expansions`` lists, per unknown (λ, μ), the exponent keys of its
-    expanded monomials; ``matrix`` holds the unknowns' values at the fit points.
-    """
+    """Unknowns, solve points and certificate points of class k under degree D (memoized)."""
     plan = _FIT_PLANS.get((k, n, D))
     if plan is None:
-        small = _block_basis(k, n - k, D)
-        fit_points = _nodes(small, k, n - k)
-        expansions = [
-            [a + c for a in _padded_perms(lam, k) for c in _padded_perms(mu, n - k)]
-            for lam, mu in small
-        ]
-        matrix = list(map(_row_maker(small, k, n), fit_points))
-        check_points = _nodes(_block_basis(k, n - k, D + 2), k, n - k)
-        plan = _FIT_PLANS[(k, n, D)] = (expansions, fit_points, matrix, check_points)
+        keys = _block_basis(k, n - k, D)
+        check_points = _nodes(_block_basis(k, n - k, D + 2), k)
+        rows = list(map(_row_maker(keys, k), check_points))
+        at = dict(zip(check_points, rows))
+        fit_points = _nodes(keys, k)
+        matrix = [at[b] for b in fit_points]
+        plan = _FIT_PLANS[(k, n, D)] = (keys, fit_points, matrix, check_points, rows)
     return plan
 
 
-def _nodes(basis, k: int, m: int) -> List[Tuple[int, ...]]:
-    """One block-sorted point per unknown (λ, μ) of ``basis``, by Σb, then lexicographically.
+def _nodes(basis: Sequence[ExpKey], k: int) -> List[Tuple[int, ...]]:
+    """One block-sorted point per orbit key (λ, μ) of ``basis``, by Σb, then lexicographically.
 
     The point lists 2λ_i + 1 over the k odd slots and 2μ_j + 2 over the m
-    even ones, with λ and μ padded by zeros.  For a basis of total degree D
-    these are the orbit representatives of the lower set
-    {(a, c) ∈ ℕ^k × ℕ^m : |a| + |c| ≤ D} on the per-axis nodes (2i + 1)² and
-    (2j + 2)² in the b².  That set is unisolvent for total degree D
-    (Dyn–Floater, *Multivariate polynomial interpolation on lower sets*,
-    2014) and invariant under S_k × S_m, so a block-symmetric polynomial of
-    degree ≤ D that vanishes on these points is zero: the square system of
-    the basis at its nodes is non-singular.
+    even ones.  For a basis of total degree D these are the orbit
+    representatives of the lower set {(a, c) ∈ ℕ^k × ℕ^m : |a| + |c| ≤ D} on
+    the per-axis nodes (2i + 1)² and (2j + 2)² in the b².  That set is
+    unisolvent for total degree D (Dyn–Floater, *Multivariate polynomial
+    interpolation on lower sets*, 2014) and invariant under S_k × S_m, so a
+    block-symmetric polynomial of degree ≤ D that vanishes on these points is
+    zero: the square system of the basis at its nodes is non-singular.
     """
-    points = [
-        tuple(sorted(2 * e + 1 for e in lam + (0,) * (k - len(lam))))
-        + tuple(sorted(2 * e + 2 for e in mu + (0,) * (m - len(mu))))
-        for lam, mu in basis
-    ]
+    points = [tuple(2 * e + 1 for e in key[:k]) + tuple(2 * e + 2 for e in key[k:]) for key in basis]
     return sorted(points, key=lambda b: (sum(b), b))
 
 
-def _partitions(parts: int, size: int) -> List[Tuple[int, ...]]:
-    """Partitions (non-increasing positive tuples) with at most ``parts`` parts and sum ≤ ``size``."""
-    out: List[Tuple[int, ...]] = [()]
-    if parts:
-        for first in range(1, size + 1):
-            for rest in _partitions(parts - 1, size - first):
-                if not rest or rest[0] <= first:
-                    out.append((first,) + rest)
-    return out
+def _blocks(length: int, size: int, low: int = 0) -> List[ExpKey]:
+    """Ascending tuples of ``length`` integers, each at least ``low``, with sum ≤ ``size``."""
+    if not length:
+        return [()]
+    return [(e,) + rest for e in range(low, size // length + 1) for rest in _blocks(length - 1, size - e, e)]
 
 
-def _block_basis(k: int, m: int, D: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Pairs (λ, μ), λ of at most k parts and μ of at most m, with |λ| + |μ| ≤ D."""
-    return [(lam, mu) for lam in _partitions(k, D) for mu in _partitions(m, D - sum(lam))]
+def _block_basis(k: int, m: int, D: int) -> List[ExpKey]:
+    """Orbit keys (λ, μ) of k odd and m even slots with |λ| + |μ| ≤ D."""
+    return [lam + mu for lam in _blocks(k, D) for mu in _blocks(m, D - sum(lam))]
 
 
-def _padded_perms(part: Tuple[int, ...], length: int) -> List[ExpKey]:
-    """Distinct orderings of a partition padded with zeros to ``length`` slots, sorted."""
-    return sorted(set(itertools.permutations(part + (0,) * (length - len(part)))))
+def _row_maker(basis: Sequence[ExpKey], k: int) -> Callable[[Sequence[int]], List[int]]:
+    """A function giving the values m_λ(odd b²) · m_μ(even b²) of the orbit keys of ``basis`` at b.
 
+    The point b lists its k odd arguments first, in any order within each block.
+    """
+    odd = {key[:k] for key in basis}
+    even = {key[k:] for key in basis}
 
-def _row_maker(basis, k: int, n: int) -> Callable[[Tuple[int, ...]], List[int]]:
-    """A function giving the values of the block-symmetric monomials of ``basis`` at a point."""
-    odd = {lam: _padded_perms(lam, k) for lam, _ in basis}
-    even = {mu: _padded_perms(mu, n - k) for _, mu in basis}
+    def monomial(xs: List[int], block: ExpKey) -> int:
+        return sum(prod(x ** e for x, e in zip(xs, a) if e) for a in _arrangements(block))
 
-    def monomial(xs: List[int], exps: List[ExpKey]) -> int:
-        total = 0
-        for key in exps:
-            term = 1
-            for x, e in zip(xs, key):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
-
-    def row(b: Tuple[int, ...]) -> List[int]:
+    def row(b: Sequence[int]) -> List[int]:
         xs = [v * v for v in b[:k]]
         ys = [v * v for v in b[k:]]
-        mo = {lam: monomial(xs, exps) for lam, exps in odd.items()}
-        me = {mu: monomial(ys, exps) for mu, exps in even.items()}
-        return [mo[lam] * me[mu] for lam, mu in basis]
+        mo = {lam: monomial(xs, lam) for lam in odd}
+        me = {mu: monomial(ys, mu) for mu in even}
+        return [mo[key[:k]] * me[key[k:]] for key in basis]
 
     return row
-
-
-def _eval_dict(d: ClassDict, b: Sequence[int]) -> Fraction:
-    """Value of one parity class at b, given with its odd entries first."""
-    total = Fraction(0)
-    sq = [v * v for v in b]
-    for key, c in d.items():
-        term = c
-        for v2, e in zip(sq, key):
-            if e:
-                term *= Fraction(v2) ** e
-        total += term
-    return total

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nbar.cache import cache_get, cache_put
 from nbar.checks import stable_cases
 from nbar.exact import linsolve
+from nbar.lattice import nbar_poly
 from nbar.quasipoly import (
     QuasiPolynomial,
     _block_basis,
@@ -22,19 +26,22 @@ from nbar.quasipoly import (
     qp_to_json,
     qp_to_xi_tensor,
 )
+from nbar.tr import tr_tensor
 
 F = Fraction
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 
 
 def sample_qp() -> QuasiPolynomial:
     # f(b1, b2) =  (b1² + b2²)/4 + 1   if both even
     #              3·b_odd²            if exactly one odd
     #              5                   if both odd
+    # one coefficient per block orbit, each block sorted ascending
     return QuasiPolynomial(
         0,
         2,
         {
-            0: {(1, 0): F(1, 4), (0, 1): F(1, 4), (0, 0): F(1)},
+            0: {(0, 1): F(1, 4), (0, 0): F(1)},
             1: {(1, 0): F(3)},
             2: {(0, 0): F(5)},
         },
@@ -82,6 +89,25 @@ def test_constructor_validates_keys():
         QuasiPolynomial(0, 2, {0: {(0, 0, 0): F(1)}})
 
 
+def test_constructor_rejects_keys_not_sorted_within_blocks():
+    with pytest.raises(ValueError, match="not sorted within its blocks"):
+        QuasiPolynomial(0, 2, {0: {(1, 0): F(1)}})
+    with pytest.raises(ValueError, match="not sorted within its blocks"):
+        QuasiPolynomial(0, 4, {2: {(2, 1, 0, 0): F(1)}})
+    # each block on its own may be in any order relative to the other
+    assert QuasiPolynomial(0, 4, {2: {(1, 2, 0, 0): F(1)}}).coefficient(2, (2, 1, 0, 0)) == 1
+
+
+def test_one_coefficient_per_orbit_expanded_at_the_boundary():
+    qp = nbar_poly(0, 5)
+    assert sum(map(len, qp.orbits.values())) == 19
+    assert sum(len(cls["terms"]) for cls in qp_serialize(qp)["classes"]) == 63
+    assert sum(map(len, qp.classes.values())) == 63
+    for k, d in qp.classes.items():
+        for key, c in d.items():
+            assert qp.coefficient(k, key) == c
+
+
 def test_coefficient_lookup():
     qp = sample_qp()
     assert qp.coefficient(0, (1, 0)) == F(1, 4)
@@ -107,16 +133,6 @@ def test_pin_even_matches_evaluation():
         assert pinned.evaluate((v,)) == qp.evaluate((v, 2))
     with pytest.raises(ValueError):
         qp.pin_even(3)
-
-
-def test_pin_odd_matches_evaluation():
-    qp = sample_qp()
-    pinned = qp.pin_odd(3)
-    assert pinned.n == 1
-    for v in (0, 2, 4, 1, 3, 5):
-        assert pinned.evaluate((v,)) == qp.evaluate((v, 3))
-    with pytest.raises(ValueError):
-        qp.pin_odd(2)
 
 
 def test_serialize_round_trip():
@@ -180,6 +196,44 @@ def test_parse_rejects_booleans_as_integers():
         qp_from_json('{"g": true, "n": 1, "classes": []}')
 
 
+def test_parse_rejects_a_class_that_is_not_block_symmetric():
+    # b1² alone in the all-even class: its placement (0, 1) is missing
+    data = {"g": 0, "n": 2, "classes": [
+        {"odd_count": 2, "terms": [{"exponents": [0, 0], "coeff": "1"}]},
+        {"odd_count": 0, "terms": [{"exponents": [1, 0], "coeff": "1"}]},
+    ]}
+    with pytest.raises(ValueError, match=r"\$\.classes\[1\]: not slot-symmetric"):
+        qp_parse(data)
+    # both placements, with different coefficients
+    data["classes"][1]["terms"].append({"exponents": [0, 1], "coeff": "2"})
+    with pytest.raises(ValueError, match=r"\$\.classes\[1\]: not slot-symmetric"):
+        qp_parse(data)
+    data["classes"][1]["terms"][1]["coeff"] = "1"
+    assert qp_parse(data) == QuasiPolynomial(0, 2, {0: {(0, 1): F(1)}, 2: {(0, 0): F(1)}})
+
+
+def test_cache_misses_an_entry_that_is_not_block_symmetric(tmp_path):
+    qp = sample_qp()
+    path = cache_put(tmp_path, qp, "comb")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["classes"][0]["terms"] = [t for t in data["classes"][0]["terms"] if t["exponents"] != [0, 1]]
+    text = json.dumps(data, indent=2)
+    path.write_text(text, encoding="utf-8")
+    # a valid digest of the asymmetric payload: only the symmetry certificate can reject it
+    path.with_suffix(".sha256").write_text(hashlib.sha256(text.encode("utf-8")).hexdigest(), encoding="utf-8")
+    with pytest.raises(ValueError, match="not slot-symmetric"):
+        qp_from_json(text)
+    assert cache_get(tmp_path, 0, 2, "comb") is None
+
+
+def test_reference_files_round_trip_byte_for_byte():
+    refs = sorted(REFS.glob("g*n*.json"))
+    assert len(refs) >= 10
+    for path in refs:
+        text = path.read_text(encoding="utf-8")
+        assert qp_to_json(qp_from_json(text)) == text, path.name
+
+
 def test_parse_rejects_division_by_zero_coeff():
     data = qp_serialize(sample_qp())
     data["classes"][0]["terms"][0]["coeff"] = "1/0"
@@ -206,6 +260,18 @@ def test_xi_tensor_rejects_asymmetry():
     with pytest.raises(ValueError, match="wrong arity"):
         qp_from_xi_tensor(0, 3, {((0, 0), (0, 0)): F(1)})
 
+    full = tr_tensor(0, 4)
+    assert qp_from_xi_tensor(0, 4, dict(full)) == nbar_poly(0, 4)
+    key = sorted(full)[len(full) // 2]
+    missing = dict(full)
+    del missing[key]
+    with pytest.raises(ValueError, match="not slot-symmetric"):
+        qp_from_xi_tensor(0, 4, missing)
+    changed = dict(full)
+    changed[key] += 1
+    with pytest.raises(ValueError, match="not slot-symmetric"):
+        qp_from_xi_tensor(0, 4, changed)
+
 
 def test_fit_recovers_known_polynomial():
     def func(b):
@@ -218,9 +284,9 @@ def test_fit_recovers_known_polynomial():
         0,
         2,
         {
-            0: {(2, 0): F(1), (1, 1): F(2), (0, 2): F(1)},
+            0: {(1, 1): F(2), (0, 2): F(1)},
             1: {(2, 0): F(1), (1, 1): F(2), (0, 2): F(1), (0, 0): F(1)},
-            2: {(2, 0): F(1), (1, 1): F(2), (0, 2): F(1), (0, 0): F(2)},
+            2: {(1, 1): F(2), (0, 2): F(1), (0, 0): F(2)},
         },
     )
     assert qp == want
@@ -257,10 +323,10 @@ def test_fit_degree_bounds_total_degree():
     # so must every block-symmetric monomial of total degree 2 or 3, in any class
     for n in range(1, 4):
         for k in range(n + 1):
-            for lam, mu in _block_basis(k, n - k, 3):
-                if sum(lam) + sum(mu) < 2:
+            for key in _block_basis(k, n - k, 3):
+                if sum(key) < 2:
                     continue
-                monomial = _row_maker([(lam, mu)], k, n)
+                monomial = _row_maker([key], k)
 
                 def func(b, k=k, monomial=monomial):
                     return F(monomial(b)[0]) if sum(v % 2 for v in b) == k else F(0)
@@ -277,10 +343,10 @@ def test_certificate_points_are_unisolvent_for_degree_plus_two():
         D = 3 * g - 3 + n
         for k in range(n + 1):
             small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
-            points = _nodes(large, k, n - k)
+            points = _nodes(large, k)
             assert len(set(points)) == len(large)
-            assert set(_nodes(small, k, n - k)) <= set(points)
-            linsolve(list(map(_row_maker(large, k, n), points)), [F(0)] * len(points))
+            assert set(_nodes(small, k)) <= set(points)
+            linsolve(list(map(_row_maker(large, k), points)), [F(0)] * len(points))
             plans += 1
     assert plans == 41
 
