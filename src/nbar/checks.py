@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from . import golden
 from .exact import Poly, RationalFunction, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly
-from .quasipoly import XiKey, XiTensor
+from .quasipoly import XiKey, XiTensor, _arrangements
 from .tr import HALF, EngineError, PfTensor, PfVector, principal_parts, tr_correlator, tr_tensor, xi
 
 
@@ -84,8 +84,8 @@ def euler(max_chi: int) -> Iterator[Outcome]:
 
 def desk() -> Iterator[Outcome]:
     """The residue engine against the closed forms for (1,1) and (0,3)."""
-    yield _check("desk (1,1)", multilinear_is_zero(_xi_terms(tr_tensor(1, 1)) + [(-1, [ONE_HANDLE])]))
-    terms = _xi_terms(tr_tensor(0, 3)) + [(-HALF, [f] * 3) for f in THREE_POINT_FACTORS]
+    yield _check("desk (1,1)", multilinear_is_zero(_xi_terms(_expanded(1, 1)) + [(-1, [ONE_HANDLE])]))
+    terms = _xi_terms(_expanded(0, 3)) + [(-HALF, [f] * 3) for f in THREE_POINT_FACTORS]
     yield _check("desk (0,3)", multilinear_is_zero(terms))
 
 
@@ -151,6 +151,11 @@ def _with_diffs(head: str, diffs, source: str) -> str:
 
 
 # -- correlator and form helpers ---------------------------------------------------------
+
+
+def _expanded(g: int, n: int) -> XiTensor:
+    """The (g, n) correlator with every ordering of each key's spectators: one key per slot order."""
+    return {key[:1] + rest: c for key, c in tr_tensor(g, n).items() for rest in _arrangements(key[1:])}
 
 
 def _xi_terms(tensor: XiTensor) -> List[Tuple[Fraction, List[RationalFunction]]]:
@@ -224,8 +229,8 @@ def string_check(g: int, n: int) -> bool:
     compares, as a multilinear exact zero test, against the per-slot
     transform of the smaller correlator.
     """
-    terms = _xi_terms(_contract(tr_tensor(g, n + 1), string_scalar))
-    small = tr_tensor(g, n)
+    terms = _xi_terms(_contract(_expanded(g, n + 1), string_scalar))
+    small = _expanded(g, n)
     moved = {kk: string_transform(xi(*kk)) for kk in {kk for key in small for kk in key}}
     for key, c in small.items():
         for slot in range(n):
@@ -238,8 +243,8 @@ def string_check(g: int, n: int) -> bool:
 def dilaton_check(g: int, n: int) -> bool:
     """Form-level dilaton identity: contracting with Σ_α Res (z²/2 - log z) ξ
     recovers 2g - 2 + n times the smaller correlator."""
-    want = {k: (2 * g - 2 + n) * v for k, v in tr_tensor(g, n).items()}
-    return _contract(tr_tensor(g, n + 1), dilaton_scalar) == want
+    want = {k: (2 * g - 2 + n) * v for k, v in _expanded(g, n).items()}
+    return _contract(_expanded(g, n + 1), dilaton_scalar) == want
 
 
 def _contract(tensor: XiTensor, scalar: Callable[[int, int], Fraction]) -> Dict[Tuple[XiKey, ...], Fraction]:

@@ -8,8 +8,8 @@ block orbit (λ, μ): the coefficient of m_λ(odd b²) · m_μ(even b²), keyed 
 the exponents of b_i² with the k odd slots first and each block sorted
 ascending.  :attr:`QuasiPolynomial.classes` is the expanded view, with every
 block permutation of every orbit key; JSON and rendering list those terms.
-Expanded data coming in (JSON, slot tensors) is collapsed back to orbits
-under one exact symmetry certificate (:func:`_collapse`).
+Data coming in (expanded JSON terms, residue tensors keyed by root and sorted
+spectators) is collapsed to orbits under one exact certificate (:func:`_collapse`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -84,10 +84,10 @@ class QuasiPolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiPolynomial):
             return NotImplemented
-        return self.n == other.n and self.orbits == other.orbits
+        return (self.g, self.n, self.orbits) == (other.g, other.n, other.orbits)
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted((k, tuple(sorted(d.items()))) for k, d in self.orbits.items()))))
+        return hash((self.g, self.n, tuple(sorted((k, tuple(sorted(d.items()))) for k, d in self.orbits.items()))))
 
     def __sub__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         if self.n != other.n:
@@ -129,10 +129,9 @@ class QuasiPolynomial:
                 continue
             nd = out.setdefault(k, {})
             for key, c in d.items():
-                for i in range(k, self.n):
-                    if i == k or key[i] != key[i - 1]:  # one removal per distinct part
-                        nkey = key[:i] + key[i + 1:]
-                        nd[nkey] = nd.get(nkey, Fraction(0)) + c * v2 ** key[i]
+                for e, rest in _removals(key[k:]):
+                    nkey = key[:k] + rest
+                    nd[nkey] = nd.get(nkey, Fraction(0)) + c * v2 ** e
         return QuasiPolynomial(self.g, self.n - 1, out)
 
     def __repr__(self) -> str:
@@ -148,17 +147,17 @@ def _sort_blocks(key: ExpKey, k: int) -> ExpKey:
     return tuple(sorted(key[:k])) + tuple(sorted(key[k:]))
 
 
+def _removals(block: tuple) -> List[Tuple[object, tuple]]:
+    """(e, the rest) for each distinct entry e of an ascending tuple, the rest being ascending too."""
+    return [(e, block[:i] + block[i + 1:]) for i, e in enumerate(block) if i == 0 or block[i - 1] != e]
+
+
 @lru_cache(maxsize=None)
 def _arrangements(block: tuple) -> Tuple[tuple, ...]:
     """The distinct orderings of an ascending tuple, in lexicographic order."""
     if len(block) <= 1:
         return (block,)
-    return tuple(
-        (e,) + rest
-        for i, e in enumerate(block)
-        if i == 0 or block[i - 1] != e
-        for rest in _arrangements(block[:i] + block[i + 1:])
-    )
+    return tuple((e,) + tail for e, rest in _removals(block) for tail in _arrangements(rest))
 
 
 register("quasipoly.arrangements", _arrangements)
@@ -171,15 +170,15 @@ def _placements(orbit: ExpKey, k: int) -> List[ExpKey]:
 
 def _collapse(
     entries: Iterable[Tuple[int, ExpKey, Fraction]],
-    spread: Callable[[int], int] = lambda k: 1,
+    spread: Callable[[int, ExpKey], int] = lambda k, orbit: len(_placements(orbit, k)),
 ) -> Dict[int, ClassDict]:
     """Orbit coefficients of expanded data, certified in one pass.
 
     ``entries`` are distinct (odd count k, key with the k odd slots first,
     non-zero coefficient).  Every entry must carry its orbit's coefficient,
-    and each orbit must be hit once per distinct placement: per ordering
-    within the blocks, times ``spread(k)`` ways to put the blocks in the
-    slots.  So every placement is present; otherwise ``ValueError`` is raised.
+    and each orbit of class k must be hit exactly ``spread(k, orbit)`` times:
+    once per placement for JSON, once per distinct root for a tensor.  So
+    every entry of the orbit is present; otherwise ``ValueError`` is raised.
     """
     orbits: Dict[int, ClassDict] = {}
     hits: Dict[Tuple[int, ExpKey], int] = {}
@@ -190,9 +189,9 @@ def _collapse(
             raise ValueError(f"not slot-symmetric: class {k} key {key} has {c}, its orbit {orbit} has {have}")
         hits[k, orbit] = hits.get((k, orbit), 0) + 1
     for (k, orbit), hit in hits.items():
-        want = spread(k) * len(_arrangements(orbit[:k])) * len(_arrangements(orbit[k:]))
+        want = spread(k, orbit)
         if hit != want:
-            raise ValueError(f"not slot-symmetric: class {k} orbit {orbit} has {hit} of its {want} placements")
+            raise ValueError(f"not slot-symmetric: class {k} orbit {orbit} has {hit} of its {want} entries")
     return orbits
 
 
@@ -292,34 +291,37 @@ def qp_from_json(text: str) -> QuasiPolynomial:
 
 
 def qp_to_xi_tensor(qp: QuasiPolynomial) -> XiTensor:
-    """Coefficients in the per-slot basis indexed by (parity, exponent).
+    """Coefficients in the per-slot basis indexed by (parity, exponent), in orbit form.
 
-    The tensor assigns to each slot of the correlator a parity bit and an
-    exponent of b²; it is the fully expanded (slot-ordered) view of the
-    orbits.  An orbit's entries are the distinct orderings of its multiset
-    of (parity, exponent) pairs over the n slots.
+    Each slot of the correlator gets a parity bit and an exponent of b².  A key
+    is the root's pair followed by the spectators' sorted ascending, as in
+    :func:`nbar.tr.tr_tensor`, so an orbit has one key per distinct pair.
     """
     return {
-        key: c
+        (root,) + rest: c
         for k, d in qp.orbits.items()
         for orbit, c in d.items()
-        for key in _arrangements(tuple(sorted([(1, e) for e in orbit[:k]] + [(0, e) for e in orbit[k:]])))
+        for root, rest in _removals(tuple(sorted([(1, e) for e in orbit[:k]] + [(0, e) for e in orbit[k:]])))
     }
 
 
 def qp_from_xi_tensor(g: int, n: int, tensor: XiTensor) -> QuasiPolynomial:
-    """Inverse of :func:`qp_to_xi_tensor`; certifies slot-permutation symmetry (:func:`_collapse`)."""
+    """Inverse of :func:`qp_to_xi_tensor`; certifies slot-permutation symmetry (:func:`_collapse`).
+
+    With its spectators sorted a key is fixed by its root, so each orbit must be hit once per distinct root.
+    """
 
     def entries():
         for key, c in tensor.items():
             if len(key) != n:
                 raise ValueError(f"tensor key {key} has wrong arity for n={n}")
+            if list(key[1:]) != sorted(key[1:]):
+                raise ValueError(f"tensor key {key} has unsorted spectators")
             if c:
                 odd = tuple(e for p, e in key if p == 1)
                 yield len(odd), odd + tuple(e for p, e in key if p == 0), c
 
-    # the k odd slots of an orbit can be any C(n, k) of the n slots
-    return QuasiPolynomial(g, n, _collapse(entries(), lambda k: comb(n, k)))
+    return QuasiPolynomial(g, n, _collapse(entries(), lambda k, orbit: len(set(orbit[:k])) + len(set(orbit[k:]))))
 
 
 # -- exact fitting --------------------------------------------------------------------

@@ -22,9 +22,9 @@ certificates sit in the tables: the formal log z terms at each branch point
 must cancel, and the back-substitution into the ξ basis must leave an
 exactly empty residual in every slot (Σ γ·PP(ξ) = v).  Anything else raises
 :class:`EngineError`.  The contraction is symmetric in the spectators by
-construction but not in the root and a spectator, which
-:func:`qp_from_xi_tensor` checks.  So a returned tensor is correct, not
-plausible.
+construction and keeps one coefficient per root and sorted spectators; the
+symmetry between the root and a spectator is not built in, and
+:func:`qp_from_xi_tensor` checks it.  So a returned tensor is correct, not plausible.
 
 :class:`RationalFunction` is left to the reference functions (:func:`xi`,
 the slot functions, :func:`principal_parts`); the checks against them live
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Dict, Iterable, Tuple
+from math import comb, prod
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .exact import Poly, RationalFunction, linsolve, mercator
-from .lattice import _stable_splits, is_stable
+from .lattice import is_stable
 from .memo import register
-from .quasipoly import QuasiPolynomial, XiKey, XiTensor, qp_from_xi_tensor
+from .quasipoly import QuasiPolynomial, XiKey, XiTensor, _removals, qp_from_xi_tensor
 
 HALF = Fraction(1, 2)
 
@@ -386,65 +386,58 @@ def _two_point(a: XiKey) -> Table:
 
 # -- the engine -------------------------------------------------------------------------
 
-
-class Correlators:
-    """Memoized computation of correlator tensors in the ξ basis.
-
-    (1,1) and (0,3) are tables.  Any other correlator contracts C with
-    ω_{g-1,n+1} and with each ω_{g1} ω_{g2} over the stable splits of the
-    spectators, and P with ω_{g,n-1} once per spectator.
-    """
-
-    def __init__(self) -> None:
-        self._tensors: Dict[Tuple[int, int], XiTensor] = {}
-
-    def tensor(self, g: int, n: int) -> XiTensor:
-        if not is_stable(g, n):
-            raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
-        key = (g, n)
-        hit = self._tensors.get(key)
-        if hit is None:
-            hit = self._compute(g, n)
-            self._tensors[key] = hit
-        return hit
-
-    def _compute(self, g: int, n: int) -> XiTensor:
-        if (g, n) == (1, 1):
-            return dict(_table((1, (("diag",),))))
-        if (g, n) == (0, 3):
-            return dict(_table((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",)))))
-        out: XiTensor = {}
-
-        def add(table: Table, c: Fraction, before: Tuple, after: Tuple = ()) -> None:
-            """c times the table, its live slots placed between spectators ``before`` and ``after``."""
-            for slots, x in table.items():
-                key = slots[:1] + before + slots[1:] + after
-                out[key] = out.get(key, 0) + c * x
-
-        if g >= 1:
-            for key, c in self.tensor(g - 1, n + 1).items():
-                add(_pair(key[0], key[1]), c, key[2:])
-        for g1, si, g2, sj in _stable_splits(g, n - 1):
-            pick = sorted(range(n - 1), key=(si + sj).__getitem__)  # spectator t is both[pick[t]]
-            right = self.tensor(g2, len(sj) + 1).items()
-            for k1, c1 in self.tensor(g1, len(si) + 1).items():
-                for k2, c2 in right:
-                    both = k1[1:] + k2[1:]
-                    add(_pair(k1[0], k2[0]), c1 * c2, tuple(both[t] for t in pick))
-        if n > 1:
-            for key, c in self.tensor(g, n - 1).items():
-                for i in range(1, n):  # P's live slot becomes spectator i
-                    add(_two_point(key[0]), c, key[1:i], key[i:])
-        return {key: c for key, c in out.items() if c}
-
-
-_ENGINE = Correlators()
-register("tr.tensors", _ENGINE._tensors)
+_TENSORS: Dict[Tuple[int, int], XiTensor] = register("tr.tensors", {})
 
 
 def tr_tensor(g: int, n: int) -> XiTensor:
-    """The (g, n) correlator in basis coordinates (memoized module-wide)."""
-    return _ENGINE.tensor(g, n)
+    """The (g, n) correlator in basis coordinates, one key per orbit (memoized module-wide).
+
+    A key is the root's ξ index followed by the spectators' indices sorted
+    ascending.  (1,1) and (0,3) are tables; any other correlator contracts C
+    with ω_{g-1,n+1} and with each ω_{g1} ω_{g2}, and P with ω_{g,n-1}, one
+    entry at a time.  Each term is weighted by the spectator orderings it
+    stands for: C meets ω_{g-1,n+1} once per distinct spectator index,
+    ω_{g1} ω_{g2} share out S₁ ⊎ S₂ in ∏_κ C(m_{S₁⊎S₂}(κ), m_{S₁}(κ)) ways,
+    and P's live slot w can be any spectator equal to w.
+    """
+    if not is_stable(g, n):
+        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    if (g, n) == (1, 1):
+        return dict(_table((1, (("diag",),))))
+    if (g, n) == (0, 3):
+        table = _table((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",))))
+        return {key: c for key, c in table.items() if key[1] <= key[2]}
+    if (g, n) in _TENSORS:
+        return _TENSORS[g, n]
+    out: XiTensor = {}
+
+    def add(table: Table, c: Fraction, spectators: Sequence[XiKey]) -> None:
+        """c times a table, on the spectators sorted together with the table's live slot, if it has one."""
+        for (root, *live), x in table.items():
+            rest = sorted((*spectators, *live))
+            key = (root,) + tuple(rest)
+            out[key] = out.get(key, 0) + prod(map(rest.count, live), start=c) * x
+
+    if g >= 1:
+        for key, c in _tensor(g - 1, n + 1).items():
+            for b, rest in _removals(key[1:]):
+                add(_pair(key[0], b), c, rest)
+    for g1 in range(g + 1):
+        for m in range(n):
+            if is_stable(g1, m + 1) and is_stable(g - g1, n - m):
+                for (a, *s1), c1 in _tensor(g1, m + 1).items():
+                    for (b, *s2), c2 in _tensor(g - g1, n - m).items():
+                        both = s1 + s2
+                        ways = prod(comb(both.count(x), s1.count(x)) for x in set(s1))
+                        add(_pair(a, b), ways * c1 * c2, both)
+    if n > 1:
+        for (a, *rest), c in _tensor(g, n - 1).items():
+            add(_two_point(a), c, rest)
+    hit = _TENSORS[g, n] = {key: c for key, c in out.items() if c}
+    return hit
+
+
+_tensor = tr_tensor  # the recursion's name for it: rebinding tr_tensor, as a tracer does, wraps only the outer call
 
 
 def tr_correlator(g: int, n: int) -> QuasiPolynomial:

@@ -42,6 +42,8 @@ def test_tracer_records_spans_and_restores_every_attribute(monkeypatch):
     for name in ("lattice.poly.g0n4", "quasipoly.fit", "tr.tensor.g0n4", "tr.xi_decompose",
                  "exact.linsolve", "quasipoly.from_xi"):
         assert name in names, name
+    # the recursion bypasses the rebound tr_tensor, so the per-layer tensor times stay top-level
+    assert [span[0] for span in tracer.spans if span[0].startswith("tr.tensor.")] == ["tr.tensor.g0n4"]
     for owner, old in zip(HOOKED, before):
         now = vars(owner)
         assert now.keys() == old.keys(), owner

@@ -82,6 +82,13 @@ def test_constructor_drops_zero_terms():
     assert qp.is_zero
 
 
+def test_equality_and_hash_include_the_genus():
+    same = {0: {(0, 1): F(1)}}
+    assert QuasiPolynomial(0, 2, same) != QuasiPolynomial(1, 2, same)
+    assert len({QuasiPolynomial(0, 2, same), QuasiPolynomial(1, 2, same)}) == 2
+    assert QuasiPolynomial(1, 2, same) == QuasiPolynomial(1, 2, dict(same))
+
+
 def test_constructor_validates_keys():
     with pytest.raises(ValueError):
         QuasiPolynomial(0, 2, {3: {(0, 0): F(1)}})
@@ -244,7 +251,7 @@ def test_parse_rejects_division_by_zero_coeff():
 def test_xi_tensor_round_trip():
     qp = sample_qp()
     tensor = qp_to_xi_tensor(qp)
-    # fully slot-expanded: the k=0 class contributes its key in both slot orders
+    # one key per distinct root, the spectators sorted: with two slots, each slot order
     assert tensor[((0, 1), (0, 0))] == F(1, 4)
     assert tensor[((0, 0), (0, 1))] == F(1, 4)
     assert tensor[((1, 1), (0, 0))] == 3
@@ -271,6 +278,15 @@ def test_xi_tensor_rejects_asymmetry():
     changed[key] += 1
     with pytest.raises(ValueError, match="not slot-symmetric"):
         qp_from_xi_tensor(0, 4, changed)
+    e, o, o1 = (0, 0), (1, 0), (1, 1)
+    unsorted = dict(full)
+    unsorted[(o, o, e, e)] = unsorted.pop((o, e, e, o))  # the same orbit and root, spectators out of order
+    with pytest.raises(ValueError, match="unsorted spectators"):
+        qp_from_xi_tensor(0, 4, unsorted)
+    one_root = dict(full)
+    del one_root[(o1, o, o, o)]  # the orbit {o1, o, o, o} keeps only its root o
+    with pytest.raises(ValueError, match="not slot-symmetric"):
+        qp_from_xi_tensor(0, 4, one_root)
 
 
 def test_fit_recovers_known_polynomial():

@@ -13,7 +13,7 @@ import pytest
 
 from nbar.exact import Poly, RationalFunction
 from nbar import checks, tr
-from nbar.lattice import clear_caches, nbar_poly
+from nbar.lattice import clear_caches, euler_char, nbar_poly
 from nbar.quasipoly import qp_to_xi_tensor
 
 F = Fraction
@@ -197,7 +197,7 @@ def test_residual_log_coefficient_raises(monkeypatch):
     clear_caches()  # a table built before the patch would be reused, never reaching the skewed data
     monkeypatch.setattr(tr, "_pf_data", skewed)
     with pytest.raises(tr.EngineError, match="residual log"):
-        tr.Correlators().tensor(1, 1)
+        tr.tr_tensor(1, 1)
 
 
 def test_one_two_point_order_alone_raises():
@@ -240,10 +240,10 @@ def test_one_handle_closed_form():
 
 
 def test_three_point_tensor():
+    # one key per (root, sorted spectators): the orbit {o, o, e} has the roots o and e
     e, o = (0, 0), (1, 0)
     want = {
         (e, e, e): F(1),
-        (o, o, e): F(1),
         (o, e, o): F(1),
         (e, o, o): F(1),
     }
@@ -260,10 +260,14 @@ def test_correlator_wrapper_returns_quasi_polynomial():
     assert qp == nbar_poly(0, 4)
 
 
-def test_fresh_engine_reproduces_tensors():
-    eng = tr.Correlators()
-    assert eng.tensor(0, 4) == tr.tr_tensor(0, 4)
-    assert eng.tensor(1, 1) == tr.tr_tensor(1, 1)
+def test_residue_engine_satisfies_dilaton_and_euler_through_chi_6():
+    # anchors for the χ = 6 tensors that need no comb polynomial, which is too slow there:
+    # N̄_{g,n+1}(b, 2) - N̄_{g,n+1}(b, 0) = (2g - 2 + n) N̄_{g,n}(b) as polynomials, and N̄_{g,n}(0) = χ(M_{g,n})
+    for g, n in checks.stable_cases(5):
+        big = nbar_poly(g, n + 1, "tr")
+        assert big.pin_even(2) - big.pin_even(0) == nbar_poly(g, n, "tr").scale(2 * g - 2 + n), (g, n)
+    for g, n in ((0, 8), (1, 6), (2, 4)):
+        assert nbar_poly(g, n, "tr").evaluate((0,) * n) == euler_char(g, n), (g, n)
 
 
 def test_string_scalar_table():
