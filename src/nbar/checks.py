@@ -20,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import golden
 from .exact import Poly, RationalFunction, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly
-from .quasipoly import XiKey, XiTensor, _arrangements
+from .memo import register
+from .quasipoly import XiTensor, _arrangements
 from .tr import HALF, EngineError, PfTensor, PfVector, principal_parts, tr_correlator, tr_tensor, xi
 
 
@@ -247,15 +249,66 @@ def dilaton_check(g: int, n: int) -> bool:
     return _contract(_expanded(g, n + 1), dilaton_scalar) == want
 
 
-def _contract(tensor: XiTensor, scalar: Callable[[int, int], Fraction]) -> Dict[Tuple[XiKey, ...], Fraction]:
+def _contract(tensor: XiTensor, scalar: Callable[[int, int], Fraction]) -> XiTensor:
     """The tensor with its first slot contracted against ``scalar`` of each basis index."""
     scalars = {kk: scalar(*kk) for kk in {key[0] for key in tensor}}
-    out: Dict[Tuple[XiKey, ...], Fraction] = {}
+    out: XiTensor = {}
     for key, c in tensor.items():
         s = scalars[key[0]]
         if s:
             out[key[1:]] = out.get(key[1:], Fraction(0)) + c * s
     return {rest: c for rest, c in out.items() if c}
+
+
+# -- Witten–Kontsevich intersection numbers ---------------------------------------------------
+
+_WK: Dict[Tuple[int, Tuple[int, ...]], Fraction] = register("checks.witten_kontsevich", {})
+
+
+def _double_factorial(k: int) -> int:
+    """k!! for odd k ≥ -1, with (-1)!! = 1."""
+    return prod(range(k, 0, -2))
+
+
+def witten_kontsevich(g: int, a: Sequence[int]) -> Fraction:
+    """⟨τ_{a_1} ⋯ τ_{a_n}⟩_g by the DVV (Virasoro) recursion, independent of both engines.
+
+    With d the largest a_i and the others R (Dijkgraaf–Verlinde–Verlinde 1991),
+    (2d+1)!! ⟨τ_d τ_R⟩_g = Σ_j (2d+2r_j-1)!!/(2r_j-1)!! ⟨τ_R, r_j → r_j+d-1⟩_g
+    + ½ Σ_{r+s=d-2} (2r+1)!! (2s+1)!! (⟨τ_r τ_s τ_R⟩_{g-1}
+    + Σ_{g_1+g_2=g, I⊔J=R} ⟨τ_r τ_I⟩_{g_1} ⟨τ_s τ_J⟩_{g_2}),
+    from ⟨τ_0³⟩_0 = 1 and ⟨τ_1⟩_1 = 1/24.  A number off degree 3g - 3 + n is 0.
+    """
+    n = len(a)
+    if g < 0 or n == 0 or min(a) < 0 or sum(a) != 3 * g - 3 + n:
+        return Fraction(0)
+    key = (g, tuple(sorted(a, reverse=True)))
+    hit = _WK.get(key)
+    if hit is not None:
+        return hit
+    if key == (0, (0, 0, 0)):
+        return Fraction(1)
+    if key == (1, (1,)):
+        return Fraction(1, 24)
+    d, rest = key[1][0], key[1][1:]
+    total = Fraction(0)
+    for j, r in enumerate(rest):
+        moved = rest[:j] + (r + d - 1,) + rest[j + 1:]
+        weight = Fraction(_double_factorial(2 * d + 2 * r - 1), _double_factorial(2 * r - 1))
+        total += weight * witten_kontsevich(g, moved)
+    for r in range(d - 1):
+        s = d - 2 - r
+        inner = witten_kontsevich(g - 1, (r, s) + rest)
+        for g1 in range(g + 1):
+            for mask in range(1 << len(rest)):
+                part_i = tuple(x for t, x in enumerate(rest) if mask >> t & 1)
+                part_j = tuple(x for t, x in enumerate(rest) if not mask >> t & 1)
+                left = witten_kontsevich(g1, (r,) + part_i)
+                if left:
+                    inner += left * witten_kontsevich(g - g1, (s,) + part_j)
+        total += HALF * _double_factorial(2 * r + 1) * _double_factorial(2 * s + 1) * inner
+    hit = _WK[key] = total / _double_factorial(2 * d + 1)
+    return hit
 
 
 # -- multilinear exact zero testing --------------------------------------------------------------

@@ -9,13 +9,20 @@ the first argument (used for cross-checks).  On top of these sit the
 polynomial fit, the orbifold Euler characteristics reached at b = 0, the
 intersection numbers read off the top coefficients, and a scan for negative
 stored coefficients.
+
+Inside the recursions a value is a reduced pair (numerator, denominator) of
+ints, and the memo tables hold such pairs.  Each step sums integer
+numerators keyed by denominator and closes with one lcm and one gcd, so a
+value costs one reduction, not one per term.  No bound on the denominators
+is assumed.  A :class:`~fractions.Fraction` is built only where a value
+leaves the module: :func:`nbar_eval`, :func:`nbar_eval_asym` and the fit.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .memo import clear_all, register
@@ -50,8 +57,13 @@ def br(p: int) -> int:
 
 # -- the symmetric recursion ---------------------------------------------------------
 
-_MEMO: Dict[Tuple[int, int, Tuple[int, ...]], Fraction] = register("lattice.values", {})
-_ZERO_MEMO: Dict[Tuple[int, int], Fraction] = register("lattice.zero_values", {})
+Pair = Tuple[int, int]  # a value as (numerator, denominator): coprime, denominator positive
+
+_ZERO: Pair = (0, 1)
+_ONE: Pair = (1, 1)
+
+_MEMO: Dict[Tuple[int, int, Tuple[int, ...]], Pair] = register("lattice.values", {})
+_ZERO_MEMO: Dict[Tuple[int, int], Pair] = register("lattice.zero_values", {})
 
 
 def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
@@ -66,60 +78,97 @@ def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
             "the value at b = 0 is defined by polynomial continuation; "
             "use nbar_poly(g, n) and evaluate it at zero"
         )
-    return _val(g, n, b)
+    return Fraction(*_pair(g, n, b))
 
 
-def _val(g: int, n: int, b: Tuple[int, ...]) -> Fraction:
-    """Inner evaluator: assumes a stable (g, n) and non-negative b."""
+def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
+    """Inner evaluator, as a reduced pair: assumes a stable (g, n) and non-negative b."""
     if sum(b) % 2:
-        return Fraction(0)
+        return _ZERO
     if not any(b):
         return _zero_value(g, n)
     if (g, n) == (0, 3):
-        return Fraction(1)
+        return _ONE
     if (g, n) == (1, 1):
-        return Fraction(b[0] * b[0] + 20, 48)
+        return _reduced(b[0] * b[0] + 20, 48)
     key = (g, n, tuple(sorted(b)))
     hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    out = _recurse(g, n, key[2])
-    _MEMO[key] = out
-    return out
+    if hit is None:
+        hit = _MEMO[key] = _recurse(g, n, key[2])
+    return hit
 
 
-def _recurse(g: int, n: int, b: Tuple[int, ...]) -> Fraction:
-    total_b = sum(b)
-    first = Fraction(0)
+def _reduced(num: int, den: int) -> Pair:
+    """num / den as a reduced pair, for a positive den."""
+    d = gcd(num, den)
+    return num // d, den // d
+
+
+def _close(acc: Dict[int, int], den: int) -> Pair:
+    """Σ_d acc[d] / d, divided by ``den``, as a reduced pair.
+
+    ``acc`` maps each denominator to the sum of the numerators over it; the
+    few distinct denominators are brought to their lcm and one gcd reduces
+    the result.
+    """
+    common = lcm(*acc)
+    return _reduced(sum(num * (common // d) for d, num in acc.items()), den * common)
+
+
+def _add(acc: Dict[int, int], w: int, value: Pair) -> None:
+    """Adds w times a value to ``acc``, its numerator under its denominator."""
+    num, den = value
+    if num:
+        acc[den] = acc.get(den, 0) + w * num
+
+
+def _recurse(g: int, n: int, b: Tuple[int, ...]) -> Pair:
+    """One step of the symmetric recursion (Σ b) N̄ = first + second / 2, for sorted b.
+
+    Both sums go into one accumulator as integer numerators keyed by
+    denominator, first with weight 2, so the value is
+    (2 first + second) / (2 Σ b), reduced once by :func:`_close`.  In the
+    second sum, equal entries of b leave equal rests, so each distinct entry
+    is cut once, weighted by how often it occurs.
+    """
+    acc: Dict[int, int] = {}
     for i, j in itertools.combinations(range(n), 2):
         rest = b[:i] + b[i + 1:j] + b[j + 1:]
         m = b[i] + b[j]
         for q in range(2, m + 1, 2):
             p = m - q
-            first += br(p) * q * _val(g, n - 1, (p,) + rest)
-    second = Fraction(0)
+            _add(acc, 2 * br(p) * q, _pair(g, n - 1, (p,) + rest))
     for i in range(n):
+        if i and b[i] == b[i - 1]:
+            continue
+        mult = b.count(b[i])
         rest = b[:i] + b[i + 1:]
         splits = _split_parts(g, rest)
         for r in range(2, b[i] + 1, 2):
             for p in range(b[i] - r + 1):
                 q = b[i] - r - p
-                second += br(p) * br(q) * r * _cut(g, n, p, q, rest, splits)
-    return (first + HALF * second) / total_b
+                _cut(acc, mult * br(p) * br(q) * r, g, n, p, q, rest, splits)
+    return _close(acc, 2 * sum(b))
 
 
-def _cut(g: int, n: int, p: int, q: int, rest: Tuple[int, ...], splits) -> Fraction:
-    """Counts left when one boundary is cut into boundaries of lengths p and q.
+def _cut(
+    acc: Dict[int, int], w: int, g: int, n: int, p: int, q: int, rest: Tuple[int, ...], splits
+) -> None:
+    """Adds w times the counts left when one boundary is cut into boundaries of lengths p and q.
 
     The cut either keeps the surface connected, at genus g - 1, or splits it
-    into two stable pieces, one for each entry of ``splits``.
+    into two stable pieces, one for each entry of ``splits``.  A split's
+    product n_i n_j / (d_i d_j) goes into ``acc`` unreduced, under d_i d_j.
     """
-    inner = Fraction(0)
     if g >= 1:
-        inner += _val(g - 1, n + 1, (p, q) + rest)
+        _add(acc, w, _pair(g - 1, n + 1, (p, q) + rest))
     for g1, n1, part_i, g2, n2, part_j in splits:
-        inner += _val(g1, n1, (p,) + part_i) * _val(g2, n2, (q,) + part_j)
-    return inner
+        num_i, den_i = _pair(g1, n1, (p,) + part_i)
+        if num_i:
+            num_j, den_j = _pair(g2, n2, (q,) + part_j)
+            if num_j:
+                den = den_i * den_j
+                acc[den] = acc.get(den, 0) + w * num_i * num_j
 
 
 _SPLITS: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]] = register(
@@ -154,13 +203,13 @@ def _split_parts(g: int, rest: Tuple[int, ...]):
     ]
 
 
-def _zero_value(g: int, n: int) -> Fraction:
+def _zero_value(g: int, n: int) -> Pair:
     """Value of the polynomial continuation at b = 0 (all arguments even)."""
     key = (g, n)
     hit = _ZERO_MEMO.get(key)
     if hit is None:
-        hit = nbar_poly(g, n).evaluate((0,) * n)
-        _ZERO_MEMO[key] = hit
+        value = nbar_poly(g, n).evaluate((0,) * n)
+        hit = _ZERO_MEMO[key] = (value.numerator, value.denominator)
     return hit
 
 
@@ -184,25 +233,25 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     if (g, n) == (1, 1):
         return Fraction(b[0] * b[0] + 20, 48)
     b1 = b[0]
-    rhs = Fraction(0)
+    acc: Dict[int, int] = {}
     for j in range(1, n):
         rest = b[1:j] + b[j + 1:]
         m = b1 + b[j]
         for q in range(1, m + 1):
-            rhs += br(m - q) * q * _val(g, n - 1, (m - q,) + rest)
+            _add(acc, br(m - q) * q, _pair(g, n - 1, (m - q,) + rest))
         diff = b1 - b[j]
         if diff:
             sgn = 1 if diff > 0 else -1
             m = abs(diff)
             for q in range(1, m + 1):
-                rhs += sgn * br(m - q) * q * _val(g, n - 1, (m - q,) + rest)
+                _add(acc, sgn * br(m - q) * q, _pair(g, n - 1, (m - q,) + rest))
     tail = b[1:]
     splits = _split_parts(g, tail)
     for r in range(1, b1 + 1):
         for p in range(b1 - r + 1):
             q = b1 - r - p
-            rhs += br(p) * br(q) * r * _cut(g, n, p, q, tail, splits)
-    return rhs / (2 * b1)
+            _cut(acc, br(p) * br(q) * r, g, n, p, q, tail, splits)
+    return Fraction(*_close(acc, 2 * b1))
 
 
 # -- polynomial form ----------------------------------------------------------------------
@@ -223,7 +272,7 @@ def nbar_poly(g: int, n: int, engine: str = "comb") -> QuasiPolynomial:
     if hit is not None:
         return hit
     if engine == "comb":
-        qp = qp_fit(lambda b: _val(g, n, b), g, n)
+        qp = qp_fit(lambda b: Fraction(*_pair(g, n, b)), g, n)
     elif engine == "comb-asym":
         qp = qp_fit(lambda b: nbar_eval_asym(g, n, b), g, n)
     elif engine == "tr":

@@ -26,7 +26,8 @@ from .memo import register
 
 ExpKey = Tuple[int, ...]
 ClassDict = Dict[ExpKey, Fraction]
-XiKey = Tuple[Tuple[int, int], ...]
+XiIndex = Tuple[int, int]  # one basis function ξ_{parity,k}, as (parity, k)
+XiKey = Tuple[XiIndex, ...]  # a tensor key: one ξ index per slot
 XiTensor = Dict[XiKey, Fraction]
 
 

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 from .exact import Poly, RationalFunction, linsolve, mercator
 from .lattice import is_stable
 from .memo import register
-from .quasipoly import QuasiPolynomial, XiKey, XiTensor, _removals, qp_from_xi_tensor
+from .quasipoly import QuasiPolynomial, XiIndex, XiKey, XiTensor, _removals, qp_from_xi_tensor
 
 HALF = Fraction(1, 2)
 
@@ -297,7 +297,7 @@ def principal_parts(f: RationalFunction) -> PfVector:
     return v
 
 
-def xi_decompose(v: PfVector) -> Dict[XiKey, Fraction]:
+def xi_decompose(v: PfVector) -> Dict[XiIndex, Fraction]:
     """Write a principal-part vector exactly as Σ γ_{p,k} PP(ξ_{p,k}).
 
     The highest pole order at ±1 fixes the top index.  From there down,
@@ -308,7 +308,7 @@ def xi_decompose(v: PfVector) -> Dict[XiKey, Fraction]:
     rational function f, pass ``principal_parts(f)``.
     """
     res = {key: c for key, c in v.items() if c}
-    gammas: Dict[XiKey, Fraction] = {}
+    gammas: Dict[XiIndex, Fraction] = {}
     top = max((j for a, j in res if a), default=0)
     for k in reversed(range(top // 2)):
         rows = (res.get((1, 2 * k + 2), 0), res.get((-1, 2 * k + 2), 0))
@@ -326,7 +326,7 @@ def xi_decompose(v: PfVector) -> Dict[XiKey, Fraction]:
     return gammas
 
 
-def _decompose_slots(coeffs: PfTensor) -> Dict[Tuple[XiKey, ...], Fraction]:
+def _decompose_slots(coeffs: PfTensor) -> Dict[XiKey, Fraction]:
     """ξ coordinates, in every slot, of a tensor given in principal-part coordinates.
 
     The slots are decomposed one at a time, spectators first and the root
@@ -348,7 +348,7 @@ def _decompose_slots(coeffs: PfTensor) -> Dict[Tuple[XiKey, ...], Fraction]:
 # -- the tables --------------------------------------------------------------------------
 
 Order = Tuple[int, Tuple[Desc, ...]]  # a sign and one order of factors
-Table = Dict[Tuple[XiKey, ...], Fraction]  # ξ coordinates: the root's key, then each live spectator's
+Table = Dict[XiKey, Fraction]  # ξ coordinates: the root's index, then each live spectator's
 
 _TABLES: Dict[Tuple[Order, ...], Table] = register("tr.tables", {})
 
@@ -374,12 +374,12 @@ def _table(*orders: Order) -> Table:
     return hit
 
 
-def _pair(a: XiKey, b: XiKey) -> Table:
+def _pair(a: XiIndex, b: XiIndex) -> Table:
     """C[a, b] = -Σ_α Res K ξ_a(z) ξ_b(z): two correlators met in z and 1/z, the sign from ξ_b's slot."""
     return _table((-1, (("xi",) + min(a, b), ("xi",) + max(a, b))))
 
 
-def _two_point(a: XiKey) -> Table:
+def _two_point(a: XiIndex) -> Table:
     """P[a]: ξ_a(z) with ω_{0,2}(1/z, w) minus ω_{0,2}(z, w) with ξ_a(1/z); slots (root, w)."""
     return _table((1, (("xi",) + a, ("o2i",))), (-1, (("o2p",), ("xi",) + a)))
 
@@ -411,7 +411,7 @@ def tr_tensor(g: int, n: int) -> XiTensor:
         return _TENSORS[g, n]
     out: XiTensor = {}
 
-    def add(table: Table, c: Fraction, spectators: Sequence[XiKey]) -> None:
+    def add(table: Table, c: Fraction, spectators: Sequence[XiIndex]) -> None:
         """c times a table, on the spectators sorted together with the table's live slot, if it has one."""
         for (root, *live), x in table.items():
             rest = sorted((*spectators, *live))

@@ -102,7 +102,19 @@ def test_criterion_6_psi_intersection_numbers():
     assert psi_number(0, (2, 0, 0, 0, 0)) == 1
     assert psi_number(0, (1, 1, 0, 0, 0)) == 2
     assert psi_number(2, (4,)) == F(1, 1152)
-    print("ACCEPTANCE 6 (intersection numbers from top coefficients): PASS")
+    # every top-degree orbit of every cross-checked polynomial against the DVV recursion
+    orbits = 0
+    for g, n in MANDATORY_CROSS:
+        for d in nbar_poly(g, n).orbits.values():
+            for key in d:
+                if sum(key) == 3 * g - 3 + n:
+                    assert psi_number(g, key) == checks.witten_kontsevich(g, key), (g, n, key)
+                    orbits += 1
+    assert orbits > 0
+    print(
+        f"ACCEPTANCE 6 (intersection numbers from top coefficients, {orbits} top-degree orbits"
+        " against Witten–Kontsevich): PASS"
+    )
 
 
 def test_criterion_7_property_suites():

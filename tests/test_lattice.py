@@ -9,12 +9,13 @@ boundary to a zero one, so N̄_{0,4}(2,0,0,0) = 6/2 = 3.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from nbar import checks, memo, tr
+from nbar import checks, lattice, memo, tr
 from nbar.lattice import (
     clear_caches,
     euler_char,
@@ -147,6 +148,47 @@ def test_engines_agree_at_seeded_random_points():
             assert nbar_eval_asym(g, n, b) == comb.evaluate(b) == residue.evaluate(b) == want, (g, n, b)
 
 
+def test_memo_holds_reduced_integer_pairs():
+    # inside the recursion a value is (numerator, denominator): coprime ints, denominator positive
+    clear_caches()
+    rng = random.Random(13)
+    for g, n in checks.stable_cases(4):
+        for _ in range(3):
+            b = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(n - 1)]
+            b[0] += sum(b) % 2
+            assert type(nbar_eval(g, n, b)) is Fraction
+            assert type(nbar_eval_asym(g, n, b)) is Fraction
+    table = lattice._MEMO
+    assert table
+    for key, pair in table.items():
+        assert isinstance(pair, tuple) and len(pair) == 2, (key, pair)
+        num, den = pair
+        assert type(num) is int and type(den) is int, (key, pair)
+        assert den > 0 and math.gcd(num, den) == 1, (key, pair)
+
+
+def test_one_handle_value_is_reduced():
+    assert nbar_eval(1, 1, (2,)) == F(1, 2)
+    assert lattice._pair(1, 1, (2,)) == (1, 2)
+
+
+def test_asymmetric_and_zero_entry_points_match_residue_engine():
+    # b_1 < b_j makes the asymmetric root step subtract (negative b_1 - b_j terms);
+    # a zero entry sends the recursion through the continuation at b = 0
+    clear_caches()
+    for g, n in checks.stable_cases(4):
+        if n < 2:
+            continue
+        residue = nbar_poly(g, n, "tr")
+        small_root = (1, 5) + (2,) * (n - 2)
+        with_zero = (0, 4) + (2,) * (n - 2)
+        assert nbar_eval_asym(g, n, small_root) == residue.evaluate(small_root), (g, n)
+        assert nbar_eval(g, n, small_root) == residue.evaluate(small_root), (g, n)
+        assert nbar_eval(g, n, with_zero) == residue.evaluate(with_zero), (g, n)
+        assert nbar_eval_asym(g, n, with_zero[::-1]) == residue.evaluate(with_zero), (g, n)
+    assert lattice._ZERO_MEMO
+
+
 def test_poly_matches_pointwise_values():
     qp = nbar_poly(1, 2)
     for b in itertools.product(range(0, 7), repeat=2):
@@ -217,6 +259,22 @@ def test_psi_validation():
     for bad in (1.5, F(3, 2)):
         with pytest.raises(ValueError):
             psi_number(1, (bad,))
+
+
+def test_witten_kontsevich_closed_forms():
+    # genus 0: ⟨τ_a⟩_0 = (n - 3)! / ∏ a_i!; one point: ⟨τ_{3g-2}⟩_g = 1 / (24^g g!)
+    for n in range(3, 8):
+        for a in itertools.product(range(n - 2), repeat=n):
+            if sum(a) == n - 3:
+                want = F(math.factorial(n - 3), math.prod(math.factorial(x) for x in a))
+                assert checks.witten_kontsevich(0, a) == want, a
+    for g in range(1, 6):
+        assert checks.witten_kontsevich(g, (3 * g - 2,)) == F(1, 24 ** g * math.factorial(g))
+    assert checks.witten_kontsevich(1, (1, 1)) == F(1, 24)
+    assert checks.witten_kontsevich(1, (2,)) == 0
+    assert memo.sizes()["checks.witten_kontsevich"] > 0
+    clear_caches()
+    assert memo.sizes()["checks.witten_kontsevich"] == 0
 
 
 def test_positivity_over_table_range():
