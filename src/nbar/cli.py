@@ -1,12 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification or table comparison failed,
-2 usage error (argparse), 3 invalid input or engine failure, 4 I/O error.
+2 usage error (argparse), 3 invalid input or an engine or certificate failure
+from any subcommand, 4 I/O error.
+
+``main`` builds the parser once per process, on its first call, and is the one
+place that turns a ``ValueError`` or an ``EngineError`` into exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -33,6 +38,7 @@ EXIT_INVALID = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbar",
@@ -46,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("b", type=int, nargs="+", help="boundary parameters b_1 .. b_n")
     p_eval.add_argument("--engine", choices=("comb", "comb-asym", "tr"), default="comb")
     p_eval.add_argument("--format", choices=("pretty", "json"), default="pretty")
+    p_eval.set_defaults(run=cmd_eval)
 
     p_poly = sub.add_parser("poly", help="emit the full count polynomial")
     p_poly.add_argument("g", type=int)
@@ -55,8 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--out", type=Path, help="write to this file instead of stdout")
     p_poly.add_argument("--no-cache", action="store_true", help="skip the on-disk cache")
     p_poly.add_argument("--cache-dir", type=Path, help="cache directory (default: NBAR_CACHE_DIR or ~/.cache/nbar)")
+    p_poly.set_defaults(run=cmd_poly)
 
     p_table = sub.add_parser("table", help="compare computed polynomials against the reference table")
+    p_table.set_defaults(run=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run identity and consistency checks")
     p_verify.add_argument(
@@ -64,14 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("euler", "desk", "string", "dilaton", "engines", "residues", "all"),
     )
     p_verify.add_argument("--max-chi", type=int, default=3, help="complexity bound 2g-2+n for euler checks")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_psi = sub.add_parser("psi", help="intersection number from top coefficients")
     p_psi.add_argument("g", type=int)
     p_psi.add_argument("alphas", type=int, nargs="+", help="exponents a_1 .. a_n")
+    p_psi.set_defaults(run=cmd_psi)
 
     p_euler = sub.add_parser("euler", help="orbifold Euler characteristic")
     p_euler.add_argument("g", type=int)
     p_euler.add_argument("n", type=int)
+    p_euler.set_defaults(run=cmd_euler)
 
     return parser
 
@@ -137,22 +149,18 @@ def _emit(text: str, out: Optional[Path]) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        _check_point(args.g, args.n, args.b)
-        if not any(args.b):
-            raise ValueError(
-                "the value at b = 0 is defined by polynomial continuation; "
-                "use the poly command and evaluate at zero"
-            )
-        if args.engine == "comb":
-            value = nbar_eval(args.g, args.n, args.b)
-        elif args.engine == "comb-asym":
-            value = nbar_eval_asym(args.g, args.n, args.b)
-        else:
-            value = nbar_poly(args.g, args.n, engine="tr").evaluate(args.b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    _check_point(args.g, args.n, args.b)
+    if not any(args.b):
+        raise ValueError(
+            "the value at b = 0 is defined by polynomial continuation; "
+            "use the poly command and evaluate at zero"
+        )
+    if args.engine == "comb":
+        value = nbar_eval(args.g, args.n, args.b)
+    elif args.engine == "comb-asym":
+        value = nbar_eval_asym(args.g, args.n, args.b)
+    else:
+        value = nbar_poly(args.g, args.n, engine="tr").evaluate(args.b)
     if args.format == "json":
         print(json.dumps({
             "g": args.g, "n": args.n, "b": list(args.b),
@@ -164,23 +172,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
-    try:
-        if not is_stable(args.g, args.n):
-            raise ValueError(f"(g, n) = ({args.g}, {args.n}) is not stable")
-        qp = None
-        cache_dir = args.cache_dir or cache_mod.default_cache_dir()
+    if not is_stable(args.g, args.n):
+        raise ValueError(f"(g, n) = ({args.g}, {args.n}) is not stable")
+    qp = None
+    cache_dir = args.cache_dir or cache_mod.default_cache_dir()
+    if not args.no_cache:
+        qp = cache_mod.cache_get(cache_dir, args.g, args.n, args.engine)
+    if qp is None:
+        qp = nbar_poly(args.g, args.n, engine=args.engine)
         if not args.no_cache:
-            qp = cache_mod.cache_get(cache_dir, args.g, args.n, args.engine)
-        if qp is None:
-            qp = nbar_poly(args.g, args.n, engine=args.engine)
-            if not args.no_cache:
-                try:
-                    cache_mod.cache_put(cache_dir, qp, args.engine)
-                except OSError as exc:
-                    print(f"warning: cache write failed: {exc}", file=sys.stderr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+            try:
+                cache_mod.cache_put(cache_dir, qp, args.engine)
+            except OSError as exc:
+                print(f"warning: cache write failed: {exc}", file=sys.stderr)
     return _emit(render_poly(qp, args.format), args.out)
 
 
@@ -209,8 +213,7 @@ def cmd_table(_args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_chi < 1:
-        print(f"error: --max-chi must be at least 1, got {args.max_chi}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--max-chi must be at least 1, got {args.max_chi}")
     from . import checks
 
     topics = {
@@ -226,46 +229,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_psi(args: argparse.Namespace) -> int:
-    try:
-        value = psi_number(args.g, args.alphas)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(value)
+    print(psi_number(args.g, args.alphas))
     return EXIT_OK
 
 
 def cmd_euler(args: argparse.Namespace) -> int:
-    try:
-        value = euler_char(args.g, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(value)
+    print(euler_char(args.g, args.n))
     return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "eval": cmd_eval,
-        "poly": cmd_poly,
-        "table": cmd_table,
-        "verify": cmd_verify,
-        "psi": cmd_psi,
-        "euler": cmd_euler,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     except Exception as exc:  # engine failures should not show a traceback to users
         from .tr import EngineError
 
-        if isinstance(exc, EngineError):
-            print(f"engine error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        raise
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        if not isinstance(exc, EngineError):
+            raise
+        print(f"engine error: {exc}", file=sys.stderr)
+    return EXIT_INVALID

@@ -17,182 +17,138 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .quasipoly import ClassDict, ExpKey
 
 F = Fraction
 
 
-def _add(d: ClassDict, key: Iterable[int], c: Fraction) -> None:
-    k = tuple(key)
-    d[k] = d.get(k, F(0)) + c
+def _sym(d: ClassDict, n: int, exps: Sequence[int], c: Fraction, slots: Sequence[int] = ()) -> None:
+    """Add c at every distinct placement of the exponent multiset ``exps`` on ``slots``.
+
+    ``slots`` defaults to all n, so ``_sym(d, n, (p,), c)`` is c Σ_i b_i^{2p},
+    ``(1, 1)`` is Σ_{i<j} b_i² b_j², ``(2, 1)`` is Σ_{i≠j} b_i⁴ b_j² and ``()``
+    the constant term.  Coefficients accumulate on keys already present.
+    """
+    keys = set()
+    for placed in itertools.permutations(slots or range(n), len(exps)):
+        at = dict(zip(placed, exps))
+        keys.add(tuple(at.get(i, 0) for i in range(n)))
+    for key in keys:
+        d[key] = d.get(key, F(0)) + c
 
 
-def _powers_each(d: ClassDict, n: int, p: int, c: Fraction) -> None:
-    """Σ_i b_i^{2p} with the given coefficient."""
-    for i in range(n):
-        key = [0] * n
-        key[i] = p
-        _add(d, key, c)
-
-
-def _powers_slots(d: ClassDict, n: int, slots: Iterable[int], p: int, c: Fraction) -> None:
-    """Σ over the listed slots of b_i^{2p}."""
-    for i in slots:
-        key = [0] * n
-        key[i] = p
-        _add(d, key, c)
-
-
-def _pairs_unordered(d: ClassDict, n: int, c: Fraction) -> None:
-    """Σ_{i<j} b_i² b_j²."""
-    for i, j in itertools.combinations(range(n), 2):
-        key = [0] * n
-        key[i] = 1
-        key[j] = 1
-        _add(d, key, c)
-
-
-def _pairs_ordered(d: ClassDict, n: int, p: int, q: int, c: Fraction) -> None:
-    """Σ_{i≠j} b_i^{2p} b_j^{2q} over ordered pairs."""
-    for i, j in itertools.permutations(range(n), 2):
-        key = [0] * n
-        key[i] = p
-        key[j] = q
-        _add(d, key, c)
-
-
-def _triples(d: ClassDict, n: int, c: Fraction) -> None:
-    """Σ_{i<j<k} b_i² b_j² b_k²."""
-    for i, j, k in itertools.combinations(range(n), 3):
-        key = [0] * n
-        key[i] = 1
-        key[j] = 1
-        key[k] = 1
-        _add(d, key, c)
-
-
-def _const(d: ClassDict, n: int, c: Fraction) -> None:
-    _add(d, (0,) * n, c)
-
-
-def _row_0_3_0() -> ClassDict:
+def _row_0_3() -> ClassDict:
     d: ClassDict = {}
-    _const(d, 3, F(1))
-    return d
-
-
-def _row_0_3_2() -> ClassDict:
-    d: ClassDict = {}
-    _const(d, 3, F(1))
+    _sym(d, 3, (), F(1))
     return d
 
 
 def _row_1_1_0() -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 1, 1, F(1, 48))
-    _const(d, 1, F(20, 48))
+    _sym(d, 1, (1,), F(1, 48))
+    _sym(d, 1, (), F(20, 48))
     return d
 
 
 def _row_0_4(extra: Fraction) -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 4, 1, F(1, 4))
-    _const(d, 4, extra / 4)
+    _sym(d, 4, (1,), F(1, 4))
+    _sym(d, 4, (), extra / 4)
     return d
 
 
 def _row_1_2(const: Fraction) -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 2, 2, F(1, 384))
-    _add(d, (1, 1), F(2, 384))
-    _powers_each(d, 2, 1, F(36, 384))
-    _const(d, 2, const / 384)
+    _sym(d, 2, (2,), F(1, 384))
+    _sym(d, 2, (1, 1), F(2, 384))
+    _sym(d, 2, (1,), F(36, 384))
+    _sym(d, 2, (), const / 384)
     return d
 
 
 def _row_0_5_0() -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 5, 2, F(1, 32))
-    _pairs_unordered(d, 5, F(1, 8))
-    _powers_each(d, 5, 1, F(7, 8))
-    _const(d, 5, F(7))
+    _sym(d, 5, (2,), F(1, 32))
+    _sym(d, 5, (1, 1), F(1, 8))
+    _sym(d, 5, (1,), F(7, 8))
+    _sym(d, 5, (), F(7))
     return d
 
 
 def _row_0_5_2() -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 5, 2, F(1, 32))
-    _pairs_unordered(d, 5, F(1, 8))
-    _powers_slots(d, 5, (0, 1), 1, F(5, 16))
-    _powers_slots(d, 5, (2, 3, 4), 1, F(1, 8))
-    _const(d, 5, F(19, 16))
+    _sym(d, 5, (2,), F(1, 32))
+    _sym(d, 5, (1, 1), F(1, 8))
+    _sym(d, 5, (1,), F(5, 16), slots=(0, 1))
+    _sym(d, 5, (1,), F(1, 8), slots=(2, 3, 4))
+    _sym(d, 5, (), F(19, 16))
     return d
 
 
 def _row_0_5_4() -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 5, 2, F(1, 32))
-    _pairs_unordered(d, 5, F(1, 8))
-    _powers_slots(d, 5, (0, 1, 2, 3), 1, F(5, 16))
-    _powers_slots(d, 5, (4,), 1, F(7, 8))
-    _const(d, 5, F(7, 8))
+    _sym(d, 5, (2,), F(1, 32))
+    _sym(d, 5, (1, 1), F(1, 8))
+    _sym(d, 5, (1,), F(5, 16), slots=(0, 1, 2, 3))
+    _sym(d, 5, (1,), F(7, 8), slots=(4,))
+    _sym(d, 5, (), F(7, 8))
     return d
 
 
 def _row_1_3_0() -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 3, 3, F(1, 4608))
-    _pairs_ordered(d, 3, 2, 1, F(1, 768))
-    _triples(d, 3, F(1, 384))
-    _powers_each(d, 3, 2, F(13, 1152))
-    _pairs_unordered(d, 3, F(1, 24))
-    _powers_each(d, 3, 1, F(29, 144))
-    _const(d, 3, F(17, 12))
+    _sym(d, 3, (3,), F(1, 4608))
+    _sym(d, 3, (2, 1), F(1, 768))
+    _sym(d, 3, (1, 1, 1), F(1, 384))
+    _sym(d, 3, (2,), F(13, 1152))
+    _sym(d, 3, (1, 1), F(1, 24))
+    _sym(d, 3, (1,), F(29, 144))
+    _sym(d, 3, (), F(17, 12))
     return d
 
 
 def _row_1_3_2() -> ClassDict:
     d: ClassDict = {}
-    _powers_each(d, 3, 3, F(1, 4608))
-    _pairs_ordered(d, 3, 2, 1, F(1, 768))
-    _triples(d, 3, F(1, 384))
-    _powers_each(d, 3, 2, F(43, 4608))
-    _pairs_unordered(d, 3, F(1, 24))
-    _powers_each(d, 3, 1, F(277, 4608))
-    _powers_slots(d, 3, (2,), 2, F(1, 512))
-    _powers_slots(d, 3, (2,), 1, F(1, 1536))
-    _const(d, 3, F(81, 256))
+    _sym(d, 3, (3,), F(1, 4608))
+    _sym(d, 3, (2, 1), F(1, 768))
+    _sym(d, 3, (1, 1, 1), F(1, 384))
+    _sym(d, 3, (2,), F(43, 4608))
+    _sym(d, 3, (1, 1), F(1, 24))
+    _sym(d, 3, (1,), F(277, 4608))
+    _sym(d, 3, (2,), F(1, 512), slots=(2,))
+    _sym(d, 3, (1,), F(1, 1536), slots=(2,))
+    _sym(d, 3, (), F(81, 256))
     return d
 
 
 def _row_2_1_0() -> ClassDict:
     d: ClassDict = {}
-    _add(d, (4,), F(1, 1769472))
-    _add(d, (3,), F(3, 40960))
-    _add(d, (2,), F(133, 61440))
-    _add(d, (1,), F(1087, 34560))
-    _const(d, 1, F(247, 1440))
+    _sym(d, 1, (4,), F(1, 1769472))
+    _sym(d, 1, (3,), F(3, 40960))
+    _sym(d, 1, (2,), F(133, 61440))
+    _sym(d, 1, (1,), F(1087, 34560))
+    _sym(d, 1, (), F(247, 1440))
     return d
 
 
 def _row_0_6_0() -> ClassDict:
     # transcribed literally from the published table; see SUSPECT below
     d: ClassDict = {}
-    _powers_each(d, 6, 3, F(1, 384))
-    _pairs_ordered(d, 6, 2, 1, F(3, 28))
-    _triples(d, 6, F(3, 32))
-    _powers_each(d, 6, 2, F(1, 6))
-    _pairs_unordered(d, 6, F(9, 6))
-    _powers_each(d, 6, 1, F(109, 24))
-    _const(d, 6, F(34))
+    _sym(d, 6, (3,), F(1, 384))
+    _sym(d, 6, (2, 1), F(3, 28))
+    _sym(d, 6, (1, 1, 1), F(3, 32))
+    _sym(d, 6, (2,), F(1, 6))
+    _sym(d, 6, (1, 1), F(9, 6))
+    _sym(d, 6, (1,), F(109, 24))
+    _sym(d, 6, (), F(34))
     return d
 
 
 _ROWS = {
-    (0, 3, 0): _row_0_3_0,
-    (0, 3, 2): _row_0_3_2,
+    (0, 3, 0): _row_0_3,
+    (0, 3, 2): _row_0_3,
     (1, 1, 0): _row_1_1_0,
     (0, 4, 0): lambda: _row_0_4(F(8)),
     (0, 4, 2): lambda: _row_0_4(F(2)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -240,6 +241,54 @@ def test_cli_import_loads_no_checks_engine_or_table():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
 
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch, tmp_path):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    entry = tmp_path / "nbar_g0_n4_comb.json"
+    code, _, _ = run(capsys, ["poly", "0", "4", "--no-cache", "--cache-dir", str(tmp_path)])
+    assert code == 0 and not entry.exists()
+    code, _, _ = run(capsys, ["poly", "0", "4", "--cache-dir", str(tmp_path)])
+    assert code == 0 and entry.exists()
+    engines = []
+    for extra in (["--engine", "tr"], []):
+        code, out, _ = run(capsys, ["eval", "1", "2", "2", "4", *extra, "--format", "json"])
+        assert code == 0
+        engines.append(json.loads(out)["engine"])
+    assert engines == ["tr", "comb"]
+    assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
+
+
+@pytest.mark.parametrize("argv", [["table"], ["verify", "engines"]])
+def test_invalid_input_from_any_subcommand_exits_three(capsys, monkeypatch, argv):
+    def rejected(g, n):
+        raise ValueError(f"({g}, {n}) rejected")
+
+    monkeypatch.setattr(checks, "nbar_poly", rejected)
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: (")
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(nbar.__file__).parents[1])}
+
+    def nbar_m(*argv):
+        return subprocess.run([sys.executable, "-m", "nbar", *argv], capture_output=True, text=True, env=env)
+
+    done = nbar_m("eval", "1", "2", "2", "0")
+    assert (done.returncode, done.stdout) == (0, "11/12\n")
+    done = nbar_m("euler", "0", "2")
+    assert done.returncode == 3
+    assert "not stable" in done.stderr and "Traceback" not in done.stderr
 
 # -- cache unit behaviour ---------------------------------------------------------------
 
