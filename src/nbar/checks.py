@@ -55,13 +55,13 @@ THREE_POINT_FACTORS = tuple(
 )
 
 
-SMALL_CASES = [(0, 3), (1, 1), (0, 4), (1, 2)]  # string, dilaton and engine sweeps
-ASYMMETRIC_POINTS = [(0, 4, (4, 2, 0, 2)), (1, 2, (3, 5)), (1, 2, (6, 2))]
-
-
 def stable_cases(max_chi: int) -> List[Tuple[int, int]]:
     """Every (g, n) with n ≥ 1 and 1 ≤ 2g - 2 + n ≤ max_chi, by χ and then by g."""
     return [(g, chi + 2 - 2 * g) for chi in range(1, max_chi + 1) for g in range((chi + 1) // 2 + 1)]
+
+
+SMALL_CASES = stable_cases(2)  # string, dilaton and engine sweeps
+ASYMMETRIC_POINTS = [(0, 4, (4, 2, 0, 2)), (1, 2, (3, 5)), (1, 2, (6, 2))]
 
 
 # -- the verify topics ----------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 a verification or table comparison failed,
 2 usage error (argparse), 3 invalid input or an engine or certificate failure
-from any subcommand, 4 I/O error.
+from any subcommand, 4 I/O error, a closed standard output included.
 
 ``main`` builds the parser once per process, on its first call, and is the one
-place that turns a ``ValueError`` or an ``EngineError`` into exit 3.
+place that turns a ``ValueError`` or an ``EngineError`` into exit 3 and a
+closed standard output into exit 4.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,8 +23,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import cache as cache_mod
 from .lattice import (
     _check_point,
+    _check_stable,
     euler_char,
-    is_stable,
     nbar_eval,
     nbar_eval_asym,
     nbar_poly,
@@ -172,8 +174,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
-    if not is_stable(args.g, args.n):
-        raise ValueError(f"(g, n) = ({args.g}, {args.n}) is not stable")
+    _check_stable(args.g, args.n)
     qp = None
     cache_dir = args.cache_dir or cache_mod.default_cache_dir()
     if not args.no_cache:
@@ -241,7 +242,15 @@ def cmd_euler(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``nbar table | head``): the flush at exit then writes to os.devnull
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except Exception as exc:  # engine failures should not show a traceback to users

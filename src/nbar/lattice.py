@@ -11,11 +11,13 @@ intersection numbers read off the top coefficients, and a scan for negative
 stored coefficients.
 
 Inside the recursions a value is a reduced pair (numerator, denominator) of
-ints, and the memo tables hold such pairs.  Each step sums integer
-numerators keyed by denominator and closes with one lcm and one gcd, so a
-value costs one reduction, not one per term.  No bound on the denominators
-is assumed.  A :class:`~fractions.Fraction` is built only where a value
-leaves the module: :func:`nbar_eval`, :func:`nbar_eval_asym` and the fit.
+ints.  Outside the closed forms for (0,3) and (1,1), the value table holds
+one such pair per sorted point, the all-zero point included, where the value
+is the polynomial continuation read off the fitted polynomial.  Each step
+sums integer numerators keyed by denominator and closes with one lcm and one
+gcd, so a value costs one reduction, not one per term.  No bound on the
+denominators is assumed.  A :class:`~fractions.Fraction` is built only where
+a value leaves the module: :func:`nbar_eval`, :func:`nbar_eval_asym`, the fit.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ _ZERO: Pair = (0, 1)
 _ONE: Pair = (1, 1)
 
 _MEMO: Dict[Tuple[int, int, Tuple[int, ...]], Pair] = register("lattice.values", {})
-_ZERO_MEMO: Dict[Tuple[int, int], Pair] = register("lattice.zero_values", {})
 
 
 def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
@@ -85,8 +86,6 @@ def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
     """Inner evaluator, as a reduced pair: assumes a stable (g, n) and non-negative b."""
     if sum(b) % 2:
         return _ZERO
-    if not any(b):
-        return _zero_value(g, n)
     if (g, n) == (0, 3):
         return _ONE
     if (g, n) == (1, 1):
@@ -94,7 +93,7 @@ def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
     key = (g, n, tuple(sorted(b)))
     hit = _MEMO.get(key)
     if hit is None:
-        hit = _MEMO[key] = _recurse(g, n, key[2])
+        hit = _MEMO[key] = _recurse(g, n, key[2]) if any(b) else _zero_value(g, n)
     return hit
 
 
@@ -205,12 +204,8 @@ def _split_parts(g: int, rest: Tuple[int, ...]):
 
 def _zero_value(g: int, n: int) -> Pair:
     """Value of the polynomial continuation at b = 0 (all arguments even)."""
-    key = (g, n)
-    hit = _ZERO_MEMO.get(key)
-    if hit is None:
-        value = nbar_poly(g, n).evaluate((0,) * n)
-        hit = _ZERO_MEMO[key] = (value.numerator, value.denominator)
-    return hit
+    value = nbar_poly(g, n).evaluate((0,) * n)
+    return value.numerator, value.denominator
 
 
 # -- the asymmetric recursion ----------------------------------------------------------
@@ -228,10 +223,8 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
         return Fraction(0)
     if b[0] <= 0:
         raise ValueError("the asymmetric recursion needs a positive first argument")
-    if (g, n) == (0, 3):
-        return Fraction(1)
-    if (g, n) == (1, 1):
-        return Fraction(b[0] * b[0] + 20, 48)
+    if (g, n) in ((0, 3), (1, 1)):
+        return Fraction(*_pair(g, n, b))
     b1 = b[0]
     acc: Dict[int, int] = {}
     for j in range(1, n):
@@ -388,13 +381,15 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
 def positivity_report(
     cases: Optional[Iterable[Tuple[int, int]]] = None,
 ) -> List[Tuple[int, int, int, Tuple[int, ...], Fraction]]:
-    """All negative stored coefficients over the given (g, n) cases.
+    """All negative stored coefficients over the given (g, n) cases, by default the reference table's.
 
     Returns tuples (g, n, odd_count, orbit key, coefficient).  An empty
     report means every stored coefficient in range is non-negative.
     """
     if cases is None:
-        cases = [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]
+        from .golden import EXACT_CASES
+
+        cases = EXACT_CASES
     found = []
     for g, n in cases:
         qp = nbar_poly(g, n)

@@ -327,9 +327,8 @@ def qp_from_xi_tensor(g: int, n: int, tensor: XiTensor) -> QuasiPolynomial:
 
 # -- exact fitting --------------------------------------------------------------------
 
-# (odd count, arity, degree) -> (unknowns' orbit keys, fit points, fit matrix, checked points, their rows)
+# (unknowns' orbit keys, fit points, fit matrix, checked points, their rows)
 FitPlan = Tuple[List[ExpKey], List[Tuple[int, ...]], List[List[int]], List[Tuple[int, ...]], List[List[int]]]
-_FIT_PLANS: Dict[Tuple[int, int, int], FitPlan] = register("quasipoly.fit_plans", {})
 
 
 def qp_fit(
@@ -377,17 +376,13 @@ def qp_fit(
 
 
 def _fit_plan(k: int, n: int, D: int) -> FitPlan:
-    """Unknowns, solve points and certificate points of class k under degree D (memoized)."""
-    plan = _FIT_PLANS.get((k, n, D))
-    if plan is None:
-        keys = _block_basis(k, n - k, D)
-        check_points = _nodes(_block_basis(k, n - k, D + 2), k)
-        rows = list(map(_row_maker(keys, k), check_points))
-        at = dict(zip(check_points, rows))
-        fit_points = _nodes(keys, k)
-        matrix = [at[b] for b in fit_points]
-        plan = _FIT_PLANS[(k, n, D)] = (keys, fit_points, matrix, check_points, rows)
-    return plan
+    """Unknowns, solve points and certificate points of class k under degree D."""
+    keys = _block_basis(k, n - k, D)
+    check_points = _nodes(_block_basis(k, n - k, D + 2), k)
+    rows = list(map(_row_maker(keys, k), check_points))
+    at = dict(zip(check_points, rows))
+    fit_points = _nodes(keys, k)
+    return keys, fit_points, [at[b] for b in fit_points], check_points, rows
 
 
 def _nodes(basis: Sequence[ExpKey], k: int) -> List[Tuple[int, ...]]:

@@ -43,7 +43,7 @@ from math import comb, prod
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .exact import Poly, RationalFunction, linsolve, mercator
-from .lattice import is_stable
+from .lattice import _check_stable, is_stable
 from .memo import register
 from .quasipoly import QuasiPolynomial, XiIndex, XiKey, XiTensor, _removals, qp_from_xi_tensor
 
@@ -400,8 +400,7 @@ def tr_tensor(g: int, n: int) -> XiTensor:
     ω_{g1} ω_{g2} share out S₁ ⊎ S₂ in ∏_κ C(m_{S₁⊎S₂}(κ), m_{S₁}(κ)) ways,
     and P's live slot w can be any spectator equal to w.
     """
-    if not is_stable(g, n):
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    _check_stable(g, n)
     if (g, n) == (1, 1):
         return dict(_table((1, (("diag",),))))
     if (g, n) == (0, 3):

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -289,6 +290,40 @@ def test_python_dash_m_entry_point():
     done = nbar_m("euler", "0", "2")
     assert done.returncode == 3
     assert "not stable" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_closed_stdout_exits_four_without_a_traceback():
+    # as in `nbar table | head -3`, once head has exited: the reader of stdout is gone
+    env = {**os.environ, "PYTHONPATH": str(Path(nbar.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nbar", "table"], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert len(done.stderr.splitlines()) <= 1
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    # every `$ nbar …` line shown with its full output: some output, no comment on the command, no … in it
+    monkeypatch.setenv("NBAR_CACHE_DIR", str(tmp_path))
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for shown in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = shown.partition("\n")
+            if command.startswith("nbar ") and "#" not in command and output and "…" not in output:
+                examples.append((command.split()[1:], output))
+    assert len(examples) >= 3
+    for argv, output in examples:
+        code, out, _ = run(capsys, argv)
+        assert code == 0, argv
+        assert out.splitlines() == output.splitlines(), argv
+
 
 # -- cache unit behaviour ---------------------------------------------------------------
 

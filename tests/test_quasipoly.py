@@ -11,7 +11,6 @@ import pytest
 
 from nbar.cache import cache_get, cache_put
 from nbar.checks import stable_cases
-from nbar.exact import linsolve
 from nbar.lattice import nbar_poly
 from nbar.quasipoly import (
     QuasiPolynomial,
@@ -351,20 +350,41 @@ def test_fit_degree_bounds_total_degree():
                     qp_fit(func, 0, n, degree=1)
 
 
+def _full_rank_mod(rows, p):
+    """Whether the square integer matrix ``rows`` is non-singular modulo the prime p."""
+    m = [[v % p for v in row] for row in rows]
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return False
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = pow(m[c][c], -1, p)
+        top = [v * inv % p for v in m[c][c:]]
+        for r in range(c + 1, len(m)):
+            f = m[r][c]
+            if f:
+                m[r][c:] = [(a - f * b) % p for a, b in zip(m[r][c:], top)]
+    return True
+
+
 def test_certificate_points_are_unisolvent_for_degree_plus_two():
     # the fit raises on a singular solve, but the certificate points are never
-    # solved on: their degree + 2 system must be square and non-singular
+    # solved on: their degree + 2 system must be square and non-singular, for
+    # every plan of a cross-checked case.  Full rank modulo a prime p means
+    # det ≢ 0 (mod p), so det ≠ 0 exactly; a plan failing at 2⁶¹ - 1 has a
+    # determinant divisible by it and gets a second fixed prime, 2⁸⁹ - 1.
     plans = 0
-    for g, n in stable_cases(4):
+    for g, n in stable_cases(5) + [(3, 2), (4, 1)]:
         D = 3 * g - 3 + n
         for k in range(n + 1):
             small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
             points = _nodes(large, k)
             assert len(set(points)) == len(large)
             assert set(_nodes(small, k)) <= set(points)
-            linsolve(list(map(_row_maker(large, k), points)), [F(0)] * len(points))
+            rows = list(map(_row_maker(large, k), points))
+            assert any(_full_rank_mod(rows, p) for p in (2 ** 61 - 1, 2 ** 89 - 1)), (g, n, k)
             plans += 1
-    assert plans == 41
+    assert plans == 66
 
 
 def test_fit_uses_few_small_points():
