@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache as cache_mod
 from .lattice import (
-    _check_point,
+    _check_nonzero_point,
     _check_stable,
     euler_char,
     nbar_eval,
@@ -151,12 +151,7 @@ def _emit(text: str, out: Optional[Path]) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_point(args.g, args.n, args.b)
-    if not any(args.b):
-        raise ValueError(
-            "the value at b = 0 is defined by polynomial continuation; "
-            "use the poly command and evaluate at zero"
-        )
+    _check_nonzero_point(args.g, args.n, args.b)
     if args.engine == "comb":
         value = nbar_eval(args.g, args.n, args.b)
     elif args.engine == "comb-asym":

@@ -8,8 +8,9 @@ Everything in this module is exact.  Coefficients are ``int``/
 truncated Laurent series with precision tracking (:class:`LaurentSeries`);
 :func:`nbar.tr.principal_parts` reads its exact coordinates off those
 expansions.  The module also provides the Mercator coefficients of log z at
-z = ±1 (:func:`mercator`) and a small exact linear solver, used by the fit
-and by the residue engine's pivots.
+z = ±1 (:func:`mercator`) and a small exact linear solver, which now serves
+only the residue engine's 2 × 2 pivots (:func:`nbar.tr._pivot`); the fit
+solves by forward substitution instead (:func:`nbar.quasipoly.qp_fit`).
 """
 
 from __future__ import annotations

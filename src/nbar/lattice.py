@@ -52,6 +52,17 @@ def _check_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
     return tuple(int(v) for v in b)
 
 
+def _check_nonzero_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
+    """:func:`_check_point`, and raises at the all-zero point, whose value is a polynomial continuation."""
+    b = _check_point(g, n, b)
+    if not any(b):
+        raise ValueError(
+            "the value at b = 0 is defined by polynomial continuation; "
+            "evaluate the polynomial (nbar_poly, or the poly command) at zero"
+        )
+    return b
+
+
 def br(p: int) -> int:
     """The weight [p]: p for positive p, and 1 at p = 0."""
     return p if p else 1
@@ -73,13 +84,7 @@ def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
     The all-zero point is excluded here because its value is defined by
     polynomial continuation; use ``nbar_poly(g, n).evaluate(b)`` for it.
     """
-    b = _check_point(g, n, b)
-    if not any(b):
-        raise ValueError(
-            "the value at b = 0 is defined by polynomial continuation; "
-            "use nbar_poly(g, n) and evaluate it at zero"
-        )
-    return Fraction(*_pair(g, n, b))
+    return Fraction(*_pair(g, n, _check_nonzero_point(g, n, b)))
 
 
 def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:

@@ -10,6 +10,10 @@ ascending.  :attr:`QuasiPolynomial.classes` is the expanded view, with every
 block permutation of every orbit key; JSON and rendering list those terms.
 Data coming in (expanded JSON terms, residue tensors keyed by root and sorted
 spectators) is collapsed to orbits under one exact certificate (:func:`_collapse`).
+
+:func:`qp_fit` recovers a class from exact values by forward substitution in
+the Newton basis of its interpolation nodes, a triangular system with no
+elimination, and certifies the result exactly on a larger set of points.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import lcm, prod
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact import linsolve
+from .exact import Poly, linsolve  # linsolve is not called here; perfbench/tracing.py rebinds it by name
 from .memo import register
 
 ExpKey = Tuple[int, ...]
@@ -327,8 +331,7 @@ def qp_from_xi_tensor(g: int, n: int, tensor: XiTensor) -> QuasiPolynomial:
 
 # -- exact fitting --------------------------------------------------------------------
 
-# (unknowns' orbit keys, fit points, fit matrix, checked points, their rows)
-FitPlan = Tuple[List[ExpKey], List[Tuple[int, ...]], List[List[int]], List[Tuple[int, ...]], List[List[int]]]
+Table = List[List[int]]  # rows indexed by a, the index of ω_a
 
 
 def qp_fit(
@@ -346,25 +349,39 @@ def qp_fit(
     k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree, one per orbit.
     Each unknown (λ, μ) has its own point: odd entries 2λ_i + 1 and even
     entries 2μ_j + 2, zero-padded and sorted within each block (:func:`_nodes`).
-    The class is solved on the points of degree, then checked exactly on
-    those of degree + 2, which contain them: each check is an integer row of
-    monomial values dotted with the solution, and any discrepancy raises.  A
-    returned class therefore equals ``func`` on its class whenever ``func``
-    is a block-symmetric polynomial of total degree at most degree + 2 there.
+
+    The class is solved in the Newton basis of those nodes (:func:`_pairing`),
+    where the system is lower triangular: forward substitution over the keys
+    by total degree, then an integer change of basis to the orbit monomials.
+    It is then checked exactly on the points of degree + 2, which contain the
+    solve points: each check is an integer row of monomial values dotted with
+    the solution, and any discrepancy raises.  A returned class therefore
+    equals ``func`` on its class whenever ``func`` is a block-symmetric
+    polynomial of total degree at most degree + 2 there.
     """
     D = degree if degree is not None else 3 * g - 3 + n
     if D < 0:
         raise ValueError(f"degree bound {D} is negative")
 
+    odd_at, odd_coeffs = _omega_tables(1, D)
+    even_at, even_coeffs = _omega_tables(0, D)
     classes: Dict[int, ClassDict] = {}
     for k in range(n + 1):
-        keys, fit_points, matrix, check_points, rows = _fit_plan(k, n, D)
+        keys = _block_basis(k, n - k, D)
+        check_points = _nodes(_block_basis(k, n - k, D + 2), k)
         values = {b: Fraction(func(b)) for b in check_points}
-        coeffs = linsolve(matrix, [values[b] for b in fit_points])
+        # N_q vanishes at the node of p unless q ≤ p entrywise, so in degree order only earlier q enter
+        at = _pairing(k, odd_at, even_at)
+        newton: ClassDict = {}
+        for p in sorted(keys, key=sum):
+            known = sum(c * v for q, c in newton.items() if (v := at(q, p)))
+            newton[p] = (values[_point(p, k)] - known) / at(p, p)
+        to_monomial = _pairing(k, odd_coeffs, even_coeffs)
+        coeffs = [sum(c * v for q, c in newton.items() if (v := to_monomial(q, key))) for key in keys]
         # the solution over one denominator, so that each check is an integer dot product
         den = lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        for b, row in zip(check_points, rows):
+        for b, row in zip(check_points, map(_row_maker(keys, k), check_points)):
             got = Fraction(sum(map(mul, row, nums)), den)
             if got != values[b]:
                 raise ValueError(
@@ -375,30 +392,55 @@ def qp_fit(
     return QuasiPolynomial(g, n, classes)
 
 
-def _fit_plan(k: int, n: int, D: int) -> FitPlan:
-    """Unknowns, solve points and certificate points of class k under degree D."""
-    keys = _block_basis(k, n - k, D)
-    check_points = _nodes(_block_basis(k, n - k, D + 2), k)
-    rows = list(map(_row_maker(keys, k), check_points))
-    at = dict(zip(check_points, rows))
-    fit_points = _nodes(keys, k)
-    return keys, fit_points, [at[b] for b in fit_points], check_points, rows
+def _point(key: ExpKey, k: int) -> Tuple[int, ...]:
+    """The node of an orbit key (λ, μ): 2λ_i + 1 on the k odd slots and 2μ_j + 2 on the even ones."""
+    return tuple(2 * e + 1 for e in key[:k]) + tuple(2 * e + 2 for e in key[k:])
 
 
 def _nodes(basis: Sequence[ExpKey], k: int) -> List[Tuple[int, ...]]:
-    """One block-sorted point per orbit key (λ, μ) of ``basis``, by Σb, then lexicographically.
+    """The nodes (:func:`_point`) of the orbit keys of ``basis``, by Σb, then lexicographically.
 
-    The point lists 2λ_i + 1 over the k odd slots and 2μ_j + 2 over the m
-    even ones.  For a basis of total degree D these are the orbit
-    representatives of the lower set {(a, c) ∈ ℕ^k × ℕ^m : |a| + |c| ≤ D} on
-    the per-axis nodes (2i + 1)² and (2j + 2)² in the b².  That set is
+    For a basis of total degree D these are the orbit representatives of the
+    lower set {(a, c) ∈ ℕ^k × ℕ^m : |a| + |c| ≤ D} on the per-axis nodes
+    (2i + 1)² and (2j + 2)² in the b² (:func:`_omega_tables`).  That set is
     unisolvent for total degree D (Dyn–Floater, *Multivariate polynomial
     interpolation on lower sets*, 2014) and invariant under S_k × S_m, so a
-    block-symmetric polynomial of degree ≤ D that vanishes on these points is
-    zero: the square system of the basis at its nodes is non-singular.
+    block-symmetric polynomial of degree ≤ D is fixed by its values on these
+    points: in the Newton basis of :func:`_pairing` the system is triangular.
     """
-    points = [tuple(2 * e + 1 for e in key[:k]) + tuple(2 * e + 2 for e in key[k:]) for key in basis]
-    return sorted(points, key=lambda b: (sum(b), b))
+    return sorted((_point(key, k) for key in basis), key=lambda b: (sum(b), b))
+
+
+def _omega_tables(parity: int, D: int) -> Tuple[Table, Table]:
+    """ω_a(t) = ∏_{j<a} (t − t_j) on the per-axis nodes t_j = (2j + 2 − parity)² of b², for a ≤ D.
+
+    Returns the values ω_a(t_j) for j ≤ D and the coefficients [t^e] ω_a for
+    e ≤ D, as rows indexed by a.  Each ω_a is monic of degree a and vanishes
+    at t_0, …, t_{a-1}.
+    """
+    nodes = [(2 * j + 2 - parity) ** 2 for j in range(D + 1)]
+    omegas = [Poly([1])]
+    for t in nodes[:D]:
+        omegas.append(omegas[-1] * Poly([-t, 1]))
+    return [[w(t) for t in nodes] for w in omegas], [w.coeffs + [0] * (D - w.degree) for w in omegas]
+
+
+def _arrangement_sum(block: ExpKey, index: ExpKey, table: Table) -> int:
+    """Σ over the distinct arrangements α of ``block`` of ∏_i table[α_i][index_i]."""
+    return sum(prod(table[a][i] for a, i in zip(alpha, index)) for alpha in _arrangements(block))
+
+
+def _pairing(k: int, odd: Table, even: Table) -> Callable[[ExpKey, ExpKey], int]:
+    """(q, p) ↦ the odd block's :func:`_arrangement_sum` times the even block's, memoized per block pair.
+
+    The Newton basis function of an orbit key q = (λ, μ) is N_q = Σ over the
+    distinct arrangements α of λ and β of μ of ∏_i ω_{α_i}(x_i) · ∏_j ω_{β_j}(y_j).
+    With the node-value tables of :func:`_omega_tables` this gives N_q at the
+    node of p; with the coefficient tables, the coefficient of m_p in N_q.
+    """
+    odd_sum = lru_cache(maxsize=None)(lambda block, index: _arrangement_sum(block, index, odd))
+    even_sum = lru_cache(maxsize=None)(lambda block, index: _arrangement_sum(block, index, even))
+    return lambda q, p: odd_sum(q[:k], p[:k]) * even_sum(q[k:], p[k:])
 
 
 def _blocks(length: int, size: int, low: int = 0) -> List[ExpKey]:

@@ -9,13 +9,17 @@ from pathlib import Path
 
 import pytest
 
+from nbar import quasipoly
 from nbar.cache import cache_get, cache_put
 from nbar.checks import stable_cases
-from nbar.lattice import nbar_poly
+from nbar.lattice import clear_caches, nbar_poly
 from nbar.quasipoly import (
     QuasiPolynomial,
     _block_basis,
     _nodes,
+    _omega_tables,
+    _pairing,
+    _point,
     _row_maker,
     qp_fit,
     qp_from_json,
@@ -350,41 +354,39 @@ def test_fit_degree_bounds_total_degree():
                     qp_fit(func, 0, n, degree=1)
 
 
-def _full_rank_mod(rows, p):
-    """Whether the square integer matrix ``rows`` is non-singular modulo the prime p."""
-    m = [[v % p for v in row] for row in rows]
-    for c in range(len(m)):
-        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
-        if pivot is None:
-            return False
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = pow(m[c][c], -1, p)
-        top = [v * inv % p for v in m[c][c:]]
-        for r in range(c + 1, len(m)):
-            f = m[r][c]
-            if f:
-                m[r][c:] = [(a - f * b) % p for a, b in zip(m[r][c:], top)]
-    return True
-
-
 def test_certificate_points_are_unisolvent_for_degree_plus_two():
-    # the fit raises on a singular solve, but the certificate points are never
-    # solved on: their degree + 2 system must be square and non-singular, for
-    # every plan of a cross-checked case.  Full rank modulo a prime p means
-    # det ≢ 0 (mod p), so det ≠ 0 exactly; a plan failing at 2⁶¹ - 1 has a
-    # determinant divisible by it and gets a second fixed prime, 2⁸⁹ - 1.
+    # the certificate points are never solved on, but their degree + 2 system
+    # must be non-singular for every plan of a cross-checked case.  In degree
+    # order the Newton basis at these nodes is lower triangular with a
+    # non-zero diagonal, and the Newton basis spans the same polynomials as
+    # the monomials (each ω_a is monic of degree a), so the points are unisolvent.
     plans = 0
     for g, n in stable_cases(5) + [(3, 2), (4, 1)]:
         D = 3 * g - 3 + n
+        odd_at, even_at = _omega_tables(1, D + 2)[0], _omega_tables(0, D + 2)[0]
         for k in range(n + 1):
             small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
             points = _nodes(large, k)
             assert len(set(points)) == len(large)
             assert set(_nodes(small, k)) <= set(points)
-            rows = list(map(_row_maker(large, k), points))
-            assert any(_full_rank_mod(rows, p) for p in (2 ** 61 - 1, 2 ** 89 - 1)), (g, n, k)
+            ordered = sorted(large, key=lambda key: (sum(key), key))
+            assert points == [_point(key, k) for key in ordered]
+            at = _pairing(k, odd_at, even_at)
+            for i, p in enumerate(ordered):
+                assert at(p, p) != 0, (g, n, k, p)
+                assert not any(at(q, p) for q in ordered[i + 1:]), (g, n, k, p)
             plans += 1
     assert plans == 66
+
+
+def test_fit_never_calls_linsolve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fit solved a dense system")
+
+    monkeypatch.setattr(quasipoly, "linsolve", refuse)
+    for g, n in [(0, 5), (1, 3)]:
+        clear_caches()
+        assert nbar_poly(g, n) == nbar_poly(g, n, "tr"), (g, n)
 
 
 def test_fit_uses_few_small_points():
