@@ -3,12 +3,14 @@
 The central object is the count N̄_{g,n}(b_1, …, b_n), defined for a stable
 pair (g, n) and non-negative integer boundary parameters.  It vanishes when
 b_1 + … + b_n is odd, and for fixed parities it is a symmetric polynomial
-in the b_i² of degree 3g - 3 + n.  Two independent evaluators are provided:
-a fully symmetric recursion (the workhorse) and an asymmetric one rooted in
-the first argument (used for cross-checks).  On top of these sit the
-polynomial fit, the orbifold Euler characteristics reached at b = 0, the
-intersection numbers read off the top coefficients, and a scan for negative
-stored coefficients.
+in the b_i² of degree 3g - 3 + n.  Two evaluators are provided: a fully
+symmetric recursion (the workhorse) and an asymmetric one rooted in the
+first argument (used for cross-checks).  Both call the same join and cut
+sums (:func:`_join`, :func:`_cut`), so their agreement checks the root and
+the outer combination, not the sums.  On top of these sit the polynomial
+fit, the orbifold Euler characteristics reached at b = 0, the intersection
+numbers read off the top coefficients, and a scan for negative stored
+coefficients.
 
 Inside the recursions a value is a reduced pair (numerator, denominator) of
 ints.  Outside the closed forms for (0,3) and (1,1), the value table holds
@@ -22,7 +24,6 @@ a value leaves the module: :func:`nbar_eval`, :func:`nbar_eval_asym`, the fit.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -129,50 +130,60 @@ def _add(acc: Dict[int, int], w: int, value: Pair) -> None:
 def _recurse(g: int, n: int, b: Tuple[int, ...]) -> Pair:
     """One step of the symmetric recursion (Σ b) N̄ = first + second / 2, for sorted b.
 
-    Both sums go into one accumulator as integer numerators keyed by
-    denominator, first with weight 2, so the value is
-    (2 first + second) / (2 Σ b), reduced once by :func:`_close`.  In the
-    second sum, equal entries of b leave equal rests, so each distinct entry
-    is cut once, weighted by how often it occurs.
+    The first sum joins pairs of entries (:func:`_join`), the second cuts
+    entries (:func:`_cut`), into one accumulator with the first at weight 2,
+    so :func:`_close` reduces (2 first + second) / (2 Σ b) once.  Equal
+    entries leave equal rests: each distinct pair of values is joined once,
+    at weight c_x c_y or C(c_x, 2), and each distinct value cut once, at c_x.
     """
     acc: Dict[int, int] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        rest = b[:i] + b[i + 1:j] + b[j + 1:]
-        m = b[i] + b[j]
-        for q in range(2, m + 1, 2):
-            p = m - q
-            _add(acc, 2 * br(p) * q, _pair(g, n - 1, (p,) + rest))
-    for i in range(n):
-        if i and b[i] == b[i - 1]:
-            continue
-        mult = b.count(b[i])
-        rest = b[:i] + b[i + 1:]
-        splits = _split_parts(g, rest)
-        for r in range(2, b[i] + 1, 2):
-            for p in range(b[i] - r + 1):
-                q = b[i] - r - p
-                _cut(acc, mult * br(p) * br(q) * r, g, n, p, q, rest, splits)
+    firsts = [i for i in range(n) if not i or b[i] != b[i - 1]]
+    for a, i in enumerate(firsts):
+        c = b.count(b[i])
+        if c > 1:
+            _join(acc, c * (c - 1), g, n - 1, 2 * b[i], b[:i] + b[i + 2:])
+        for j in firsts[a + 1:]:
+            _join(acc, 2 * c * b.count(b[j]), g, n - 1, b[i] + b[j], b[:i] + b[i + 1:j] + b[j + 1:])
+        _cut(acc, c, g, n, b[i], b[:i] + b[i + 1:])
     return _close(acc, 2 * sum(b))
 
 
-def _cut(
-    acc: Dict[int, int], w: int, g: int, n: int, p: int, q: int, rest: Tuple[int, ...], splits
-) -> None:
-    """Adds w times the counts left when one boundary is cut into boundaries of lengths p and q.
+def _join(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, ...]) -> None:
+    """Adds w Σ_{q = 2, 4, …, m} [m - q] q N̄_{g,n}(m - q, rest); an odd q would leave an odd total."""
+    for q in range(2, m + 1, 2):
+        _add(acc, w * br(m - q) * q, _pair(g, n, (m - q,) + rest))
 
-    The cut either keeps the surface connected, at genus g - 1, or splits it
-    into two stable pieces, one for each entry of ``splits``.  A split's
-    product n_i n_j / (d_i d_j) goes into ``acc`` unreduced, under d_i d_j.
+
+def _cut(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, ...]) -> None:
+    """Adds w Σ_{p+q = m-2, m-4, …} (m-p-q) [p][q] (N̄_{g-1,n+1}(p,q,rest) + Σ N̄(p,I) N̄(q,J)).
+
+    A boundary of length m is cut into two, of lengths p and q, keeping the
+    surface connected at genus g - 1 or splitting it along each stable
+    split I ⊔ J of ``rest`` (:func:`_stable_splits`).  The genus term is
+    symmetric, so it runs over p ≤ q, doubled off the diagonal.  A split's
+    left value is fetched once per p of the parity I allows, its right value
+    once per q; a product n_i n_j / (d_i d_j) goes into ``acc`` under d_i d_j.
     """
     if g >= 1:
-        _add(acc, w, _pair(g - 1, n + 1, (p, q) + rest))
-    for g1, n1, part_i, g2, n2, part_j in splits:
-        num_i, den_i = _pair(g1, n1, (p,) + part_i)
-        if num_i:
-            num_j, den_j = _pair(g2, n2, (q,) + part_j)
-            if num_j:
-                den = den_i * den_j
-                acc[den] = acc.get(den, 0) + w * num_i * num_j
+        for s in range(m - 2, -1, -2):
+            for p in range(s // 2 + 1):
+                q = s - p
+                weight = w * (m - s) * br(p) * br(q)
+                _add(acc, weight if p == q else 2 * weight, _pair(g - 1, n + 1, (p, q) + rest))
+    for g1, si, g2, sj in _stable_splits(g, len(rest)):
+        part_i = tuple(rest[t] for t in si)
+        part_j = tuple(rest[t] for t in sj)
+        p0 = sum(part_i) % 2
+        right = {q: _pair(g2, len(sj) + 1, (q,) + part_j) for q in range(m - 2 - p0, -1, -2)}
+        for p in range(p0, m - 1, 2):
+            num_i, den_i = _pair(g1, len(si) + 1, (p,) + part_i)
+            if num_i:
+                w_i = w * br(p) * num_i
+                for q in range(m - 2 - p, -1, -2):
+                    num_j, den_j = right[q]
+                    if num_j:
+                        den = den_i * den_j
+                        acc[den] = acc.get(den, 0) + w_i * (m - p - q) * br(q) * num_j
 
 
 _SPLITS: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]] = register(
@@ -199,14 +210,6 @@ def _stable_splits(g: int, m: int) -> List[Tuple[int, Tuple[int, ...], int, Tupl
     return hit
 
 
-def _split_parts(g: int, rest: Tuple[int, ...]):
-    """The stable splits of ``rest`` as (g1, n1, part_i, g2, n2, part_j) with the values filled in."""
-    return [
-        (g1, len(si) + 1, tuple(rest[t] for t in si), g2, len(sj) + 1, tuple(rest[t] for t in sj))
-        for g1, si, g2, sj in _stable_splits(g, len(rest))
-    ]
-
-
 def _zero_value(g: int, n: int) -> Pair:
     """Value of the polynomial continuation at b = 0 (all arguments even)."""
     value = nbar_poly(g, n).evaluate((0,) * n)
@@ -219,9 +222,11 @@ def _zero_value(g: int, n: int) -> Pair:
 def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     """The same count via the recursion rooted in the first argument.
 
-    Requires b_1 > 0.  Inner references go through the shared symmetric
-    evaluator, so agreement with :func:`nbar_eval` exercises exactly the
-    outermost step of this alternative recursion.
+    Requires b_1 > 0.  The step is 2 b_1 N̄ = Σ_j (join of b_1 + b_j, and
+    of |b_1 - b_j| signed as b_1 - b_j) + the cut of b_1, with the
+    :func:`_join` and :func:`_cut` sums that the symmetric step uses.
+    Inner values go through the shared symmetric evaluator, so agreement
+    with :func:`nbar_eval` checks the root and this outer combination.
     """
     b = _check_point(g, n, b)
     if sum(b) % 2:
@@ -234,21 +239,9 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     acc: Dict[int, int] = {}
     for j in range(1, n):
         rest = b[1:j] + b[j + 1:]
-        m = b1 + b[j]
-        for q in range(1, m + 1):
-            _add(acc, br(m - q) * q, _pair(g, n - 1, (m - q,) + rest))
-        diff = b1 - b[j]
-        if diff:
-            sgn = 1 if diff > 0 else -1
-            m = abs(diff)
-            for q in range(1, m + 1):
-                _add(acc, sgn * br(m - q) * q, _pair(g, n - 1, (m - q,) + rest))
-    tail = b[1:]
-    splits = _split_parts(g, tail)
-    for r in range(1, b1 + 1):
-        for p in range(b1 - r + 1):
-            q = b1 - r - p
-            _cut(acc, br(p) * br(q) * r, g, n, p, q, tail, splits)
+        _join(acc, 1, g, n - 1, b1 + b[j], rest)
+        _join(acc, 1 if b1 > b[j] else -1, g, n - 1, abs(b1 - b[j]), rest)
+    _cut(acc, 1, g, n, b1, b[1:])
     return Fraction(*_close(acc, 2 * b1))
 
 

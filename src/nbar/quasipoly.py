@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -173,9 +173,18 @@ def _placements(orbit: ExpKey, k: int) -> List[ExpKey]:
     return [a + c for a in _arrangements(orbit[:k]) for c in _arrangements(orbit[k:])]
 
 
+def _placement_count(k: int, orbit: ExpKey) -> int:
+    """How many keys :func:`_placements` lists, k!/∏ mult! · (n - k)!/∏ mult!, without listing them."""
+    count = factorial(k) * factorial(len(orbit) - k)
+    for block in (orbit[:k], orbit[k:]):
+        for e in set(block):
+            count //= factorial(block.count(e))
+    return count
+
+
 def _collapse(
     entries: Iterable[Tuple[int, ExpKey, Fraction]],
-    spread: Callable[[int, ExpKey], int] = lambda k, orbit: len(_placements(orbit, k)),
+    spread: Callable[[int, ExpKey], int] = _placement_count,
 ) -> Dict[int, ClassDict]:
     """Orbit coefficients of expanded data, certified in one pass.
 

@@ -115,6 +115,65 @@ def test_asymmetric_recursion_agrees():
         assert nbar_eval_asym(1, 2, b) == nbar_eval(1, 2, b)
 
 
+def _value(g, n, b):
+    return F(*lattice._pair(g, n, tuple(b)))
+
+
+def _reference_cut(g, n, p, q, rest):
+    """N̄_{g-1,n+1}(p, q, rest) + Σ N̄(p, I) N̄(q, J) over the stable splits, one term at a time."""
+    total = _value(g - 1, n + 1, (p, q) + rest) if g >= 1 else F(0)
+    for g1 in range(g + 1):
+        for mask in itertools.product((True, False), repeat=len(rest)):
+            part_i = tuple(v for v, inside in zip(rest, mask) if inside)
+            part_j = tuple(v for v, inside in zip(rest, mask) if not inside)
+            if is_stable(g1, len(part_i) + 1) and is_stable(g - g1, len(part_j) + 1):
+                left = _value(g1, len(part_i) + 1, (p,) + part_i)
+                total += left * _value(g - g1, len(part_j) + 1, (q,) + part_j)
+    return total
+
+
+def _reference_symmetric(g, n, b):
+    """N̄(b) from (Σ b) N̄ = first + second / 2: every pair joined, every entry cut at every (r, p)."""
+    first = second = F(0)
+    for i, j in itertools.combinations(range(n), 2):
+        rest = b[:i] + b[i + 1:j] + b[j + 1:]
+        m = b[i] + b[j]
+        for q in range(2, m + 1, 2):
+            first += lattice.br(m - q) * q * _value(g, n - 1, (m - q,) + rest)
+    for i in range(n):
+        for r in range(2, b[i] + 1, 2):
+            for p in range(b[i] - r + 1):
+                q = b[i] - r - p
+                second += lattice.br(p) * lattice.br(q) * r * _reference_cut(g, n, p, q, b[:i] + b[i + 1:])
+    return (first + second / 2) / sum(b)
+
+
+def _reference_asymmetric(g, n, b):
+    """N̄(b) from the step rooted at b_1, over every q ≥ 1 and every r ≥ 1, odd ones included."""
+    b1, total = b[0], F(0)
+    for j in range(1, n):
+        rest = b[1:j] + b[j + 1:]
+        for sign, m in ((1, b1 + b[j]), ((b1 > b[j]) - (b1 < b[j]), abs(b1 - b[j]))):
+            for q in range(1, m + 1):
+                total += sign * lattice.br(m - q) * q * _value(g, n - 1, (m - q,) + rest)
+    for r in range(1, b1 + 1):
+        for p in range(b1 - r + 1):
+            q = b1 - r - p
+            total += lattice.br(p) * lattice.br(q) * r * _reference_cut(g, n, p, q, b[1:])
+    return total / (2 * b1)
+
+
+def test_recursion_steps_match_a_term_by_term_reference():
+    # both recursions call the same join and cut sums, so their agreement does not check
+    # those sums; this reference does, with repeated and zero entries, at every root
+    points = [(0, 5, (0, 0, 2, 2, 4)), (1, 3, (2, 3, 3)), (2, 2, (4, 4)), (1, 4, (1, 1, 1, 3)), (2, 1, (6,))]
+    for g, n, b in points:
+        assert F(*lattice._recurse(g, n, b)) == _reference_symmetric(g, n, b) == nbar_eval(g, n, b), b
+        for root in sorted(set(itertools.permutations(b))):
+            if root[0]:
+                assert nbar_eval_asym(g, n, root) == _reference_asymmetric(g, n, root), root
+
+
 def test_asymmetric_recursion_needs_positive_first_argument():
     with pytest.raises(ValueError):
         nbar_eval_asym(0, 4, (0, 2, 0, 0))

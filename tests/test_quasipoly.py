@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,6 +221,17 @@ def test_parse_rejects_a_class_that_is_not_block_symmetric():
         qp_parse(data)
     data["classes"][1]["terms"][1]["coeff"] = "1"
     assert qp_parse(data) == QuasiPolynomial(0, 2, {0: {(0, 1): F(1)}, 2: {(0, 0): F(1)}})
+
+
+def test_parse_rejects_a_wide_orbit_without_listing_its_placements():
+    # 12 distinct exponents have 12! = 479001600 placements; one term of them is
+    # rejected from the count alone, where listing them would take about 100 GiB
+    term = {"exponents": list(range(12)), "coeff": "1"}
+    data = {"g": 0, "n": 12, "classes": [{"odd_count": 0, "terms": [term]}]}
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"\$\.classes\[0\]: not slot-symmetric.* 1 of its 479001600 entries"):
+        qp_parse(data)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cache_misses_an_entry_that_is_not_block_symmetric(tmp_path):
