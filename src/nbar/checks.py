@@ -61,7 +61,9 @@ def stable_cases(max_chi: int) -> List[Tuple[int, int]]:
 
 
 SMALL_CASES = stable_cases(2)  # string, dilaton and engine sweeps
-ASYMMETRIC_POINTS = [(0, 4, (4, 2, 0, 2)), (1, 2, (3, 5)), (1, 2, (6, 2))]
+# each first entry is smaller than another entry, so the point's memo value, rooted at its
+# largest entry, and the step rooted at b_1 take different roots
+ASYMMETRIC_POINTS = [(0, 4, (2, 4, 0, 2)), (1, 2, (3, 5)), (1, 2, (2, 6))]
 
 
 # -- the verify topics ----------------------------------------------------------------
@@ -102,7 +104,7 @@ def dilaton() -> Iterator[Outcome]:
 
 
 def engines() -> Iterator[Outcome]:
-    """Residue engine against the recursion, and the two recursions at asymmetric points."""
+    """Residue engine against the recursion, and the recursion at two roots of each asymmetric point."""
     for g, n in SMALL_CASES:
         yield _check(f"engines ({g},{n}) residue vs recursion", tr_correlator(g, n) == nbar_poly(g, n))
     for g, n, bs in ASYMMETRIC_POINTS:

@@ -3,16 +3,17 @@
 The central object is the count N̄_{g,n}(b_1, …, b_n), defined for a stable
 pair (g, n) and non-negative integer boundary parameters.  It vanishes when
 b_1 + … + b_n is odd, and for fixed parities it is a symmetric polynomial
-in the b_i² of degree 3g - 3 + n.  Two evaluators are provided: a fully
-symmetric recursion (the workhorse) and an asymmetric one rooted in the
-first argument (used for cross-checks).  Both call the same join and cut
-sums (:func:`_join`, :func:`_cut`), so their agreement checks the root and
-the outer combination, not the sums.  On top of these sit the polynomial
-fit, the orbifold Euler characteristics reached at b = 0, the intersection
-numbers read off the top coefficients, and a scan for negative stored
-coefficients.
+in the b_i² of degree 3g - 3 + n.  One recursion step, :func:`_step`,
+removes one positive boundary, the root, by a join sum and a cut sum
+(:func:`_join`, :func:`_cut`).  Any positive entry may be the root: the
+value table roots each sorted point at its largest entry, and
+:func:`nbar_eval_asym` at the first argument, so where the first argument is
+not the largest their agreement checks that the step does not depend on its
+root.  On top of these sit the polynomial fit, the orbifold Euler
+characteristics reached at b = 0, the intersection numbers read off the top
+coefficients, and a scan for negative stored coefficients.
 
-Inside the recursions a value is a reduced pair (numerator, denominator) of
+Inside the recursion a value is a reduced pair (numerator, denominator) of
 ints.  Outside the closed forms for (0,3) and (1,1), the value table holds
 one such pair per sorted point, the all-zero point included, where the value
 is the polynomial continuation read off the fitted polynomial.  Each step
@@ -69,7 +70,7 @@ def br(p: int) -> int:
     return p if p else 1
 
 
-# -- the symmetric recursion ---------------------------------------------------------
+# -- the recursion ------------------------------------------------------------------------
 
 Pair = Tuple[int, int]  # a value as (numerator, denominator): coprime, denominator positive
 
@@ -80,12 +81,30 @@ _MEMO: Dict[Tuple[int, int, Tuple[int, ...]], Pair] = register("lattice.values",
 
 
 def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
-    """The count N̄_{g,n}(b) for non-negative integers b, by the symmetric recursion.
+    """The count N̄_{g,n}(b) for non-negative integers b, from the value table.
 
     The all-zero point is excluded here because its value is defined by
     polynomial continuation; use ``nbar_poly(g, n).evaluate(b)`` for it.
     """
     return Fraction(*_pair(g, n, _check_nonzero_point(g, n, b)))
+
+
+def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
+    """The same count by one step rooted in the first argument, which must be positive.
+
+    Inner values come from the value table, whose points are rooted at
+    their largest entry, so agreement with :func:`nbar_eval` at a b whose
+    first entry is not the largest checks that the step does not depend on
+    its root.
+    """
+    b = _check_point(g, n, b)
+    if sum(b) % 2:
+        return Fraction(0)
+    if b[0] <= 0:
+        raise ValueError("the asymmetric recursion needs a positive first argument")
+    if (g, n) in ((0, 3), (1, 1)):
+        return Fraction(*_pair(g, n, b))
+    return Fraction(*_step(g, n, b[0], b[1:]))
 
 
 def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
@@ -99,7 +118,8 @@ def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
     key = (g, n, tuple(sorted(b)))
     hit = _MEMO.get(key)
     if hit is None:
-        hit = _MEMO[key] = _recurse(g, n, key[2]) if any(b) else _zero_value(g, n)
+        s = key[2]
+        hit = _MEMO[key] = _step(g, n, s[-1], s[:-1]) if s[-1] else _zero_value(g, n)
     return hit
 
 
@@ -127,25 +147,19 @@ def _add(acc: Dict[int, int], w: int, value: Pair) -> None:
         acc[den] = acc.get(den, 0) + w * num
 
 
-def _recurse(g: int, n: int, b: Tuple[int, ...]) -> Pair:
-    """One step of the symmetric recursion (Σ b) N̄ = first + second / 2, for sorted b.
+def _step(g: int, n: int, root: int, rest: Tuple[int, ...]) -> Pair:
+    """N̄_{g,n}(root, rest) by one step of the recursion, for a positive root.
 
-    The first sum joins pairs of entries (:func:`_join`), the second cuts
-    entries (:func:`_cut`), into one accumulator with the first at weight 2,
-    so :func:`_close` reduces (2 first + second) / (2 Σ b) once.  Equal
-    entries leave equal rests: each distinct pair of values is joined once,
-    at weight c_x c_y or C(c_x, 2), and each distinct value cut once, at c_x.
+    2 root N̄ = Σ_j (the join of root + b_j, and that of |root - b_j| signed
+    as root - b_j) + the cut of root, over the entries b_j of ``rest``.
     """
     acc: Dict[int, int] = {}
-    firsts = [i for i in range(n) if not i or b[i] != b[i - 1]]
-    for a, i in enumerate(firsts):
-        c = b.count(b[i])
-        if c > 1:
-            _join(acc, c * (c - 1), g, n - 1, 2 * b[i], b[:i] + b[i + 2:])
-        for j in firsts[a + 1:]:
-            _join(acc, 2 * c * b.count(b[j]), g, n - 1, b[i] + b[j], b[:i] + b[i + 1:j] + b[j + 1:])
-        _cut(acc, c, g, n, b[i], b[:i] + b[i + 1:])
-    return _close(acc, 2 * sum(b))
+    for j, v in enumerate(rest):
+        others = rest[:j] + rest[j + 1:]
+        _join(acc, 1, g, n - 1, root + v, others)
+        _join(acc, 1 if root > v else -1, g, n - 1, abs(root - v), others)
+    _cut(acc, g, n, root, rest)
+    return _close(acc, 2 * root)
 
 
 def _join(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, ...]) -> None:
@@ -154,8 +168,8 @@ def _join(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, 
         _add(acc, w * br(m - q) * q, _pair(g, n, (m - q,) + rest))
 
 
-def _cut(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, ...]) -> None:
-    """Adds w Σ_{p+q = m-2, m-4, …} (m-p-q) [p][q] (N̄_{g-1,n+1}(p,q,rest) + Σ N̄(p,I) N̄(q,J)).
+def _cut(acc: Dict[int, int], g: int, n: int, m: int, rest: Tuple[int, ...]) -> None:
+    """Adds Σ_{p+q = m-2, m-4, …} (m-p-q) [p][q] (N̄_{g-1,n+1}(p,q,rest) + Σ N̄(p,I) N̄(q,J)).
 
     A boundary of length m is cut into two, of lengths p and q, keeping the
     surface connected at genus g - 1 or splitting it along each stable
@@ -168,7 +182,7 @@ def _cut(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, .
         for s in range(m - 2, -1, -2):
             for p in range(s // 2 + 1):
                 q = s - p
-                weight = w * (m - s) * br(p) * br(q)
+                weight = (m - s) * br(p) * br(q)
                 _add(acc, weight if p == q else 2 * weight, _pair(g - 1, n + 1, (p, q) + rest))
     for g1, si, g2, sj in _stable_splits(g, len(rest)):
         part_i = tuple(rest[t] for t in si)
@@ -178,7 +192,7 @@ def _cut(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, .
         for p in range(p0, m - 1, 2):
             num_i, den_i = _pair(g1, len(si) + 1, (p,) + part_i)
             if num_i:
-                w_i = w * br(p) * num_i
+                w_i = br(p) * num_i
                 for q in range(m - 2 - p, -1, -2):
                     num_j, den_j = right[q]
                     if num_j:
@@ -216,35 +230,6 @@ def _zero_value(g: int, n: int) -> Pair:
     return value.numerator, value.denominator
 
 
-# -- the asymmetric recursion ----------------------------------------------------------
-
-
-def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
-    """The same count via the recursion rooted in the first argument.
-
-    Requires b_1 > 0.  The step is 2 b_1 N̄ = Σ_j (join of b_1 + b_j, and
-    of |b_1 - b_j| signed as b_1 - b_j) + the cut of b_1, with the
-    :func:`_join` and :func:`_cut` sums that the symmetric step uses.
-    Inner values go through the shared symmetric evaluator, so agreement
-    with :func:`nbar_eval` checks the root and this outer combination.
-    """
-    b = _check_point(g, n, b)
-    if sum(b) % 2:
-        return Fraction(0)
-    if b[0] <= 0:
-        raise ValueError("the asymmetric recursion needs a positive first argument")
-    if (g, n) in ((0, 3), (1, 1)):
-        return Fraction(*_pair(g, n, b))
-    b1 = b[0]
-    acc: Dict[int, int] = {}
-    for j in range(1, n):
-        rest = b[1:j] + b[j + 1:]
-        _join(acc, 1, g, n - 1, b1 + b[j], rest)
-        _join(acc, 1 if b1 > b[j] else -1, g, n - 1, abs(b1 - b[j]), rest)
-    _cut(acc, 1, g, n, b1, b[1:])
-    return Fraction(*_close(acc, 2 * b1))
-
-
 # -- polynomial form ----------------------------------------------------------------------
 
 _POLY_MEMO: Dict[Tuple[int, int, str], QuasiPolynomial] = register("lattice.polys", {})
@@ -253,9 +238,9 @@ _POLY_MEMO: Dict[Tuple[int, int, str], QuasiPolynomial] = register("lattice.poly
 def nbar_poly(g: int, n: int, engine: str = "comb") -> QuasiPolynomial:
     """The full parity-split polynomial form of N̄_{g,n}.
 
-    ``engine`` selects how values are produced: ``comb`` for the symmetric
-    recursion, ``comb-asym`` for the asymmetric one, ``tr`` for the
-    residue-based recursion on the spectral curve.
+    ``engine`` selects how values are produced: ``comb`` for the
+    recursion's value table, ``comb-asym`` for its step rooted in the first
+    argument, ``tr`` for the residue-based recursion on the spectral curve.
     """
     _check_stable(g, n)
     key = (g, n, engine)

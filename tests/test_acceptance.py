@@ -129,7 +129,7 @@ def test_criterion_7_property_suites():
             continue
         vals = {nbar_eval(0, 4, p) for p in set(itertools.permutations(b))}
         assert len(vals) == 1
-    # the two recursions agree point by point on full boxes
+    # the table's value and the step rooted at b_1 agree point by point on full boxes
     for b in itertools.product(range(0, 7), repeat=4):
         if sum(b) % 2 or b[0] == 0:
             continue
