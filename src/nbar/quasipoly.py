@@ -14,6 +14,9 @@ spectators) is collapsed to orbits under one exact certificate (:func:`_collapse
 :func:`qp_fit` recovers a class from exact values by forward substitution in
 the Newton basis of its interpolation nodes, a triangular system with no
 elimination, and certifies the result exactly on a larger set of points.
+One evaluator, :func:`_pairing`, reads three per-axis integer tables (node
+values and coefficients of the Newton basis, and powers): it serves the solve,
+the change of basis, the certificate and :meth:`QuasiPolynomial.evaluate`.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, lcm, prod
-from operator import mul
+from operator import getitem, mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact import Poly, linsolve  # linsolve is not called here; perfbench/tracing.py rebinds it by name
+from .exact import linsolve  # linsolve is not called here; perfbench/tracing.py rebinds it by name
 from .memo import register
 
 ExpKey = Tuple[int, ...]
@@ -51,6 +55,8 @@ class QuasiPolynomial:
             for key in dd:
                 if len(key) != n:
                     raise ValueError(f"exponent key {key} has wrong length for n={n}")
+                if not all(isinstance(e, int) and e >= 0 for e in key):
+                    raise ValueError(f"exponent key {key} has an exponent that is not a non-negative integer")
                 if key != _sort_blocks(key, k):
                     raise ValueError(f"exponent key {key} of class {k} is not sorted within its blocks")
             if dd:
@@ -73,11 +79,14 @@ class QuasiPolynomial:
             raise ValueError(f"expected {self.n} arguments, got {len(b)}")
         if any(v != int(v) for v in b):
             raise ValueError(f"arguments must be integers, got {tuple(b)}")
-        odd = [int(v) for v in b if v % 2]
-        k = len(odd)
+        xs = [int(v) ** 2 for v in b if v % 2]
+        ys = [int(v) ** 2 for v in b if v % 2 == 0]
+        k = len(xs)
         d = self.orbits.get(k, {})
-        values = _row_maker(list(d), k)(odd + [int(v) for v in b if v % 2 == 0])
-        return sum(map(mul, d.values(), values), Fraction(0))
+        top = max((e for key in d for e in key), default=0)
+        monomial = _pairing(k, _powers(xs, top), _powers(ys, top))
+        index = tuple(range(k)) + tuple(range(self.n - k))
+        return sum((c * monomial(key, index) for key, c in d.items()), Fraction(0))
 
     def coefficient(self, odd_count: int, exponents: Sequence[int]) -> Fraction:
         """Coefficient of ∏ b_i^{2 e_i} in the given parity class (odd slots first)."""
@@ -340,7 +349,7 @@ def qp_from_xi_tensor(g: int, n: int, tensor: XiTensor) -> QuasiPolynomial:
 
 # -- exact fitting --------------------------------------------------------------------
 
-Table = List[List[int]]  # rows indexed by a, the index of ω_a
+Table = List[List[int]]  # row i: a node, an exponent or a slot; column a: ω_a or the a-th power
 
 
 def qp_fit(
@@ -357,95 +366,102 @@ def qp_fit(
     block-symmetric monomials m_λ(odd b²) · m_μ(even b²) with λ of at most
     k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree, one per orbit.
     Each unknown (λ, μ) has its own point: odd entries 2λ_i + 1 and even
-    entries 2μ_j + 2, zero-padded and sorted within each block (:func:`_nodes`).
+    entries 2μ_j + 2, zero-padded and sorted within each block (:func:`_point`).
 
     The class is solved in the Newton basis of those nodes (:func:`_pairing`),
     where the system is lower triangular: forward substitution over the keys
     by total degree, then an integer change of basis to the orbit monomials.
-    It is then checked exactly on the points of degree + 2, which contain the
-    solve points: each check is an integer row of monomial values dotted with
-    the solution, and any discrepancy raises.  A returned class therefore
-    equals ``func`` on its class whenever ``func`` is a block-symmetric
-    polynomial of total degree at most degree + 2 there.
+    It is then checked exactly at the nodes of the keys of degree + 2, which
+    contain the solve points: each check is the integer row of monomial values
+    there dotted with the solution, and any discrepancy raises.  A returned
+    class therefore equals ``func`` on its class whenever ``func`` is a
+    block-symmetric polynomial of total degree at most degree + 2 there.
     """
     D = degree if degree is not None else 3 * g - 3 + n
     if D < 0:
         raise ValueError(f"degree bound {D} is negative")
 
-    odd_at, odd_coeffs = _omega_tables(1, D)
-    even_at, even_coeffs = _omega_tables(0, D)
+    odd_at, odd_coeffs, odd_pw = _omega_tables(1, D)
+    even_at, even_coeffs, even_pw = _omega_tables(0, D)
     classes: Dict[int, ClassDict] = {}
     for k in range(n + 1):
         keys = _block_basis(k, n - k, D)
-        check_points = _nodes(_block_basis(k, n - k, D + 2), k)
-        values = {b: Fraction(func(b)) for b in check_points}
+        checks = sorted(_block_basis(k, n - k, D + 2), key=lambda p: (sum(p), p))
+        values = {p: Fraction(func(_point(p, k))) for p in checks}
         # N_q vanishes at the node of p unless q ≤ p entrywise, so in degree order only earlier q enter
         at = _pairing(k, odd_at, even_at)
         newton: ClassDict = {}
         for p in sorted(keys, key=sum):
             known = sum(c * v for q, c in newton.items() if (v := at(q, p)))
-            newton[p] = (values[_point(p, k)] - known) / at(p, p)
+            newton[p] = (values[p] - known) / at(p, p)
         to_monomial = _pairing(k, odd_coeffs, even_coeffs)
         coeffs = [sum(c * v for q, c in newton.items() if (v := to_monomial(q, key))) for key in keys]
         # the solution over one denominator, so that each check is an integer dot product
         den = lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        for b, row in zip(check_points, map(_row_maker(keys, k), check_points)):
-            got = Fraction(sum(map(mul, row, nums)), den)
-            if got != values[b]:
+        monomial = _pairing(k, odd_pw, even_pw)
+        for p in checks:
+            got = Fraction(sum(c * monomial(q, p) for q, c in zip(keys, nums)), den)
+            if got != values[p]:
                 raise ValueError(
-                    f"fit for class {k} fails verification at b={b}: "
-                    f"fitted {got}, actual {values[b]}"
+                    f"fit for class {k} fails verification at b={_point(p, k)}: "
+                    f"fitted {got}, actual {values[p]}"
                 )
         classes[k] = dict(zip(keys, coeffs))
     return QuasiPolynomial(g, n, classes)
 
 
 def _point(key: ExpKey, k: int) -> Tuple[int, ...]:
-    """The node of an orbit key (λ, μ): 2λ_i + 1 on the k odd slots and 2μ_j + 2 on the even ones."""
+    """The node of an orbit key (λ, μ): 2λ_i + 1 on the k odd slots and 2μ_j + 2 on the even ones.
+
+    The nodes of the keys of total degree ≤ D are the orbit representatives
+    of the lower set {(a, c) ∈ ℕ^k × ℕ^m : |a| + |c| ≤ D} on the per-axis
+    nodes (2i + 1)² and (2j + 2)² in the b² (:func:`_omega_tables`).  That set
+    is unisolvent for total degree D (Dyn–Floater, *Multivariate polynomial
+    interpolation on lower sets*, 2014) and invariant under S_k × S_m, so a
+    block-symmetric polynomial of degree ≤ D is fixed by its values at these
+    nodes: in the Newton basis of :func:`_pairing` the system is triangular.
+    """
     return tuple(2 * e + 1 for e in key[:k]) + tuple(2 * e + 2 for e in key[k:])
 
 
-def _nodes(basis: Sequence[ExpKey], k: int) -> List[Tuple[int, ...]]:
-    """The nodes (:func:`_point`) of the orbit keys of ``basis``, by Σb, then lexicographically.
-
-    For a basis of total degree D these are the orbit representatives of the
-    lower set {(a, c) ∈ ℕ^k × ℕ^m : |a| + |c| ≤ D} on the per-axis nodes
-    (2i + 1)² and (2j + 2)² in the b² (:func:`_omega_tables`).  That set is
-    unisolvent for total degree D (Dyn–Floater, *Multivariate polynomial
-    interpolation on lower sets*, 2014) and invariant under S_k × S_m, so a
-    block-symmetric polynomial of degree ≤ D is fixed by its values on these
-    points: in the Newton basis of :func:`_pairing` the system is triangular.
-    """
-    return sorted((_point(key, k) for key in basis), key=lambda b: (sum(b), b))
+def _powers(ts: Sequence[int], top: int) -> Table:
+    """The powers of each t in ``ts``: row i holds t_i^e in column e ≤ ``top``."""
+    return [list(accumulate([t] * top, mul, initial=1)) for t in ts]
 
 
-def _omega_tables(parity: int, D: int) -> Tuple[Table, Table]:
+def _omega_tables(parity: int, D: int) -> Tuple[Table, Table, Table]:
     """ω_a(t) = ∏_{j<a} (t − t_j) on the per-axis nodes t_j = (2j + 2 − parity)² of b², for a ≤ D.
 
-    Returns the values ω_a(t_j) for j ≤ D and the coefficients [t^e] ω_a for
-    e ≤ D, as rows indexed by a.  Each ω_a is monic of degree a and vanishes
-    at t_0, …, t_{a-1}.
+    Returns three integer tables built by recurrences, column a for ω_a or
+    the a-th power: the node values ω_a(t_j) in row j ≤ D + 2, the
+    coefficients [t^e] ω_a in row e ≤ D (ω_{a+1} = (t − t_a) ω_a is monic and
+    vanishes at t_0, …, t_a), and the powers t_j^a in row j ≤ D + 2.
     """
-    nodes = [(2 * j + 2 - parity) ** 2 for j in range(D + 1)]
-    omegas = [Poly([1])]
+    nodes = [(2 * j + 2 - parity) ** 2 for j in range(D + 3)]
+    at = [list(accumulate([s - t for t in nodes[:D]], mul, initial=1)) for s in nodes]
+    omegas = [[1] + [0] * D]  # the coefficients of ω_a, by ascending power
     for t in nodes[:D]:
-        omegas.append(omegas[-1] * Poly([-t, 1]))
-    return [[w(t) for t in nodes] for w in omegas], [w.coeffs + [0] * (D - w.degree) for w in omegas]
+        omegas.append([u - t * w for u, w in zip([0] + omegas[-1], omegas[-1])])
+    return at, [list(row) for row in zip(*omegas)], _powers(nodes, D)
 
 
 def _arrangement_sum(block: ExpKey, index: ExpKey, table: Table) -> int:
-    """Σ over the distinct arrangements α of ``block`` of ∏_i table[α_i][index_i]."""
-    return sum(prod(table[a][i] for a, i in zip(alpha, index)) for alpha in _arrangements(block))
+    """Σ over the distinct arrangements α of ``block`` of ∏_i table[index_i][α_i]."""
+    rows = [table[i] for i in index]
+    return sum(prod(map(getitem, rows, alpha)) for alpha in _arrangements(block))
 
 
 def _pairing(k: int, odd: Table, even: Table) -> Callable[[ExpKey, ExpKey], int]:
     """(q, p) ↦ the odd block's :func:`_arrangement_sum` times the even block's, memoized per block pair.
 
-    The Newton basis function of an orbit key q = (λ, μ) is N_q = Σ over the
-    distinct arrangements α of λ and β of μ of ∏_i ω_{α_i}(x_i) · ∏_j ω_{β_j}(y_j).
-    With the node-value tables of :func:`_omega_tables` this gives N_q at the
-    node of p; with the coefficient tables, the coefficient of m_p in N_q.
+    The one evaluator of sums over the distinct arrangements α of λ and β of μ
+    for an orbit key q = (λ, μ); the tables of :func:`_omega_tables` give, with
+    the row indices p, the Newton basis function N_q = Σ ∏_i ω_{α_i}(x_i) ·
+    ∏_j ω_{β_j}(y_j) at the node of p, the coefficient of m_p in N_q, or the
+    monomial m_λ(x) · m_μ(y) at the node of p.  On the powers of a point's own
+    squares (:func:`_powers`), p = (0, …, k − 1) + (0, …, n − k − 1) gives the
+    monomial at that point.
     """
     odd_sum = lru_cache(maxsize=None)(lambda block, index: _arrangement_sum(block, index, odd))
     even_sum = lru_cache(maxsize=None)(lambda block, index: _arrangement_sum(block, index, even))
@@ -462,24 +478,3 @@ def _blocks(length: int, size: int, low: int = 0) -> List[ExpKey]:
 def _block_basis(k: int, m: int, D: int) -> List[ExpKey]:
     """Orbit keys (λ, μ) of k odd and m even slots with |λ| + |μ| ≤ D."""
     return [lam + mu for lam in _blocks(k, D) for mu in _blocks(m, D - sum(lam))]
-
-
-def _row_maker(basis: Sequence[ExpKey], k: int) -> Callable[[Sequence[int]], List[int]]:
-    """A function giving the values m_λ(odd b²) · m_μ(even b²) of the orbit keys of ``basis`` at b.
-
-    The point b lists its k odd arguments first, in any order within each block.
-    """
-    odd = {key[:k] for key in basis}
-    even = {key[k:] for key in basis}
-
-    def monomial(xs: List[int], block: ExpKey) -> int:
-        return sum(prod(x ** e for x, e in zip(xs, a) if e) for a in _arrangements(block))
-
-    def row(b: Sequence[int]) -> List[int]:
-        xs = [v * v for v in b[:k]]
-        ys = [v * v for v in b[k:]]
-        mo = {lam: monomial(xs, lam) for lam in odd}
-        me = {mu: monomial(ys, mu) for mu in even}
-        return [mo[key[:k]] * me[key[k:]] for key in basis]
-
-    return row

@@ -24,9 +24,9 @@ from nbar.quasipoly import QuasiPolynomial
 
 F = Fraction
 
-# every stable case with 2g - 2 + n ≤ 6, plus (4,1) at χ = 7:
+# every stable case with 2g - 2 + n ≤ 6, plus (4,1) and (3,3) at χ = 7:
 # both engines must produce identical polynomials, all of them inside a ten-minute budget
-MANDATORY_CROSS = checks.stable_cases(6) + [(4, 1)]
+MANDATORY_CROSS = checks.stable_cases(6) + [(4, 1), (3, 3)]
 
 # the flagged (0,6) k=0 row differs from the computed one in exactly these
 # coefficient families (nonzero exponents of b², sorted): computed, published
@@ -57,8 +57,8 @@ def test_criterion_2_engine_cross_validation():
     elapsed = time.monotonic() - t0
     assert elapsed < 600, f"cross-validation took {elapsed:.1f}s"
     print(
-        f"ACCEPTANCE 2 (engine cross-validation, {len(MANDATORY_CROSS) - 1} cases"
-        f" with chi ≤ 6, plus (4,1), {elapsed:.1f}s): PASS"
+        f"ACCEPTANCE 2 (engine cross-validation, {len(MANDATORY_CROSS) - 2} cases"
+        f" with chi ≤ 6, plus (4,1) and (3,3), {elapsed:.1f}s): PASS"
     )
 
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import random
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -13,15 +16,13 @@ import pytest
 from nbar import quasipoly
 from nbar.cache import cache_get, cache_put
 from nbar.checks import stable_cases
-from nbar.lattice import clear_caches, nbar_poly
+from nbar.lattice import clear_caches, nbar_eval, nbar_poly
 from nbar.quasipoly import (
     QuasiPolynomial,
     _block_basis,
-    _nodes,
     _omega_tables,
     _pairing,
     _point,
-    _row_maker,
     qp_fit,
     qp_from_json,
     qp_from_xi_tensor,
@@ -66,6 +67,32 @@ def test_evaluate_is_order_invariant():
         assert qp.evaluate(b) == qp.evaluate(b[::-1])
 
 
+def expanded_value(qp: QuasiPolynomial, b) -> Fraction:
+    """The value at b from every arrangement of every orbit, the odd arguments first."""
+    xs = [v * v for v in b if v % 2]
+    ys = [v * v for v in b if v % 2 == 0]
+    k = len(xs)
+    total = F(0)
+    for key, c in qp.orbits.get(k, {}).items():
+        for lam in set(itertools.permutations(key[:k])):
+            for mu in set(itertools.permutations(key[k:])):
+                total += c * prod(x ** e for x, e in zip(xs, lam)) * prod(y ** e for y, e in zip(ys, mu))
+    return total
+
+
+def test_evaluate_matches_the_expansion_over_permutations():
+    rng = random.Random(19)
+    points = []
+    for g, n in stable_cases(5):
+        qp = nbar_poly(g, n)
+        for b in [(0,) * n] + [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(6)]:
+            assert qp.evaluate(b) == expanded_value(qp, b), (g, n, b)
+            points.append(b)
+    # the seeded points have negative entries, and repeated ones beyond the all-zero points
+    assert any(v < 0 for b in points for v in b)
+    assert sum(len(set(b)) < len(b) for b in points) > len(stable_cases(5))
+
+
 def test_evaluate_wrong_arity():
     with pytest.raises(ValueError):
         sample_qp().evaluate((1, 2, 3))
@@ -98,6 +125,11 @@ def test_constructor_validates_keys():
         QuasiPolynomial(0, 2, {3: {(0, 0): F(1)}})
     with pytest.raises(ValueError):
         QuasiPolynomial(0, 2, {0: {(0, 0, 0): F(1)}})
+    # an exponent must be a non-negative int, not a power to invert or a float
+    with pytest.raises(ValueError, match="not a non-negative integer"):
+        QuasiPolynomial(0, 2, {0: {(-1, 0): F(1)}})
+    with pytest.raises(ValueError, match="not a non-negative integer"):
+        QuasiPolynomial(0, 1, {1: {(1.5,): F(1)}})
 
 
 def test_constructor_rejects_keys_not_sorted_within_blocks():
@@ -357,13 +389,9 @@ def test_fit_degree_bounds_total_degree():
             for key in _block_basis(k, n - k, 3):
                 if sum(key) < 2:
                     continue
-                monomial = _row_maker([key], k)
-
-                def func(b, k=k, monomial=monomial):
-                    return F(monomial(b)[0]) if sum(v % 2 for v in b) == k else F(0)
-
+                monomial = QuasiPolynomial(0, n, {k: {key: F(1)}})  # zero off class k
                 with pytest.raises(ValueError, match=f"class {k} fails verification"):
-                    qp_fit(func, 0, n, degree=1)
+                    qp_fit(monomial.evaluate, 0, n, degree=1)
 
 
 def test_certificate_points_are_unisolvent_for_degree_plus_two():
@@ -378,17 +406,32 @@ def test_certificate_points_are_unisolvent_for_degree_plus_two():
         odd_at, even_at = _omega_tables(1, D + 2)[0], _omega_tables(0, D + 2)[0]
         for k in range(n + 1):
             small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
-            points = _nodes(large, k)
-            assert len(set(points)) == len(large)
-            assert set(_nodes(small, k)) <= set(points)
+            assert len({_point(key, k) for key in large}) == len(large)
+            assert set(small) <= set(large)
             ordered = sorted(large, key=lambda key: (sum(key), key))
-            assert points == [_point(key, k) for key in ordered]
             at = _pairing(k, odd_at, even_at)
             for i, p in enumerate(ordered):
                 assert at(p, p) != 0, (g, n, k, p)
                 assert not any(at(q, p) for q in ordered[i + 1:]), (g, n, k, p)
             plans += 1
     assert plans == 66
+
+
+def test_certificate_checks_the_monomial_coefficients(monkeypatch):
+    # one wrong coefficient of ω_1 leaves the Newton solve exact but spoils the
+    # change of basis to monomials; the certificate reads only the powers of the
+    # nodes, so it must reject the monomial coefficients that come out
+    tables = quasipoly._omega_tables
+
+    def off_by_one(parity, D):
+        at, coeffs, powers = tables(parity, D)
+        coeffs[0][1] += 1  # [t^0] ω_1 = -t_0
+        return at, coeffs, powers
+
+    monkeypatch.setattr(quasipoly, "_omega_tables", off_by_one)
+    for g, n in [(0, 4), (1, 2)]:
+        with pytest.raises(ValueError, match="verification"):
+            qp_fit(lambda b, g=g, n=n: nbar_eval(g, n, b), g, n)
 
 
 def test_fit_never_calls_linsolve(monkeypatch):
