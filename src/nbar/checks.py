@@ -8,27 +8,27 @@ characteristics and the reference table.  Each check yields
 for a table row the coefficients that differ.  The tests assert on the
 same records.
 
-The helpers below test identities between the residue engine's tensors and
-rational functions exactly, never by sampling, in one coordinate system: the
-certified principal parts at -1, 0 and +1 (:func:`tr.principal_parts`).  An
-identity between functions holds when its tensor of principal parts is
-empty (:func:`multilinear_is_zero`), and each residue is read off them.
+Every identity is an equality of tensors in the residue engine's own ξ
+coordinates, tested exactly, never by sampling.  A rational function enters
+them through one bridge, :func:`_xi_coords`: its certified principal parts
+at -1, 0 and +1, then their certified ξ decomposition.  Each residue is read
+off the principal parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from math import prod
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import golden
 from .exact import Poly, RationalFunction, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly
 from .memo import register
-from .quasipoly import XiTensor, _arrangements
-from .tr import HALF, EngineError, PfTensor, PfVector, principal_parts, tr_correlator, tr_tensor, xi
+from .quasipoly import XiIndex, XiTensor, _arrangements
+from .tr import HALF, EngineError, PfVector, principal_parts, tr_correlator, tr_tensor, xi, xi_decompose
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,13 @@ def euler(max_chi: int) -> Iterator[Outcome]:
 
 def desk() -> Iterator[Outcome]:
     """The residue engine against the closed forms for (1,1) and (0,3)."""
-    yield _check("desk (1,1)", multilinear_is_zero(_xi_terms(_expanded(1, 1)) + [(-1, [ONE_HANDLE])]))
-    terms = _xi_terms(_expanded(0, 3)) + [(-HALF, [f] * 3) for f in THREE_POINT_FACTORS]
-    yield _check("desk (0,3)", multilinear_is_zero(terms))
+    yield _check("desk (1,1)", _expanded(1, 1) == {(i,): c for i, c in _xi_coords(ONE_HANDLE).items()})
+    want: XiTensor = {}
+    for f in THREE_POINT_FACTORS:
+        gamma = _xi_coords(f).items()
+        for (i, a), (j, b), (k, c) in product(gamma, repeat=3):
+            want[i, j, k] = want.get((i, j, k), Fraction(0)) + HALF * a * b * c
+    yield _check("desk (0,3)", _expanded(0, 3) == {key: c for key, c in want.items() if c})
 
 
 def string() -> Iterator[Outcome]:
@@ -162,9 +166,9 @@ def _expanded(g: int, n: int) -> XiTensor:
     return {key[:1] + rest: c for key, c in tr_tensor(g, n).items() for rest in _arrangements(key[1:])}
 
 
-def _xi_terms(tensor: XiTensor) -> List[Tuple[Fraction, List[RationalFunction]]]:
-    """The tensor as terms c ∏_s ξ_{key_s}(z_s) for :func:`multilinear_is_zero`."""
-    return [(c, [xi(*kk) for kk in key]) for key, c in tensor.items()]
+def _xi_coords(f: RationalFunction) -> Dict[XiIndex, Fraction]:
+    """The ξ coordinates of f, certified twice; a function outside the ξ span raises :class:`EngineError`."""
+    return xi_decompose(principal_parts(f))
 
 
 def is_form_antiinvariant(f: RationalFunction) -> bool:
@@ -230,18 +234,18 @@ def string_check(g: int, n: int) -> bool:
     """Form-level string identity tying the (g, n+1) correlator to (g, n).
 
     Contracts the extra slot of the larger correlator with Σ_α Res z ξ and
-    compares, as a multilinear exact zero test, against the per-slot
-    transform of the smaller correlator.
+    adds the per-slot transform of the smaller correlator, in ξ coordinates:
+    the sum must be empty.
     """
-    terms = _xi_terms(_contract(_expanded(g, n + 1), string_scalar))
+    total = _contract(_expanded(g, n + 1), string_scalar)
     small = _expanded(g, n)
-    moved = {kk: string_transform(xi(*kk)) for kk in {kk for key in small for kk in key}}
+    moved = {kk: _xi_coords(string_transform(xi(*kk))) for kk in {kk for key in small for kk in key}}
     for key, c in small.items():
         for slot in range(n):
-            funcs = [xi(*kk) for kk in key]
-            funcs[slot] = moved[key[slot]]
-            terms.append((c, funcs))
-    return multilinear_is_zero(terms)
+            for kk, x in moved[key[slot]].items():
+                full = key[:slot] + (kk,) + key[slot + 1:]
+                total[full] = total.get(full, Fraction(0)) + c * x
+    return not any(total.values())
 
 
 def dilaton_check(g: int, n: int) -> bool:
@@ -311,35 +315,3 @@ def witten_kontsevich(g: int, a: Sequence[int]) -> Fraction:
         total += HALF * _double_factorial(2 * r + 1) * _double_factorial(2 * s + 1) * inner
     hit = _WK[key] = total / _double_factorial(2 * d + 1)
     return hit
-
-
-# -- multilinear exact zero testing --------------------------------------------------------------
-
-
-def multilinear_is_zero(
-    terms: Sequence[Tuple[Fraction, Sequence[RationalFunction]]],
-) -> bool:
-    """Whether Σ c_t ∏_s f_{t,s}(z_s) vanishes identically.
-
-    Each function is replaced by its principal parts, computed once per
-    distinct function.  Those are exact coordinates, so the sum vanishes
-    exactly when the coefficient tensor Σ c ⊗_s PP(f_s) is empty.  The terms
-    have one number of slots.  The tensor is built from the last slot to the
-    first, summing the terms that agree on the earlier slots first, so each
-    shared prefix is expanded once.  A function outside the span of
-    principal parts raises :class:`EngineError`.  No sampling is involved.
-    """
-    parts = lru_cache(maxsize=None)(principal_parts)
-    # pairs (the functions of the slots still to expand, coefficients on the principal parts of the later slots)
-    slices: Iterable[Tuple[Tuple[RationalFunction, ...], PfTensor]] = [(tuple(fs), {(): c}) for c, fs in terms]
-    for _ in range(max((len(fs) for _, fs in terms), default=0)):
-        merged: Dict[Tuple[RationalFunction, ...], PfTensor] = {}
-        for funcs, tail in slices:
-            out = merged.setdefault(funcs[:-1], {})
-            for pk, x in parts(funcs[-1]).items():
-                for key, w in tail.items():
-                    if w:
-                        full = (pk,) + key
-                        out[full] = out.get(full, 0) + x * w
-        slices = merged.items()
-    return not any(w for _, tail in slices for w in tail.values())

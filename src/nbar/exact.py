@@ -65,9 +65,6 @@ class Poly:
             return self == Poly([other])
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self.coeffs))
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -251,9 +248,6 @@ class RationalFunction:
         if other_rf is None:
             return NotImplemented
         return self.num == other_rf.num and self.den == other_rf.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     # -- field operations -------------------------------------------------------
 

@@ -98,10 +98,10 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     its root.
     """
     b = _check_point(g, n, b)
-    if sum(b) % 2:
-        return Fraction(0)
     if b[0] <= 0:
         raise ValueError("the asymmetric recursion needs a positive first argument")
+    if sum(b) % 2:
+        return Fraction(0)
     if (g, n) in ((0, 3), (1, 1)):
         return Fraction(*_pair(g, n, b))
     return Fraction(*_step(g, n, b[0], b[1:]))

@@ -27,8 +27,10 @@ symmetry between the root and a spectator is not built in, and
 :func:`qp_from_xi_tensor` checks it.  So a returned tensor is correct, not plausible.
 
 :class:`RationalFunction` is left to the reference functions (:func:`xi`,
-the slot functions, :func:`principal_parts`); the checks against them live
-in :mod:`nbar.checks`.
+the slot functions, :func:`principal_parts`).  The checks in
+:mod:`nbar.checks` take a reference function into ξ coordinates with
+:func:`principal_parts` and :func:`xi_decompose`, and compare every identity
+with this engine's tensors in those coordinates.
 
 The two-point input of the recursion is the modified form
 dz₁ dz₂ / (z₁ - z₂)² + dz₁ dz₂ / (z₁ z₂); substitutions z ↦ 1/z always act

@@ -62,6 +62,9 @@ def test_eval_rejects_bad_input(capsys):
     assert code == 3
     code, _, err = run(capsys, ["eval", "0", "4", "1", "2"])
     assert code == 3
+    code, _, err = run(capsys, ["eval", "0", "4", "0", "1", "0", "0", "--engine", "comb-asym"])
+    assert code == 3
+    assert "positive first argument" in err
 
 
 def test_usage_error_exits_two():
@@ -224,6 +227,27 @@ def test_verify_desk_fails_on_a_perturbed_engine(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "desk"])
     assert code == 1
     assert out.splitlines() == ["desk (1,1): FAIL", "desk (0,3): FAIL"]
+
+
+@pytest.mark.parametrize("topic", ["string", "dilaton"])
+def test_verify_identity_fails_on_a_perturbed_engine(capsys, monkeypatch, topic):
+    real = checks.tr_tensor
+    monkeypatch.setattr(checks, "tr_tensor", lambda g, n: {k: (2 if (g, n) == (1, 2) else 1) * c for k, c in real(g, n).items()})
+    code, out, _ = run(capsys, ["verify", topic])
+    assert code == 1
+    # (1,2) is the larger correlator of (1,1) and the smaller one of (1,2)
+    want = ["(0,3): ok", "(1,1): FAIL", "(0,4): ok", "(1,2): FAIL"]
+    assert out.splitlines() == [f"{topic} {line}" for line in want]
+
+
+def test_verify_all(capsys):
+    code, out, _ = run(capsys, ["verify", "all"])
+    assert code == 0
+    lines = out.splitlines()
+    assert all(line.endswith(" ok") for line in lines)
+    topics = [line.split(" ", 1)[0] for line in lines]
+    counts = [("euler", 7), ("desk", 2), ("string", 4), ("dilaton", 4), ("engines", 7), ("residues", 12)]
+    assert topics == [t for t, count in counts for _ in range(count)]
 
 
 def test_table_fails_on_a_perturbed_polynomial(capsys, monkeypatch):

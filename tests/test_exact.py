@@ -246,11 +246,3 @@ def test_linsolve_vandermonde_grid():
         coeffs = [F(5), F(-1, 3), F(2)]
         rhs = [sum(coeffs[j] * F(t) ** j for j in range(3)) for t in nodes]
         assert linsolve(m, rhs) == coeffs
-
-
-def test_rational_function_hashable():
-    f = 1 / (1 - Z * Z)
-    g = RationalFunction(Poly([1]), Poly([1, 0, -1]))
-    assert f == g
-    assert hash(f) == hash(g)
-    assert len({f, g}) == 1

@@ -181,8 +181,10 @@ def test_recursion_steps_match_a_term_by_term_reference():
 
 
 def test_asymmetric_recursion_needs_positive_first_argument():
-    with pytest.raises(ValueError):
-        nbar_eval_asym(0, 4, (0, 2, 0, 0))
+    # (0, 1, 0, 0) has an odd total, which must not short-cut past the check
+    for bad in ((0, 2, 0, 0), (0, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            nbar_eval_asym(0, 4, bad)
 
 
 def test_both_evaluators_reject_non_integers():

@@ -283,23 +283,6 @@ def test_dilaton_scalar_table():
         assert checks.dilaton_scalar(1, k) == 0
 
 
-def test_multilinear_zero_testing():
-    f = tr.xi(0, 0)
-    g = tr.xi(1, 0)
-    h = tr.xi(0, 1)
-    assert checks.multilinear_is_zero([])
-    assert checks.multilinear_is_zero([(F(1), [f, g]), (F(-1), [f, g])])
-    # f⊗g ≠ g⊗f for independent f, g
-    assert not checks.multilinear_is_zero([(F(1), [f, g]), (F(-1), [g, f])])
-    # bilinearity: (f+h)⊗g - f⊗g - h⊗g = 0
-    assert checks.multilinear_is_zero(
-        [(F(1), [f + h, g]), (F(-1), [f, g]), (F(-1), [h, g])]
-    )
-    # a pole outside -1, 0, +1 has no coordinates
-    with pytest.raises(tr.EngineError):
-        checks.multilinear_is_zero([(F(1), [1 / (Z - 2), g])])
-
-
 def test_string_transform():
     got = checks.string_transform(RationalFunction(1))
     want = ((Z * Z) / (Z * Z - 1)).derivative()
