@@ -4,9 +4,9 @@ The central object is the count N̄_{g,n}(b_1, …, b_n), defined for a stable
 pair (g, n) and non-negative integer boundary parameters.  It vanishes when
 b_1 + … + b_n is odd, and for fixed parities it is a symmetric polynomial
 in the b_i² of degree 3g - 3 + n.  One recursion step, :func:`_step`,
-removes one positive boundary, the root, by a join sum and a cut sum
-(:func:`_join`, :func:`_cut`).  Any positive entry may be the root: the
-value table roots each sorted point at its largest entry, and
+removes one positive boundary, the root, by join and cut sums that each
+query one table of running sums (:func:`_sum`).  Any positive entry may be
+the root: the value table roots each sorted point at its largest entry, and
 :func:`nbar_eval_asym` at the first argument, so where the first argument is
 not the largest their agreement checks that the step does not depend on its
 root.  On top of these sit the polynomial fit, the orbifold Euler
@@ -16,9 +16,10 @@ coefficients, and a scan for negative stored coefficients.
 Inside the recursion a value is a reduced pair (numerator, denominator) of
 ints.  Outside the closed forms for (0,3) and (1,1), the value table holds
 one such pair per sorted point, the all-zero point included, where the value
-is the polynomial continuation read off the fitted polynomial.  Each step
-sums integer numerators keyed by denominator and closes with one lcm and one
-gcd, so a value costs one reduction, not one per term.  No bound on the
+is the polynomial continuation read off the fitted polynomial; the running
+sums hold integer numerators over one denominator per entry.  Each step
+sums integer numerators keyed by denominator and closes with one lcm and
+one gcd, so a value costs one reduction, not one per term.  No bound on the
 denominators is assumed.  A :class:`~fractions.Fraction` is built only where
 a value leaves the module: :func:`nbar_eval`, :func:`nbar_eval_asym`, the fit.
 """
@@ -78,6 +79,7 @@ _ZERO: Pair = (0, 1)
 _ONE: Pair = (1, 1)
 
 _MEMO: Dict[Tuple[int, int, Tuple[int, ...]], Pair] = register("lattice.values", {})
+_SUMS: Dict[Tuple[int, int, Tuple[int, ...]], List[int]] = register("lattice.sums", {})
 
 
 def nbar_eval(g: int, n: int, b: Sequence[int]) -> Fraction:
@@ -104,7 +106,7 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
         return Fraction(0)
     if (g, n) in ((0, 3), (1, 1)):
         return Fraction(*_pair(g, n, b))
-    return Fraction(*_step(g, n, b[0], b[1:]))
+    return Fraction(*_step(g, n, b[0], tuple(sorted(b[1:]))))
 
 
 def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
@@ -140,64 +142,58 @@ def _close(acc: Dict[int, int], den: int) -> Pair:
     return _reduced(sum(num * (common // d) for d, num in acc.items()), den * common)
 
 
-def _add(acc: Dict[int, int], w: int, value: Pair) -> None:
-    """Adds w times a value to ``acc``, its numerator under its denominator."""
-    num, den = value
-    if num:
-        acc[den] = acc.get(den, 0) + w * num
-
-
 def _step(g: int, n: int, root: int, rest: Tuple[int, ...]) -> Pair:
-    """N̄_{g,n}(root, rest) by one step of the recursion, for a positive root.
+    """N̄_{g,n}(root, rest) by one step of the recursion, for a positive root and a sorted rest.
 
     2 root N̄ = Σ_j (the join of root + b_j, and that of |root - b_j| signed
     as root - b_j) + the cut of root, over the entries b_j of ``rest``.
+    A join of m is one :func:`_sum` query at c = m over the other b_j; the
+    cut is one query per p at c = root - p, over {p} ∪ rest at genus g - 1
+    and over J, weighted by N̄(p, I), for each stable split I ⊔ J of
+    ``rest`` (:func:`_stable_splits`).
     """
     acc: Dict[int, int] = {}
     for j, v in enumerate(rest):
         others = rest[:j] + rest[j + 1:]
-        _join(acc, 1, g, n - 1, root + v, others)
-        _join(acc, 1 if root > v else -1, g, n - 1, abs(root - v), others)
-    _cut(acc, g, n, root, rest)
-    return _close(acc, 2 * root)
-
-
-def _join(acc: Dict[int, int], w: int, g: int, n: int, m: int, rest: Tuple[int, ...]) -> None:
-    """Adds w Σ_{q = 2, 4, …, m} [m - q] q N̄_{g,n}(m - q, rest); an odd q would leave an odd total."""
-    for q in range(2, m + 1, 2):
-        _add(acc, w * br(m - q) * q, _pair(g, n, (m - q,) + rest))
-
-
-def _cut(acc: Dict[int, int], g: int, n: int, m: int, rest: Tuple[int, ...]) -> None:
-    """Adds Σ_{p+q = m-2, m-4, …} (m-p-q) [p][q] (N̄_{g-1,n+1}(p,q,rest) + Σ N̄(p,I) N̄(q,J)).
-
-    A boundary of length m is cut into two, of lengths p and q, keeping the
-    surface connected at genus g - 1 or splitting it along each stable
-    split I ⊔ J of ``rest`` (:func:`_stable_splits`).  The genus term is
-    symmetric, so it runs over p ≤ q, doubled off the diagonal.  A split's
-    left value is fetched once per p of the parity I allows, its right value
-    once per q; a product n_i n_j / (d_i d_j) goes into ``acc`` under d_i d_j.
-    """
+        _sum(acc, 1, 1, g, n - 1, others, root + v)
+        _sum(acc, 1 if root > v else -1, 1, g, n - 1, others, abs(root - v))
     if g >= 1:
-        for s in range(m - 2, -1, -2):
-            for p in range(s // 2 + 1):
-                q = s - p
-                weight = (m - s) * br(p) * br(q)
-                _add(acc, weight if p == q else 2 * weight, _pair(g - 1, n + 1, (p, q) + rest))
+        for p in range(root - 1):
+            _sum(acc, br(p), 1, g - 1, n + 1, tuple(sorted((p,) + rest)), root - p)
     for g1, si, g2, sj in _stable_splits(g, len(rest)):
         part_i = tuple(rest[t] for t in si)
         part_j = tuple(rest[t] for t in sj)
-        p0 = sum(part_i) % 2
-        right = {q: _pair(g2, len(sj) + 1, (q,) + part_j) for q in range(m - 2 - p0, -1, -2)}
-        for p in range(p0, m - 1, 2):
-            num_i, den_i = _pair(g1, len(si) + 1, (p,) + part_i)
-            if num_i:
-                w_i = br(p) * num_i
-                for q in range(m - 2 - p, -1, -2):
-                    num_j, den_j = right[q]
-                    if num_j:
-                        den = den_i * den_j
-                        acc[den] = acc.get(den, 0) + w_i * (m - p - q) * br(q) * num_j
+        for p in range(sum(part_i) % 2, root - 1, 2):
+            num, den = _pair(g1, len(si) + 1, (p,) + part_i)
+            _sum(acc, br(p) * num, den, g2, len(sj) + 1, part_j, root - p)
+    return _close(acc, 2 * root)
+
+
+def _sum(acc: Dict[int, int], w: int, den: int, g: int, n: int, spect: Tuple[int, ...], c: int) -> None:
+    """Adds w / den times Σ_{q ≤ c - 2, q ≡ c} (c - q)[q] N̄_{g,n}(q, spect) to ``acc``.
+
+    ``spect`` is sorted and c ≡ Σ spect (mod 2).  The sum is c A[t] - B[t]
+    at t = c - 2, for the running sums A, B over q ≤ t, q ≡ t of [q] N̄(q,
+    spect) and q [q] N̄(q, spect).  An entry [L, A[s], B[s], A[s + 2], …]
+    holds them as integer numerators over one denominator L, from the empty
+    sum at s = c % 2 - 2 on; it grows on demand, and all of it, L included,
+    is rescaled when a new value's denominator does not divide L.
+    """
+    if c < 2:
+        return
+    entry = _SUMS.get((g, n, spect))
+    if entry is None:
+        entry = _SUMS[(g, n, spect)] = [1, 0, 0]
+    for q in range(len(entry) - 3 + c % 2, c - 1, 2):
+        num, d = _pair(g, n, (q,) + spect)
+        if entry[0] % d:
+            scale = d // gcd(entry[0], d)
+            entry[:] = [x * scale for x in entry]
+        term = br(q) * num * (entry[0] // d)
+        entry += (entry[-2] + term, entry[-1] + q * term)
+    i = 2 * (c // 2) + 1
+    den *= entry[0]
+    acc[den] = acc.get(den, 0) + w * (c * entry[i] - entry[i + 1])
 
 
 _SPLITS: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]] = register(

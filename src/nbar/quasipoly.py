@@ -392,16 +392,16 @@ def qp_fit(
         at = _pairing(k, odd_at, even_at)
         newton: ClassDict = {}
         for p in sorted(keys, key=sum):
-            known = sum(c * v for q, c in newton.items() if (v := at(q, p)))
+            known = sum(c * v for q, c in newton.items() if c and (v := at(q, p)))
             newton[p] = (values[p] - known) / at(p, p)
         to_monomial = _pairing(k, odd_coeffs, even_coeffs)
-        coeffs = [sum(c * v for q, c in newton.items() if (v := to_monomial(q, key))) for key in keys]
+        coeffs = [sum(c * v for q, c in newton.items() if c and (v := to_monomial(q, key))) for key in keys]
         # the solution over one denominator, so that each check is an integer dot product
         den = lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
         monomial = _pairing(k, odd_pw, even_pw)
         for p in checks:
-            got = Fraction(sum(c * monomial(q, p) for q, c in zip(keys, nums)), den)
+            got = Fraction(sum(c * monomial(q, p) for q, c in zip(keys, nums) if c), den)
             if got != values[p]:
                 raise ValueError(
                     f"fit for class {k} fails verification at b={_point(p, k)}: "

@@ -171,13 +171,40 @@ def test_recursion_steps_match_a_term_by_term_reference():
     # repeated, zero and all-distinct entries.
     points = [
         (0, 5, (0, 0, 2, 2, 4)), (1, 3, (2, 3, 3)), (2, 2, (4, 4)), (1, 4, (1, 1, 1, 3)), (2, 1, (6,)),
-        (1, 4, (0, 2, 3, 5)),
+        (1, 4, (0, 2, 3, 5)), (2, 2, (3, 9)),
     ]
     for g, n, b in points:
         assert _reference_symmetric(g, n, b) == nbar_eval(g, n, b), b
         for root in sorted(set(itertools.permutations(b))):
             if root[0]:
                 assert nbar_eval_asym(g, n, root) == _reference_asymmetric(g, n, root), root
+
+
+def _direct_sum(g, n, spect, c):
+    return sum((c - q) * lattice.br(q) * _value(g, n, (q,) + spect) for q in range(c % 2, c - 1, 2))
+
+
+def test_running_sums_match_a_direct_sum():
+    # every query of the running-sum table, c A[t] - B[t] over the entry's one denominator at
+    # t = c - 2, against Σ (c - q)[q] N̄(q, S) term by term; the queries go up, back down below
+    # the extended top, and up again.  N̄_{1,2}(q, 0) has denominators 2, 12, 3, 4, … in turn,
+    # so that entry is rescaled after it has grown; (1,1) and (0,3) are the closed forms.
+    clear_caches()
+    for g, n, spect in [(1, 2, (0,)), (1, 1, ()), (0, 3, (1, 3)), (0, 4, (1, 2, 3)), (2, 1, ())]:
+        parity = sum(spect) % 2
+        for c in [top + parity for top in (10, 4, 2, 0, 16, 8)]:
+            acc = {}
+            lattice._sum(acc, 3, 5, g, n, spect, c)
+            assert sum(F(num, den) for den, num in acc.items()) == F(3, 5) * _direct_sum(g, n, spect, c)
+        entry = lattice._SUMS[(g, n, spect)]
+        common, stored = entry[0], len(entry)
+        assert stored == 1 + 2 * 9  # L, then A and B from the empty sum to t = 14 + parity
+        for c in range(parity, 17 + parity, 2):  # t = c - 2 runs over every stored t
+            acc = {}
+            lattice._sum(acc, 1, 1, g, n, spect, c)
+            assert len(acc) <= 1 and F(acc.get(common, 0), common) == _direct_sum(g, n, spect, c), (spect, c)
+        assert len(entry) == stored
+    assert _value(1, 2, (0, 0)).denominator != lattice._SUMS[(1, 2, (0,))][0]
 
 
 def test_asymmetric_recursion_needs_positive_first_argument():
@@ -358,7 +385,7 @@ def test_clear_caches_empties_every_registered_memo():
     corr = tr.tr_correlator(1, 2)
     qp = nbar_poly(0, 4)
     sizes = memo.sizes()
-    for name in ("lattice.values", "lattice.polys", "lattice.splits",
+    for name in ("lattice.values", "lattice.sums", "lattice.polys", "lattice.splits",
                  "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_principal_parts"):
         assert sizes[name] > 0, name
     clear_caches()
