@@ -10,6 +10,11 @@ write.  Writes put the payload first and then its digest, each through a
 temporary file and an atomic rename.  No file is shared between keys, so
 concurrent writers cannot lose each other's entries, and two writers of one
 key write the same bytes.
+
+The payload is the text of :func:`nbar.quasipoly.qp_to_json`, which writes the
+``indent=2`` JSON of ``qp_serialize`` directly, byte-identical to
+``json.dumps(qp_serialize(qp), indent=2)``; it is encoded once, and those
+bytes are both written and hashed.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ def _entry_paths(directory: Path, g: int, n: int, provenance: str) -> Tuple[Path
     return Path(directory) / f"{stem}.json", Path(directory) / f"{stem}.sha256"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -73,7 +78,7 @@ def cache_get(directory: Path, g: int, n: int, provenance: str) -> Optional[Quas
 def cache_put(directory: Path, qp: QuasiPolynomial, provenance: str) -> Path:
     """Store a polynomial, replacing any previous entry for its key; returns the payload file."""
     path, sidecar = _entry_paths(directory, qp.g, qp.n, provenance)
-    text = qp_to_json(qp)
-    _atomic_write(path, text)
-    _atomic_write(sidecar, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    blob = qp_to_json(qp).encode("utf-8")
+    _atomic_write(path, blob)
+    _atomic_write(sidecar, hashlib.sha256(blob).hexdigest().encode("ascii"))
     return path

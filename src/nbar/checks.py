@@ -19,16 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from . import golden
 from .exact import Poly, RationalFunction, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly
 from .memo import register
 from .quasipoly import XiIndex, XiTensor, _arrangements
-from .tr import HALF, EngineError, PfVector, principal_parts, tr_correlator, tr_tensor, xi, xi_decompose
+from .tr import HALF, EngineError, PfKey, principal_parts, tr_correlator, tr_tensor, xi, xi_decompose
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def poles_confined(f: RationalFunction) -> bool:
 # -- residue identities ------------------------------------------------------------------------
 
 
-def _branch_residue(v: PfVector, p: Poly, log: int = 0) -> Fraction:
+def _branch_residue(v: Mapping[PfKey, Fraction], p: Poly, log: int = 0) -> Fraction:
     """Σ_α Res_{z=α} (p(z) + log · (log z - log α)) f(z) dz over α = ±1, for f with principal parts v.
 
     Res_{z=α} h · (z - α)^{-j} is the u^{j-1} Taylor coefficient of h at
@@ -208,19 +210,32 @@ def _branch_residue(v: PfVector, p: Poly, log: int = 0) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _xi_parts(parity: int, k: int) -> Mapping[PfKey, Fraction]:
+    """Principal parts of ξ_{parity,k} from its Laurent expansions, read-only as every caller shares them.
+
+    Not the engine's own coordinates (``tr.xi_principal_parts``), so that the
+    residue identities stay independent of the engine.
+    """
+    return MappingProxyType(principal_parts(xi(parity, k)))
+
+
+register("checks.xi_parts", _xi_parts)
+
+
 def string_scalar(parity: int, k: int) -> Fraction:
     """Σ_α Res_{z=α} z ξ_{parity,k}(z) dz over the branch points α = ±1."""
-    return _branch_residue(principal_parts(xi(parity, k)), Poly([0, 1]))
+    return _branch_residue(_xi_parts(parity, k), Poly([0, 1]))
 
 
 def dilaton_scalar(parity: int, k: int) -> Fraction:
     """Σ_α Res_{z=α} (z²/2 - log z) ξ_{parity,k}(z) dz over the branch points α = ±1."""
-    return _branch_residue(principal_parts(xi(parity, k)), Poly([0, 0, HALF]), -1)
+    return _branch_residue(_xi_parts(parity, k), Poly([0, 0, HALF]), -1)
 
 
 def resatzero_check(parity: int, k: int) -> bool:
     """Branch-point residues of ξ log z against the residue at the origin."""
-    v = principal_parts(xi(parity, k))
+    v = _xi_parts(parity, k)
     return _branch_residue(v, Poly(), 1) == v.get((0, 1), 0)
 
 

@@ -39,6 +39,11 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_IO = 4
 
+# `eval --engine comb|comb-asym` refuses a point with χ² · Σ b_i above this, χ = 2g - 2 + n, unless
+# --force is given: the recursion's table grows with both, and at the bound a cold evaluation took
+# at most about 1.5 s through χ = 9 on a 2-vCPU x86 machine, where (2,2) at b = (1500, 2) ran past 100 s
+EVAL_BOUND = 1600
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("b", type=int, nargs="+", help="boundary parameters b_1 .. b_n")
     p_eval.add_argument("--engine", choices=("comb", "comb-asym", "tr"), default="comb")
     p_eval.add_argument("--format", choices=("pretty", "json"), default="pretty")
+    p_eval.add_argument("--force", action="store_true", help=f"run a comb engine past chi^2 * sum(b) = {EVAL_BOUND}")
     p_eval.set_defaults(run=cmd_eval)
 
     p_poly = sub.add_parser("poly", help="emit the full count polynomial")
@@ -152,6 +158,13 @@ def _emit(text: str, out: Optional[Path]) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_nonzero_point(args.g, args.n, args.b)
+    chi = 2 * args.g - 2 + args.n
+    if args.engine != "tr" and chi * chi * sum(args.b) > EVAL_BOUND and not args.force:
+        raise ValueError(
+            f"chi^2 * sum(b) = {chi}^2 * {sum(args.b)} exceeds {EVAL_BOUND}, past which the {args.engine} "
+            "recursion can run for minutes; --engine tr evaluates any point from the polynomial, "
+            "or pass --force"
+        )
     if args.engine == "comb":
         value = nbar_eval(args.g, args.n, args.b)
     elif args.engine == "comb-asym":

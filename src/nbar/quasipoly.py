@@ -232,8 +232,32 @@ def qp_serialize(qp: QuasiPolynomial) -> dict:
     return {"g": qp.g, "n": qp.n, "classes": classes}
 
 
+def _json_array(items: Sequence[str], indent: str) -> str:
+    """Already encoded items as the JSON array that ``indent=2`` lays out at ``indent``."""
+    if not items:
+        return "[]"
+    inner = f",\n{indent}  "
+    return f"[\n{indent}  {inner.join(items)}\n{indent}]"
+
+
 def qp_to_json(qp: QuasiPolynomial) -> str:
-    return json.dumps(qp_serialize(qp), indent=2)
+    """``json.dumps(qp_serialize(qp), indent=2)``, byte for byte, written directly.
+
+    The standard encoder falls back to pure Python under ``indent``; here each
+    term fills one template, in :func:`qp_serialize`'s order.  Nothing needs
+    escaping: every value is an int or a ``str(Fraction)``.
+    """
+    # a term is head, its exponents, then its orbit's tail; with no arguments the exponent list is []
+    head = '{\n          "exponents": [' + ("\n            " if qp.n else "")
+    close = "\n          ]" if qp.n else "]"
+    classes = []
+    for k, d in sorted(qp.orbits.items()):
+        # each coefficient formatted once, into the tail that its orbit's placements share
+        tails = {orbit: f'{close},\n          "coeff": "{c}"\n        }}' for orbit, c in d.items()}
+        placed = sorted((key, tail) for orbit, tail in tails.items() for key in _placements(orbit, k))
+        terms = [head + ",\n            ".join(map(str, key)) + tail for key, tail in placed]
+        classes.append(f'{{\n      "odd_count": {k},\n      "terms": {_json_array(terms, "      ")}\n    }}')
+    return f'{{\n  "g": {qp.g},\n  "n": {qp.n},\n  "classes": {_json_array(classes, "  ")}\n}}'
 
 
 def qp_parse(data: object) -> QuasiPolynomial:
@@ -242,19 +266,16 @@ def qp_parse(data: object) -> QuasiPolynomial:
     def fail(path: str, msg: str):
         raise ValueError(f"{path}: {msg}")
 
-    def natural(v: object) -> bool:
-        # JSON true/false load as bool, a subclass of int
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
     if not isinstance(data, dict):
         fail("$", f"expected object, got {type(data).__name__}")
     for field in ("g", "n", "classes"):
         if field not in data:
             fail("$", f"missing field {field!r}")
     g, n, classes = data["g"], data["n"], data["classes"]
-    if not natural(g):
+    # type(v) is int, not isinstance: JSON true/false load as bool, a subclass of int
+    if not (type(g) is int and g >= 0):
         fail("$.g", f"expected non-negative integer, got {g!r}")
-    if not natural(n) or n < 1:
+    if not (type(n) is int and n >= 1):
         fail("$.n", f"expected positive integer, got {n!r}")
     if not isinstance(classes, list):
         fail("$.classes", f"expected list, got {type(classes).__name__}")
@@ -267,7 +288,7 @@ def qp_parse(data: object) -> QuasiPolynomial:
         if "odd_count" not in cls or "terms" not in cls:
             fail(path, "missing field 'odd_count' or 'terms'")
         k = cls["odd_count"]
-        if not natural(k) or k > n:
+        if not (type(k) is int and 0 <= k <= n):
             fail(f"{path}.odd_count", f"expected integer in [0, {n}], got {k!r}")
         if k in out:
             fail(f"{path}.odd_count", f"duplicate class {k}")
@@ -283,7 +304,7 @@ def qp_parse(data: object) -> QuasiPolynomial:
             if (
                 not isinstance(exps, list)
                 or len(exps) != n
-                or not all(natural(e) for e in exps)
+                or not all(type(e) is int and e >= 0 for e in exps)
             ):
                 fail(f"{tpath}.exponents", f"expected list of {n} non-negative integers, got {exps!r}")
             raw = term["coeff"]

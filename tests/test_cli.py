@@ -67,6 +67,33 @@ def test_eval_rejects_bad_input(capsys):
     assert "positive first argument" in err
 
 
+@pytest.mark.parametrize("engine", ["comb", "comb-asym"])
+def test_eval_refuses_a_runaway_comb_point_unless_forced(capsys, monkeypatch, engine):
+    def runaway(*args):
+        raise AssertionError("the guard must refuse before the recursion starts")
+
+    monkeypatch.setattr(cli, "nbar_eval", runaway)
+    monkeypatch.setattr(cli, "nbar_eval_asym", runaway)
+    # (2,2): chi = 4, and 4^2 * (1500 + 2) is far past the bound
+    code, out, err = run(capsys, ["eval", "2", "2", "1500", "2", "--engine", engine])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: chi^2 * sum(b) = 4^2 * 1502 exceeds 1600")
+    assert "--engine tr" in err and "--force" in err and "Traceback" not in err
+
+    monkeypatch.setattr(cli, "nbar_eval", lambda g, n, b: F(7))
+    monkeypatch.setattr(cli, "nbar_eval_asym", lambda g, n, b: F(7))
+    code, out, _ = run(capsys, ["eval", "2", "2", "1500", "2", "--engine", engine, "--force"])
+    assert (code, out) == (0, "7\n")
+
+
+def test_eval_bound_leaves_the_residue_engine_and_small_points_alone(capsys):
+    code, _, _ = run(capsys, ["eval", "2", "2", "1500", "2", "--engine", "tr"])
+    assert code == 0
+    # 4^2 * (98 + 2) is exactly the bound
+    outs = [run(capsys, ["eval", "2", "2", "98", "2", "--engine", engine]) for engine in ("comb", "tr")]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "not-a-number", "3"])
@@ -153,6 +180,27 @@ def test_poly_uses_cache(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert qp_from_json(second) == qp_from_json(first)
+
+
+@pytest.mark.parametrize("engine", ["comb", "tr"])
+def test_poly_json_hit_prints_the_stored_bytes(capsys, tmp_path, monkeypatch, engine):
+    for g, n in [(0, 5), (2, 1)]:
+        path = cache_put(tmp_path, nbar_poly(g, n, engine=engine), engine)
+        sidecar = path.with_suffix(".sha256")
+        stored = path.read_bytes(), sidecar.read_bytes()
+        # a second write of the same key leaves both files as they were
+        cache_put(tmp_path, nbar_poly(g, n, engine=engine), engine)
+        assert (path.read_bytes(), sidecar.read_bytes()) == stored
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("a cache hit must not recompute")
+
+    monkeypatch.setattr(cli, "nbar_poly", no_engine)
+    for g, n in [(0, 5), (2, 1)]:
+        code, out, _ = run(capsys, ["poly", str(g), str(n), "--engine", engine, "--format", "json",
+                                    "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert out.encode("utf-8") == (tmp_path / f"nbar_g{g}_n{n}_{engine}.json").read_bytes()
 
 
 def test_euler_command(capsys):

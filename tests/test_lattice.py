@@ -384,9 +384,10 @@ def test_clear_caches_keeps_answers_stable():
 def test_clear_caches_empties_every_registered_memo():
     corr = tr.tr_correlator(1, 2)
     qp = nbar_poly(0, 4)
+    assert checks.resatzero_check(0, 1)
     sizes = memo.sizes()
     for name in ("lattice.values", "lattice.sums", "lattice.polys", "lattice.splits",
-                 "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_principal_parts"):
+                 "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_principal_parts", "checks.xi_parts"):
         assert sizes[name] > 0, name
     clear_caches()
     assert set(memo.sizes().values()) == {0}

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nbar import quasipoly
+from nbar import golden, quasipoly
 from nbar.cache import cache_get, cache_put
 from nbar.checks import stable_cases
 from nbar.lattice import clear_caches, nbar_eval, nbar_poly
@@ -286,6 +286,21 @@ def test_reference_files_round_trip_byte_for_byte():
     for path in refs:
         text = path.read_text(encoding="utf-8")
         assert qp_to_json(qp_from_json(text)) == text, path.name
+
+
+def test_to_json_writes_the_indent_2_text_of_serialize():
+    hand_built = QuasiPolynomial(2, 3, {
+        0: {(0, 1, 1): F(-5, 12), (0, 0, 2): F(7), (1, 1, 1): F(1, 1440)},
+        1: {(2, 0, 1): F(-3)},
+        3: {(0, 0, 0): F(-22, 7)},
+    })
+    cases = [nbar_poly(g, n) for g, n in golden.EXACT_CASES]
+    cases += [qp_from_json(path.read_text(encoding="utf-8")) for path in sorted(REFS.glob("g*n*.json"))]
+    # the zero polynomial, and one in no arguments, whose exponent lists are empty
+    cases += [QuasiPolynomial(1, 2, {}), sample_qp().pin_even(2).pin_even(4), sample_qp(), hand_built]
+    for qp in cases:
+        assert qp_to_json(qp) == json.dumps(qp_serialize(qp), indent=2), qp
+    assert '"classes": []' in qp_to_json(QuasiPolynomial(1, 2, {}))
 
 
 def test_parse_rejects_division_by_zero_coeff():
