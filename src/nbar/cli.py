@@ -43,6 +43,10 @@ EXIT_IO = 4
 # --force is given: the recursion's table grows with both, and at the bound a cold evaluation took
 # at most about 1.5 s through χ = 9 on a 2-vCPU x86 machine, where (2,2) at b = (1500, 2) ran past 100 s
 EVAL_BOUND = 1600
+# `poly` refuses a case with χ above its engine's bound, unless --force is given or the polynomial is
+# in the disk cache.  Cold on that machine, the last χ inside took at most about 7 s of CPU (comb and
+# comb-asym at χ = 7, tr at χ = 8) and one χ more took 36-39 s (comb) and 11-18 s (tr)
+POLY_BOUND = {"comb": 7, "comb-asym": 7, "tr": 8}
 
 
 @functools.cache
@@ -70,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--out", type=Path, help="write to this file instead of stdout")
     p_poly.add_argument("--no-cache", action="store_true", help="skip the on-disk cache")
     p_poly.add_argument("--cache-dir", type=Path, help="cache directory (default: NBAR_CACHE_DIR or ~/.cache/nbar)")
+    p_poly.add_argument("--force", action="store_true", help="compute past the engine's chi bound on a cache miss")
     p_poly.set_defaults(run=cmd_poly)
 
     p_table = sub.add_parser("table", help="compare computed polynomials against the reference table")
@@ -188,6 +193,12 @@ def cmd_poly(args: argparse.Namespace) -> int:
     if not args.no_cache:
         qp = cache_mod.cache_get(cache_dir, args.g, args.n, args.engine)
     if qp is None:
+        chi = 2 * args.g - 2 + args.n
+        if chi > POLY_BOUND[args.engine] and not args.force:
+            raise ValueError(
+                f"chi = {chi} exceeds {POLY_BOUND[args.engine]}, past which a cold --engine {args.engine} "
+                "polynomial takes tens of seconds or more; pass --force"
+            )
         qp = nbar_poly(args.g, args.n, engine=args.engine)
         if not args.no_cache:
             try:

@@ -11,9 +11,12 @@ and the diagonal two-point factor are constants), and its Laurent series at
 a branch point z = ±1 is read off that vector.  A factor that depends on a
 live spectator has principal-part vectors in that variable as coefficients
 (the two-point factors have closed forms).  The residues against the kernel
-are then plain arithmetic on exact rational vectors.  A ξ factor in a slot
-substituted by z ↦ 1/z is just a sign, as the basis forms are anti-invariant:
-ξ(1/z) d(1/z) = -ξ(z) dz.
+are then plain integer arithmetic: each factor's series is integer numerators
+over one denominator, an order's residue data is their product over the
+product of the denominators, and a table brings its orders to one lcm,
+decomposes integer slices and is divided out once per entry when it is
+finished.  A ξ factor in a slot substituted by z ↦ 1/z is just a sign, as
+the basis forms are anti-invariant: ξ(1/z) d(1/z) = -ξ(z) dz.
 
 Each residue term lies in the ξ span by itself, so it is computed once, as a
 table of structure constants in ξ coordinates, and reused for every (g, n);
@@ -25,6 +28,8 @@ exactly empty residual in every slot (Σ γ·PP(ξ) = v).  Anything else raises
 construction and keeps one coefficient per root and sorted spectators; the
 symmetry between the root and a spectator is not built in, and
 :func:`qp_from_xi_tensor` checks it.  So a returned tensor is correct, not plausible.
+The certificates are the same in integers: the log tally cancels exactly
+over the table's common denominator, and the residual is emptied exactly.
 
 :class:`RationalFunction` is left to the reference functions (:func:`xi`,
 the slot functions, :func:`principal_parts`).  The checks in
@@ -41,10 +46,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .exact import Poly, RationalFunction, linsolve, mercator
+from .exact import Poly, RationalFunction, Scalar, linsolve, mercator
 from .lattice import _check_stable, is_stable
 from .memo import register
 from .quasipoly import QuasiPolynomial, XiIndex, XiKey, XiTensor, _removals, qp_from_xi_tensor
@@ -52,7 +57,7 @@ from .quasipoly import QuasiPolynomial, XiIndex, XiKey, XiTensor, _removals, qp_
 HALF = Fraction(1, 2)
 
 PfKey = Tuple[int, int]  # (α, j): the coefficient of (z - α)^{-j}, α ∈ {-1, 0, +1}
-PfVector = Dict[PfKey, Fraction]
+PfVector = Dict[PfKey, Scalar]
 
 
 class EngineError(RuntimeError):
@@ -146,7 +151,7 @@ def kernel_rational_part() -> RationalFunction:
 
 
 def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
-    """The u^k coefficient of a two-point slot at z = α + u, as principal parts in w.
+    """The u^k coefficient of a two-point slot at z = α + u, as integer principal parts in w.
 
     ``kind`` "o2p" is :func:`omega02_plain`, whose coefficient is
     (k + 1)(w - α)^{-(k+2)} + (-1)^k α^{k+1}/w.  "o2i" is
@@ -154,11 +159,11 @@ def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
     1 - αw = -α(w - α) and w^k = Σ_i C(k, i) α^{k-i} (w - α)^i its first term
     has coefficient (k + 1)(-α)^{k+2} Σ_i C(k, i) α^{k-i} (w - α)^{i-k-2}.
     """
-    zinv = Fraction((-1) ** k * alpha ** (k + 1))
+    zinv = (-1) ** k * alpha ** (k + 1)
     if kind == "o2p":
-        return {(alpha, k + 2): Fraction(k + 1), (0, 1): zinv}
+        return {(alpha, k + 2): k + 1, (0, 1): zinv}
     lead = -(k + 1) * (-alpha) ** (k + 2)
-    out = {(alpha, k + 2 - i): Fraction(lead * comb(k, i) * alpha ** (k - i)) for i in range(k + 1)}
+    out = {(alpha, k + 2 - i): lead * comb(k, i) * alpha ** (k - i) for i in range(k + 1)}
     out[(0, 1)] = -zinv
     return out
 
@@ -186,52 +191,71 @@ def _factor_ord(desc: Desc, alpha: int) -> int:
     return -max(j for (a, j), _ in _factor_pp(desc) if a == alpha)
 
 
-PfTensor = Dict[Tuple[PfKey, ...], Fraction]  # principal-part coordinates, one key per slot
+PfTensor = Dict[Tuple[PfKey, ...], Scalar]  # principal-part coordinates, one key per slot
 
 
-def _factor_terms(desc: Desc, alpha: int, upto: int) -> Dict[int, PfTensor]:
-    """Series coefficients of one factor at z = α + u through u^upto, by exponent.
+def _scaled(x: Scalar, den: int) -> int:
+    """x · den, for a rational x whose denominator divides den."""
+    return x.numerator * (den // x.denominator)
 
-    Each coefficient is a tensor over the principal parts of the live
-    spectator the factor watches: one slot for a two-point factor, none
-    (the key ``()``) for the others.  Those are expanded from their
-    principal parts: the part at α is the singular part of the series, and
-    each pole β ≠ α adds (z - β)^{-j} = Σ_m C(-j, m) (α - β)^{-j-m} u^m.
+
+def _factor_terms(desc: Desc, alpha: int, upto: int) -> Tuple[Dict[int, PfTensor], int]:
+    """Series coefficients of one factor at z = α + u through u^upto ≥ 0, over one denominator.
+
+    Returns ``(terms, den)``: the coefficient of u^e is terms[e] / den, with
+    terms[e] a tensor of integers over the principal parts of the live
+    spectator the factor watches: one slot for a two-point factor, whose
+    coefficients are integers (den = 1), none (the key ``()``) for the
+    others.  Those are expanded from their principal parts: the part at α is
+    the singular part of the series, and each pole β ≠ α adds
+    (z - β)^{-j} = Σ_m C(-j, m) (α - β)^{-j-m} u^m.  So den is the lcm of the
+    parts' denominators times 2^{j + upto} for the highest order j at β = -α,
+    and every division by a power of α - β is checked to be exact.
     """
     if desc[0] in TWO_POINT:
         return {
             k: {(pk,): c for pk, c in two_point_coeff(desc[0], alpha, k).items()}
             for k in range(upto + 1)
-        }
-    ser: Dict[int, Fraction] = {}
-    for (beta, j), c in _factor_pp(desc):
+        }, 1
+    pp = tuple(_factor_pp(desc))
+    far = max((j + upto for (beta, j), _ in pp if beta == -alpha), default=0)  # |α - 0| = 1, |α + α| = 2
+    den = lcm(*(c.denominator for _, c in pp)) * 2 ** far
+    ser: Dict[int, int] = {}
+    for (beta, j), c in pp:
+        num = _scaled(c, den)
         if beta == alpha:
-            ser[-j] = c
+            ser[-j] = num
             continue
-        d = Fraction(alpha - beta)
         for m in range(upto + 1):
-            ser[m] = ser.get(m, 0) + (-1) ** m * comb(j + m - 1, m) * c / d ** (j + m)
-    return {e: {(): c} for e, c in ser.items() if c}
+            q, r = divmod((-1) ** m * comb(j + m - 1, m) * num, (alpha - beta) ** (j + m))
+            if r:
+                raise EngineError(f"the series of {desc} at z = {alpha} is not integral over {den}")
+            ser[m] = ser.get(m, 0) + q
+    return {e: {(): c} for e, c in ser.items() if c}, den
 
 
-def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor]:
-    """Residue data of one factor order at one branch point.
+def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor, int]:
+    """Residue data of one factor order at one branch point, in integers over one denominator.
 
-    Returns ``(data, tally)``.  ``data`` is the contribution to the root
+    Returns ``(data, tally, den)``.  ``data`` is the contribution to the root
     function: its keys are the root's principal-part key — (α, j), or (0, 1)
     for the 1/z term that the Mercator tail of log z feeds — followed by the
     live spectators' keys, in the order of their factors.  ``tally`` holds
     the coefficient of the formal log z at α by live keys; it must cancel in
-    every table.
+    every table.  Both are integer numerators over ``den``: the product of
+    the factors' denominators times the lcm of the Mercator terms' 1/k.
     """
     descs = factors + (("R",),)
     ords = [_factor_ord(d, alpha) for d in descs]
     total = sum(ords)
-    prod: Dict[int, PfTensor] = {0: {(): Fraction(1)}}
+    prod: Dict[int, PfTensor] = {0: {(): 1}}
+    den = 1
     for i, (d, o) in enumerate(zip(descs, ords)):
         limit = -1 - sum(ords[i + 1:])  # the highest exponent the rest can still bring to u^{-1}
+        terms, factor_den = _factor_terms(d, alpha, -1 - (total - o))
+        den *= factor_den
         nxt: Dict[int, PfTensor] = {}
-        for e2, t2 in _factor_terms(d, alpha, -1 - (total - o)).items():
+        for e2, t2 in terms.items():
             for e1, t1 in prod.items():
                 if e1 + e2 > limit:
                     continue
@@ -240,16 +264,17 @@ def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor]
                     for k2, c2 in t2.items():
                         t[k1 + k2] = t.get(k1 + k2, 0) + c1 * c2
         prod = nxt
+    logs = lcm(*range(1, -total))  # the Mercator terms below have 1/k for k < -total
     data: PfTensor = {}
     for j in range(1, 1 - total):
-        m = mercator(alpha, j - 1) if j > 1 else 0
+        m = _scaled(mercator(alpha, j - 1), logs) if j > 1 else 0
         for live, c in prod.get(-j, {}).items():
-            data[((alpha, j),) + live] = -c
+            data[((alpha, j),) + live] = -logs * c
             if m:
                 zkey = ((0, 1),) + live
                 data[zkey] = data.get(zkey, 0) - m * c
-    tally = {live: -c for live, c in prod.get(-1, {}).items() if c}
-    return {key: c for key, c in data.items() if c}, tally
+    tally = {live: -logs * c for live, c in prod.get(-1, {}).items() if c}
+    return {key: c for key, c in data.items() if c}, tally, den * logs
 
 
 # -- decomposition over the basis -------------------------------------------------------
@@ -308,43 +333,59 @@ def xi_decompose(v: PfVector) -> Dict[XiIndex, Fraction]:
     residual must end exactly empty, which certifies Σ γ·PP(ξ) = v in every
     coordinate; a vector outside the span raises :class:`EngineError`.  For a
     rational function f, pass ``principal_parts(f)``.
+
+    The values may be ints or Fractions.  The residual is kept as integer
+    numerators over one running denominator, which each k multiplies by the
+    denominators of its pivot and of PP(ξ_{·,k}); only the γ are Fractions.
     """
-    res = {key: c for key, c in v.items() if c}
+    den = lcm(*(c.denominator for c in v.values()))
+    res = {key: _scaled(c, den) for key, c in v.items() if c}
     gammas: Dict[XiIndex, Fraction] = {}
     top = max((j for a, j in res if a), default=0)
     for k in reversed(range(top // 2)):
         rows = (res.get((1, 2 * k + 2), 0), res.get((-1, 2 * k + 2), 0))
         if not any(rows):
             continue
-        for p, inv in enumerate(_pivot(k)):
-            gamma = inv[0] * rows[0] + inv[1] * rows[1]
+        pivot = _pivot(k)
+        pps = [xi_principal_parts(p, k) for p in (0, 1)]
+        inv_den = lcm(*(x.denominator for inv in pivot for x in inv))
+        pp_den = lcm(*(x.denominator for pp in pps for _, x in pp))
+        res = {key: c * (inv_den * pp_den) for key, c in res.items()}
+        for p, (inv, pp) in enumerate(zip(pivot, pps)):
+            gamma = _scaled(inv[0], inv_den) * rows[0] + _scaled(inv[1], inv_den) * rows[1]
             if gamma:
-                gammas[(p, k)] = gamma
-                for pk, x in xi_principal_parts(p, k):
-                    res[pk] = res.get(pk, 0) - gamma * x
+                gammas[(p, k)] = Fraction(gamma, den * inv_den)
+                for pk, x in pp:
+                    res[pk] = res.get(pk, 0) - gamma * _scaled(x, pp_den)
+        den *= inv_den * pp_den
     left = sorted(key for key, c in res.items() if c)
     if left:
         raise EngineError(f"principal parts {sorted(v)} are not in the span of ξ; {left} are left")
     return gammas
 
 
-def _decompose_slots(coeffs: PfTensor) -> Dict[XiKey, Fraction]:
-    """ξ coordinates, in every slot, of a tensor given in principal-part coordinates.
+def _decompose_slots(coeffs: PfTensor, den: int) -> Dict[XiKey, Fraction]:
+    """ξ coordinates, in every slot, of the tensor coeffs / den given in principal-part coordinates.
 
-    The slots are decomposed one at a time, spectators first and the root
-    last; each slice is one certified :func:`xi_decompose`.
+    ``coeffs`` holds integers.  The slots are decomposed one at a time,
+    spectators first and the root last; each slice is one certified
+    :func:`xi_decompose`.  A slot's γ are brought back to integers over their
+    lcm before the next slot, so the finished tensor is divided out once per entry.
     """
     for s in reversed(range(max(map(len, coeffs), default=0))):
         slices: Dict[Tuple, PfVector] = {}
         for key, c in coeffs.items():
             if c:
                 slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
-        coeffs = {}
-        for rest, vec in slices.items():
-            for xik, gamma in xi_decompose(vec).items():
-                key = rest[:s] + (xik,) + rest[s:]
-                coeffs[key] = coeffs.get(key, 0) + gamma
-    return coeffs
+        gammas = {
+            rest[:s] + (xik,) + rest[s:]: gamma
+            for rest, vec in slices.items()
+            for xik, gamma in xi_decompose(vec).items()
+        }
+        common = lcm(*(gamma.denominator for gamma in gammas.values()))
+        coeffs = {key: _scaled(gamma, common) for key, gamma in gammas.items()}
+        den *= common
+    return {key: Fraction(c, den) for key, c in coeffs.items()}
 
 
 # -- the tables --------------------------------------------------------------------------
@@ -358,21 +399,26 @@ _TABLES: Dict[Tuple[Order, ...], Table] = register("tr.tables", {})
 def _table(*orders: Order) -> Table:
     """Σ_α Σ sign · (residue data of each order), certified in ξ coordinates; memoized across all (g, n).
 
-    The log tally at each branch point must cancel over the orders, and every
-    slot must decompose exactly; otherwise :class:`EngineError` is raised.
+    The orders' integer data are brought to the lcm of their denominators.
+    The log tally at each branch point must cancel over the orders, exactly
+    in those integers, and every slot must decompose exactly; otherwise
+    :class:`EngineError` is raised.
     """
     hit = _TABLES.get(orders)
     if hit is None:
+        parts = {alpha: [(sign, *_pf_data(factors, alpha)) for sign, factors in orders] for alpha in (1, -1)}
+        den = lcm(*(part[-1] for both in parts.values() for part in both))
         acc: PfTensor = {}
-        for alpha in (1, -1):
+        for alpha, both in parts.items():
             tally: PfTensor = {}
-            for sign, factors in orders:
-                for target, part in zip((acc, tally), _pf_data(factors, alpha)):
+            for sign, data, log_terms, part_den in both:
+                scale = sign * (den // part_den)
+                for target, part in ((acc, data), (tally, log_terms)):
                     for key, c in part.items():
-                        target[key] = target.get(key, 0) + sign * c
+                        target[key] = target.get(key, 0) + scale * c
             if any(tally.values()):
                 raise EngineError(f"residual log coefficient at z = {alpha} in the table of {orders}")
-        hit = _TABLES[orders] = _decompose_slots(acc)
+        hit = _TABLES[orders] = _decompose_slots(acc, den)
     return hit
 
 

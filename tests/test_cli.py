@@ -19,7 +19,7 @@ from nbar import checks, cli
 from nbar.cache import cache_get, cache_put, default_cache_dir
 from nbar.cli import main
 from nbar.lattice import nbar_poly
-from nbar.quasipoly import qp_from_json, qp_to_json
+from nbar.quasipoly import QuasiPolynomial, qp_from_json, qp_to_json
 
 F = Fraction
 
@@ -180,6 +180,43 @@ def test_poly_uses_cache(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert qp_from_json(second) == qp_from_json(first)
+
+
+@pytest.mark.parametrize("engine, g, n", [("comb", 0, 10), ("comb-asym", 1, 8), ("tr", 0, 11), ("tr", 5, 1)])
+def test_poly_refuses_a_runaway_case_unless_forced(capsys, tmp_path, monkeypatch, engine, g, n):
+    def runaway(*args, **kwargs):
+        raise AssertionError("the guard must refuse before the engine starts")
+
+    monkeypatch.setattr(cli, "nbar_poly", runaway)
+    chi = 2 * g - 2 + n
+    for cache in (["--cache-dir", str(tmp_path)], ["--no-cache"]):
+        code, out, err = run(capsys, ["poly", str(g), str(n), "--engine", engine, *cache])
+        assert (code, out) == (3, "")
+        assert err == (f"error: chi = {chi} exceeds {chi - 1}, past which a cold --engine {engine} "
+                       "polynomial takes tens of seconds or more; pass --force\n")
+
+    calls = []
+
+    def engine_stub(g, n, engine):
+        calls.append((g, n, engine))
+        return nbar_poly(0, 3, engine)
+
+    monkeypatch.setattr(cli, "nbar_poly", engine_stub)
+    code, out, _ = run(capsys, ["poly", str(g), str(n), "--engine", engine, "--no-cache", "--force"])
+    assert (code, calls) == (0, [(g, n, engine)])
+    assert out == cli.render_poly(nbar_poly(0, 3, engine), "pretty")
+
+
+def test_poly_bound_leaves_cache_hits_and_cases_inside_alone(capsys, tmp_path, monkeypatch):
+    stand_in = QuasiPolynomial(0, 11, {0: {(0,) * 11: 1}})
+    cache_put(tmp_path, stand_in, "tr")
+    monkeypatch.setattr(cli, "nbar_poly", lambda *args, **kwargs: nbar_poly(0, 3))
+    code, out, _ = run(capsys, ["poly", "0", "11", "--engine", "tr", "--cache-dir", str(tmp_path)])
+    assert (code, out) == (0, cli.render_poly(stand_in, "pretty"))
+    # (4,2) is at the tr bound, and (4,1) at the comb bound
+    for g, n, engine in ((4, 2, "tr"), (4, 1, "comb"), (4, 1, "comb-asym")):
+        code, _, _ = run(capsys, ["poly", str(g), str(n), "--engine", engine, "--no-cache"])
+        assert code == 0
 
 
 @pytest.mark.parametrize("engine", ["comb", "tr"])

@@ -8,10 +8,11 @@ b ≥ 0 of parity p, with [b] = b for b > 0 and [0] = 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
-from nbar.exact import Poly, RationalFunction
+from nbar.exact import Poly, RationalFunction, mercator
 from nbar import checks, tr
 from nbar.lattice import clear_caches, euler_char, nbar_poly
 from nbar.quasipoly import qp_to_xi_tensor
@@ -155,7 +156,9 @@ def test_factor_series_match_laurent_expansions():
         for alpha in (1, -1):
             ser = f.laurent_at(alpha, 6)
             want = {ser.ord + i: {(): c} for i, c in enumerate(ser.coeffs) if c}
-            assert tr._factor_terms(desc, alpha, 6) == want, (desc, alpha)
+            terms, den = tr._factor_terms(desc, alpha, 6)
+            assert all(type(c) is int for t in terms.values() for c in t.values()), (desc, alpha)
+            assert {e: {key: F(c, den) for key, c in t.items()} for e, t in terms.items()} == want, (desc, alpha)
             assert tr._factor_ord(desc, alpha) == ser.ord, (desc, alpha)
 
 
@@ -187,12 +190,116 @@ def test_xi_decompose_accepts_and_certifies_vectors():
         tr.xi_decompose({**v, (-1, 5): F(1, 3)})
 
 
+def test_xi_decompose_takes_integer_numerators():
+    f = tr.xi(0, 3) - F(7, 2) * tr.xi(1, 2) + F(3, 5) * tr.xi(0, 0)
+    v = tr.principal_parts(f)
+    den = lcm(*(c.denominator for c in v.values()))
+    ints = {key: c.numerator * (den // c.denominator) for key, c in v.items()}
+    want = {(0, 3): F(den), (1, 2): F(-7 * den, 2), (0, 0): F(3 * den, 5)}
+    assert tr.xi_decompose(ints) == tr.xi_decompose({key: F(c) for key, c in ints.items()}) == want
+    for foreign in ({(1, 2): 1}, {(0, 2): 3}, {**ints, (-1, 5): 1}, {(1, 1): 1, (-1, 1): 2}):
+        with pytest.raises(tr.EngineError):
+            tr.xi_decompose(foreign)
+
+
+# The residue data of a table built term by term in Fractions: the reference for the
+# engine's integer numerators over one denominator per table.
+
+def reference_factor_terms(desc, alpha, upto):
+    if desc[0] in tr.TWO_POINT:
+        return {
+            k: {(pk,): F(c) for pk, c in tr.two_point_coeff(desc[0], alpha, k).items()}
+            for k in range(upto + 1)
+        }
+    ser = {}
+    for (beta, j), c in tr._factor_pp(desc):
+        if beta == alpha:
+            ser[-j] = c
+            continue
+        d = F(alpha - beta)
+        for m in range(upto + 1):
+            ser[m] = ser.get(m, 0) + (-1) ** m * comb(j + m - 1, m) * c / d ** (j + m)
+    return {e: {(): c} for e, c in ser.items() if c}
+
+
+def reference_pf_data(factors, alpha):
+    descs = factors + (("R",),)
+    ords = [tr._factor_ord(d, alpha) for d in descs]
+    total = sum(ords)
+    prod = {0: {(): F(1)}}
+    for i, (d, o) in enumerate(zip(descs, ords)):
+        limit = -1 - sum(ords[i + 1:])
+        nxt = {}
+        for e2, t2 in reference_factor_terms(d, alpha, -1 - (total - o)).items():
+            for e1, t1 in prod.items():
+                if e1 + e2 > limit:
+                    continue
+                t = nxt.setdefault(e1 + e2, {})
+                for k1, c1 in t1.items():
+                    for k2, c2 in t2.items():
+                        t[k1 + k2] = t.get(k1 + k2, 0) + c1 * c2
+        prod = nxt
+    data = {}
+    for j in range(1, 1 - total):
+        m = mercator(alpha, j - 1) if j > 1 else 0
+        for live, c in prod.get(-j, {}).items():
+            data[((alpha, j),) + live] = -c
+            if m:
+                zkey = ((0, 1),) + live
+                data[zkey] = data.get(zkey, 0) - m * c
+    tally = {live: -c for live, c in prod.get(-1, {}).items() if c}
+    return data, tally
+
+
+def reference_table(orders):
+    acc = {}
+    for alpha in (1, -1):
+        tally = {}
+        for sign, factors in orders:
+            for target, part in zip((acc, tally), reference_pf_data(factors, alpha)):
+                for key, c in part.items():
+                    target[key] = target.get(key, 0) + sign * c
+        assert not any(tally.values()), (orders, alpha)
+    coeffs = acc
+    for s in reversed(range(max(map(len, coeffs), default=0))):
+        slices = {}
+        for key, c in coeffs.items():
+            if c:
+                slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
+        coeffs = {}
+        for rest, vec in slices.items():
+            for xik, gamma in tr.xi_decompose(vec).items():
+                key = rest[:s] + (xik,) + rest[s:]
+                coeffs[key] = coeffs.get(key, 0) + gamma
+    return coeffs
+
+
+def test_integer_tables_match_the_fraction_reference():
+    clear_caches()
+    for g, n in checks.stable_cases(5):
+        tr.tr_tensor(g, n)
+    assert len(tr._TABLES) > 50
+    for orders, table in tr._TABLES.items():
+        assert all(type(c) is F for c in table.values()), orders
+        assert table == reference_table(orders), orders
+
+
+def test_table_brings_orders_with_different_denominators_to_one():
+    # each order alone is a certified table; their sum has data over different denominators
+    diag, pair = (1, (("diag",),)), (-1, (("xi", 0, 0), ("xi", 1, 2)))
+    assert tr._pf_data(diag[1], 1)[2] != tr._pf_data(pair[1], 1)[2]
+    want = dict(tr._table(diag))
+    for key, c in tr._table(pair).items():
+        want[key] = want.get(key, 0) + c
+    assert tr._table(diag, pair) == {key: c for key, c in want.items() if c}
+
+
 def test_residual_log_coefficient_raises(monkeypatch):
     real = tr._pf_data
 
     def skewed(factors, alpha):
-        data, tally = real(factors, alpha)
-        return data, {**tally, (): F(1)}
+        data, tally, den = real(factors, alpha)
+        return data, {**tally, (): 1}, den
 
     clear_caches()  # a table built before the patch would be reused, never reaching the skewed data
     monkeypatch.setattr(tr, "_pf_data", skewed)
