@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache as cache_mod
 from .lattice import (
+    _check_asym_point,
     _check_nonzero_point,
     _check_stable,
     euler_char,
@@ -39,14 +40,18 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_IO = 4
 
-# `eval --engine comb|comb-asym` refuses a point with χ² · Σ b_i above this, χ = 2g - 2 + n, unless
-# --force is given: the recursion's table grows with both, and at the bound a cold evaluation took
-# at most about 1.5 s through χ = 9 on a 2-vCPU x86 machine, where (2,2) at b = (1500, 2) ran past 100 s
-EVAL_BOUND = 1600
 # `poly` refuses a case with χ above its engine's bound, unless --force is given or the polynomial is
-# in the disk cache.  Cold on that machine, the last χ inside took at most about 7 s of CPU (comb and
-# comb-asym at χ = 7, tr at χ = 8) and one χ more took 36-39 s (comb) and 11-18 s (tr)
+# in the disk cache.  Cold on a 2-vCPU x86 machine, the last χ inside took at most about 7 s of CPU
+# (comb and comb-asym at χ = 7, tr at χ = 8) and one χ more took 36-39 s (comb) and 11-18 s (tr).
+# `eval` with an even Σ b_i refuses the same χ for tr, which builds the whole polynomial, and one χ
+# more for comb and comb-asym, which fit the polynomials one χ below the point for their values at
+# b = 0.  On that machine `eval 3 6 1 1 1 1 1 1 --engine tr` (χ = 10) took 30-34 s and
+# `eval 0 11 2 0 0 0 0 0 0 0 0 0 0` (χ = 9) 28.6-31.4 s; at b = (2, 0, …) a comb eval at χ = 8
+# took 5.9-9.1 s for (0,10), 9.7 s for (2,6) and 11.6 s for (1,8)
 POLY_BOUND = {"comb": 7, "comb-asym": 7, "tr": 8}
+# a comb eval also refuses a point with χ² · Σ b_i above this, unless --force is given: the
+# recursion's table grows with both, and (2,2) at b = (1500, 2) ran past 100 s
+EVAL_BOUND = 1600
 
 
 @functools.cache
@@ -61,15 +66,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("g", type=int)
     p_eval.add_argument("n", type=int)
     p_eval.add_argument("b", type=int, nargs="+", help="boundary parameters b_1 .. b_n")
-    p_eval.add_argument("--engine", choices=("comb", "comb-asym", "tr"), default="comb")
+    p_eval.add_argument("--engine", choices=tuple(POLY_BOUND), default="comb")
     p_eval.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    p_eval.add_argument("--force", action="store_true", help=f"run a comb engine past chi^2 * sum(b) = {EVAL_BOUND}")
+    p_eval.add_argument(
+        "--force", action="store_true",
+        help=f"run past the engine's chi bound, or a comb engine past chi^2 * sum(b) = {EVAL_BOUND}",
+    )
     p_eval.set_defaults(run=cmd_eval)
 
     p_poly = sub.add_parser("poly", help="emit the full count polynomial")
     p_poly.add_argument("g", type=int)
     p_poly.add_argument("n", type=int)
-    p_poly.add_argument("--engine", choices=("comb", "comb-asym", "tr"), default="comb")
+    p_poly.add_argument("--engine", choices=tuple(POLY_BOUND), default="comb")
     p_poly.add_argument("--format", choices=("pretty", "json", "latex", "csv"), default="pretty")
     p_poly.add_argument("--out", type=Path, help="write to this file instead of stdout")
     p_poly.add_argument("--no-cache", action="store_true", help="skip the on-disk cache")
@@ -162,20 +170,31 @@ def _emit(text: str, out: Optional[Path]) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_nonzero_point(args.g, args.n, args.b)
+    b = _check_nonzero_point(args.g, args.n, args.b)
+    if args.engine == "comb-asym":
+        _check_asym_point(args.g, args.n, b)
     chi = 2 * args.g - 2 + args.n
-    if args.engine != "tr" and chi * chi * sum(args.b) > EVAL_BOUND and not args.force:
+    # the comb engines fit the cases one χ below the point, for their values at b = 0
+    limit = POLY_BOUND[args.engine] + (args.engine != "tr")
+    if sum(b) % 2:
+        value = Fraction(0)
+    elif chi > limit and not args.force:
         raise ValueError(
-            f"chi^2 * sum(b) = {chi}^2 * {sum(args.b)} exceeds {EVAL_BOUND}, past which the {args.engine} "
+            f"chi = {chi} exceeds {limit}, past which a cold eval --engine {args.engine} "
+            "takes tens of seconds or more; pass --force"
+        )
+    elif args.engine != "tr" and chi * chi * sum(b) > EVAL_BOUND and not args.force:
+        raise ValueError(
+            f"chi^2 * sum(b) = {chi}^2 * {sum(b)} exceeds {EVAL_BOUND}, past which the {args.engine} "
             "recursion can run for minutes; --engine tr evaluates any point from the polynomial, "
             "or pass --force"
         )
-    if args.engine == "comb":
-        value = nbar_eval(args.g, args.n, args.b)
+    elif args.engine == "comb":
+        value = nbar_eval(args.g, args.n, b)
     elif args.engine == "comb-asym":
-        value = nbar_eval_asym(args.g, args.n, args.b)
+        value = nbar_eval_asym(args.g, args.n, b)
     else:
-        value = nbar_poly(args.g, args.n, engine="tr").evaluate(args.b)
+        value = nbar_poly(args.g, args.n, engine="tr").evaluate(b)
     if args.format == "json":
         print(json.dumps({
             "g": args.g, "n": args.n, "b": list(args.b),

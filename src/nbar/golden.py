@@ -173,22 +173,9 @@ EXACT_CASES: List[Tuple[int, int]] = [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1
 SUSPECT_CASES: List[Tuple[int, int]] = [(0, 6)]
 
 
-def golden_class(g: int, n: int, k: int) -> ClassDict:
-    """The reference coefficient dictionary for parity class k of (g, n)."""
-    try:
-        build = _ROWS[(g, n, k)]
-    except KeyError:
-        raise KeyError(f"no reference row for (g, n, k) = ({g}, {n}, {k})") from None
-    return build()
-
-
 def golden_rows(g: int, n: int) -> Dict[int, ClassDict]:
     """All reference classes available for (g, n), keyed by odd count."""
-    out = {}
-    for (gg, nn, k) in _ROWS:
-        if (gg, nn) == (g, n):
-            out[k] = golden_class(g, n, k)
-    return out
+    return {k: build() for (gg, nn, k), build in _ROWS.items() if (gg, nn) == (g, n)}
 
 
 def diff_class(got: ClassDict, want: ClassDict) -> List[Tuple[ExpKey, Fraction, Fraction]]:

@@ -27,8 +27,9 @@ a value leaves the module: :func:`nbar_eval`, :func:`nbar_eval_asym`, the fit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .memo import clear_all, register
 from .quasipoly import QuasiPolynomial, qp_fit
@@ -66,6 +67,14 @@ def _check_nonzero_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
     return b
 
 
+def _check_asym_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
+    """:func:`_check_point`, and raises unless the first entry, the root of :func:`nbar_eval_asym`, is positive."""
+    b = _check_point(g, n, b)
+    if b[0] <= 0:
+        raise ValueError("the asymmetric recursion needs a positive first argument")
+    return b
+
+
 def br(p: int) -> int:
     """The weight [p]: p for positive p, and 1 at p = 0."""
     return p if p else 1
@@ -99,9 +108,7 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     first entry is not the largest checks that the step does not depend on
     its root.
     """
-    b = _check_point(g, n, b)
-    if b[0] <= 0:
-        raise ValueError("the asymmetric recursion needs a positive first argument")
+    b = _check_asym_point(g, n, b)
     if sum(b) % 2:
         return Fraction(0)
     if (g, n) in ((0, 3), (1, 1)):
@@ -196,28 +203,23 @@ def _sum(acc: Dict[int, int], w: int, den: int, g: int, n: int, spect: Tuple[int
     acc[den] = acc.get(den, 0) + w * (c * entry[i] - entry[i + 1])
 
 
-_SPLITS: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]] = register(
-    "lattice.splits", {}
-)
-
-
-def _stable_splits(g: int, m: int) -> List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def _stable_splits(g: int, m: int) -> Tuple[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]], ...]:
     """Ways (g1, slots_i, g2, slots_j) to share genus g and m slots between two stable pieces.
 
     Each piece also gets one new boundary, so piece i is (g1, |slots_i| + 1).
-    Built on first use for each (g, m) and kept.
     """
-    hit = _SPLITS.get((g, m))
-    if hit is None:
-        hit = []
-        for g1 in range(g + 1):
-            for mask in range(1 << m):
-                slots_i = tuple(t for t in range(m) if mask >> t & 1)
-                slots_j = tuple(t for t in range(m) if not mask >> t & 1)
-                if is_stable(g1, len(slots_i) + 1) and is_stable(g - g1, len(slots_j) + 1):
-                    hit.append((g1, slots_i, g - g1, slots_j))
-        _SPLITS[(g, m)] = hit
-    return hit
+    splits = []
+    for g1 in range(g + 1):
+        for mask in range(1 << m):
+            slots_i = tuple(t for t in range(m) if mask >> t & 1)
+            slots_j = tuple(t for t in range(m) if not mask >> t & 1)
+            if is_stable(g1, len(slots_i) + 1) and is_stable(g - g1, len(slots_j) + 1):
+                splits.append((g1, slots_i, g - g1, slots_j))
+    return tuple(splits)
+
+
+register("lattice.splits", _stable_splits)
 
 
 def _zero_value(g: int, n: int) -> Pair:
@@ -275,8 +277,6 @@ _EULER_SEEDS: Dict[Tuple[int, int], Fraction] = {
     (2, 1): Fraction(247, 1440),
 }
 
-_EULER_MEMO: Dict[Tuple[int, int], Fraction] = register("lattice.euler", {})
-
 
 def euler_char(g: int, n: int) -> Fraction:
     """Orbifold Euler characteristic of the compactified moduli space, for stable (g, n).
@@ -289,6 +289,7 @@ def euler_char(g: int, n: int) -> Fraction:
     return _euler(g, n)
 
 
+@lru_cache(maxsize=None)
 def _euler(g: int, n: int) -> Fraction:
     """The puncture-removal recursion; also answers the unstable seeds (0,1) and (0,2)."""
     seeded = _EULER_SEEDS.get((g, n))
@@ -296,10 +297,6 @@ def _euler(g: int, n: int) -> Fraction:
         return seeded
     if n == 1:
         raise ValueError(f"one-point Euler characteristic is only seeded for g <= 2, got g={g}")
-    key = (g, n)
-    hit = _EULER_MEMO.get(key)
-    if hit is not None:
-        return hit
     m = n - 1
     total = (2 - 2 * g - m) * _euler(g, m)
     if g >= 1:
@@ -317,8 +314,10 @@ def _euler(g: int, n: int) -> Fraction:
                 * _euler(g1, i + 1)
                 * _euler(g2, j + 1)
             )
-    _EULER_MEMO[key] = total
     return total
+
+
+register("lattice.euler", _euler)
 
 
 # -- intersection numbers ---------------------------------------------------------------------
@@ -357,20 +356,16 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
 # -- coefficient positivity --------------------------------------------------------------------
 
 
-def positivity_report(
-    cases: Optional[Iterable[Tuple[int, int]]] = None,
-) -> List[Tuple[int, int, int, Tuple[int, ...], Fraction]]:
-    """All negative stored coefficients over the given (g, n) cases, by default the reference table's.
+def positivity_report() -> List[Tuple[int, int, int, Tuple[int, ...], Fraction]]:
+    """All negative stored coefficients over the reference table's exactly checkable (g, n) cases.
 
     Returns tuples (g, n, odd_count, orbit key, coefficient).  An empty
     report means every stored coefficient in range is non-negative.
     """
-    if cases is None:
-        from .golden import EXACT_CASES
+    from .golden import EXACT_CASES
 
-        cases = EXACT_CASES
     found = []
-    for g, n in cases:
+    for g, n in EXACT_CASES:
         qp = nbar_poly(g, n)
         for k, d in sorted(qp.orbits.items()):
             for key, c in sorted(d.items()):

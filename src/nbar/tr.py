@@ -279,9 +279,7 @@ def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor,
 
 # -- decomposition over the basis -------------------------------------------------------
 
-_PIVOTS: Dict[int, Tuple[Tuple[Fraction, Fraction], ...]] = register("tr.pivots", {})
-
-
+@lru_cache(maxsize=None)
 def _pivot(k: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """Inverse of the principal parts of ξ_{0,k}, ξ_{1,k} on the rows (+1, 2k + 2), (-1, 2k + 2).
 
@@ -289,13 +287,12 @@ def _pivot(k: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     square is invertible and the basis matrix is block-triangular in k.  Row
     p of the inverse maps a vector's entries on those rows to γ_{p,k}.
     """
-    hit = _PIVOTS.get(k)
-    if hit is None:
-        pps = [dict(xi_principal_parts(p, k)) for p in (0, 1)]
-        square = [[pp[(a, 2 * k + 2)] for pp in pps] for a in (1, -1)]
-        hit = tuple(zip(*(linsolve(square, unit) for unit in ((1, 0), (0, 1)))))
-        _PIVOTS[k] = hit
-    return hit
+    pps = [dict(xi_principal_parts(p, k)) for p in (0, 1)]
+    square = [[pp[(a, 2 * k + 2)] for pp in pps] for a in (1, -1)]
+    return tuple(zip(*(linsolve(square, unit) for unit in ((1, 0), (0, 1)))))
+
+
+register("tr.pivots", _pivot)
 
 
 def principal_parts(f: RationalFunction) -> PfVector:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -92,6 +93,50 @@ def test_eval_bound_leaves_the_residue_engine_and_small_points_alone(capsys):
     # 4^2 * (98 + 2) is exactly the bound
     outs = [run(capsys, ["eval", "2", "2", "98", "2", "--engine", engine]) for engine in ("comb", "tr")]
     assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+def _engines_must_not_start(monkeypatch):
+    def runaway(*args, **kwargs):
+        raise AssertionError("the guard must refuse before the engine starts")
+
+    for name in ("nbar_eval", "nbar_eval_asym", "nbar_poly"):
+        monkeypatch.setattr(cli, name, runaway)
+
+
+def _engines_answer_seven(monkeypatch):
+    monkeypatch.setattr(cli, "nbar_eval", lambda g, n, b: F(7))
+    monkeypatch.setattr(cli, "nbar_eval_asym", lambda g, n, b: F(7))
+    monkeypatch.setattr(cli, "nbar_poly", lambda g, n, engine: SimpleNamespace(evaluate=lambda b: F(7)))
+
+
+# tr builds the whole (g, n) polynomial; at b = 0 the comb engines fit the cases one chi lower
+@pytest.mark.parametrize("engine, g, n", [("tr", 3, 6), ("tr", 0, 11), ("comb", 0, 11), ("comb-asym", 0, 11)])
+def test_eval_refuses_a_point_past_its_engine_chi_bound_unless_forced(capsys, monkeypatch, engine, g, n):
+    argv = ["eval", str(g), str(n), "2"] + ["0"] * (n - 1) + ["--engine", engine]
+    _engines_must_not_start(monkeypatch)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: chi = {2 * g - 2 + n} exceeds 8, past which a cold eval --engine {engine} "
+                   "takes tens of seconds or more; pass --force\n")
+
+    _engines_answer_seven(monkeypatch)
+    assert run(capsys, argv + ["--force"])[:2] == (0, "7\n")
+
+
+@pytest.mark.parametrize("engine", ["comb", "comb-asym", "tr"])
+def test_eval_chi_bound_leaves_chi_eight_alone(capsys, monkeypatch, engine):
+    _engines_answer_seven(monkeypatch)
+    for g, n in ((0, 10), (1, 8), (2, 6)):
+        assert run(capsys, ["eval", str(g), str(n), "2"] + ["0"] * (n - 1) + ["--engine", engine])[:2] == (0, "7\n")
+
+
+@pytest.mark.parametrize("engine", ["comb", "comb-asym", "tr"])
+def test_eval_odd_sum_prints_zero_without_an_engine(capsys, monkeypatch, engine):
+    _engines_must_not_start(monkeypatch)
+    # chi = 11 and chi^2 * sum(b) = 1573: past the chi bound of every engine, but the count is 0
+    assert run(capsys, ["eval", "0", "13"] + ["1"] * 13 + ["--engine", engine])[:2] == (0, "0\n")
+    code, out, _ = run(capsys, ["eval", "3", "2", "4", "1", "--engine", engine, "--format", "json"])
+    assert code == 0 and json.loads(out)["value"] == "0"
 
 
 def test_usage_error_exits_two():

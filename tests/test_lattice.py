@@ -385,8 +385,9 @@ def test_clear_caches_empties_every_registered_memo():
     corr = tr.tr_correlator(1, 2)
     qp = nbar_poly(0, 4)
     assert checks.resatzero_check(0, 1)
+    euler_char(1, 3)
     sizes = memo.sizes()
-    for name in ("lattice.values", "lattice.sums", "lattice.polys", "lattice.splits",
+    for name in ("lattice.values", "lattice.sums", "lattice.polys", "lattice.splits", "lattice.euler",
                  "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_principal_parts", "checks.xi_parts"):
         assert sizes[name] > 0, name
     clear_caches()
