@@ -41,13 +41,14 @@ EXIT_INVALID = 3
 EXIT_IO = 4
 
 # `poly` refuses a case with χ above its engine's bound, unless --force is given or the polynomial is
-# in the disk cache.  Cold on a 2-vCPU x86 machine, the last χ inside took at most about 7 s of CPU
-# (comb and comb-asym at χ = 7, tr at χ = 8) and one χ more took 36-39 s (comb) and 11-18 s (tr).
+# in the disk cache.  Cold on a 2-vCPU x86 machine, the last χ inside took at most about 5.5 s of CPU
+# for comb and comb-asym (χ = 7) and 7 s for tr (χ = 8), and one χ more took 14-22 s (comb) and
+# 11-18 s (tr).
 # `eval` with an even Σ b_i refuses the same χ for tr, which builds the whole polynomial, and one χ
 # more for comb and comb-asym, which fit the polynomials one χ below the point for their values at
 # b = 0.  On that machine `eval 3 6 1 1 1 1 1 1 --engine tr` (χ = 10) took 30-34 s and
 # `eval 0 11 2 0 0 0 0 0 0 0 0 0 0` (χ = 9) 28.6-31.4 s; at b = (2, 0, …) a comb eval at χ = 8
-# took 5.9-9.1 s for (0,10), 9.7 s for (2,6) and 11.6 s for (1,8)
+# took 3.7-4.0 s for (0,10), 7.7-9.1 s for (2,6) and 7.7-8.1 s for (1,8)
 POLY_BOUND = {"comb": 7, "comb-asym": 7, "tr": 8}
 # a comb eval also refuses a point with χ² · Σ b_i above this, unless --force is given: the
 # recursion's table grows with both, and (2,2) at b = (1500, 2) ran past 100 s

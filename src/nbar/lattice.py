@@ -5,12 +5,16 @@ pair (g, n) and non-negative integer boundary parameters.  It vanishes when
 b_1 + … + b_n is odd, and for fixed parities it is a symmetric polynomial
 in the b_i² of degree 3g - 3 + n.  One recursion step, :func:`_step`,
 removes one positive boundary, the root, by join and cut sums that each
-query one table of running sums (:func:`_sum`).  Any positive entry may be
-the root: the value table roots each sorted point at its largest entry, and
-:func:`nbar_eval_asym` at the first argument, so where the first argument is
-not the largest their agreement checks that the step does not depend on its
-root.  On top of these sit the polynomial fit, the orbifold Euler
-characteristics reached at b = 0, the intersection numbers read off the top
+query one table of running sums (:func:`_sum`).  Equal entries among the
+other, sorted, boundaries give equal terms, so the step runs over their
+runs of equal entries: a join once per distinct entry and a split once per
+run pattern (:func:`_stable_splits`), each weighted by its number of
+labelled copies.  Any positive entry may be the root: the value table
+roots each sorted point at its largest entry, and :func:`nbar_eval_asym`
+at the first argument, so where the first argument is not the largest
+their agreement checks that the step does not depend on its root.  On top
+of these sit the polynomial fit, the orbifold Euler characteristics
+reached at b = 0, the intersection numbers read off the top
 coefficients, and a scan for negative stored coefficients.
 
 Inside the recursion a value is a reduced pair (numerator, denominator) of
@@ -28,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .memo import clear_all, register
@@ -157,22 +162,30 @@ def _step(g: int, n: int, root: int, rest: Tuple[int, ...]) -> Pair:
     A join of m is one :func:`_sum` query at c = m over the other b_j; the
     cut is one query per p at c = root - p, over {p} ∪ rest at genus g - 1
     and over J, weighted by N̄(p, I), for each stable split I ⊔ J of
-    ``rest`` (:func:`_stable_splits`).
+    ``rest``.  Equal entries give equal terms, so both run over the runs of
+    equal entries in ``rest``: a value v that appears r times is joined
+    once with weight r, and a split is taken once per run pattern with
+    weight its number of labelled splits (:func:`_stable_splits`).
     """
     acc: Dict[int, int] = {}
+    runs: List[int] = []
     for j, v in enumerate(rest):
+        if j and v == rest[j - 1]:
+            continue
+        r = rest.count(v)
+        runs.append(r)
         others = rest[:j] + rest[j + 1:]
-        _sum(acc, 1, 1, g, n - 1, others, root + v)
-        _sum(acc, 1 if root > v else -1, 1, g, n - 1, others, abs(root - v))
+        _sum(acc, r, 1, g, n - 1, others, root + v)
+        _sum(acc, r if root > v else -r, 1, g, n - 1, others, abs(root - v))
     if g >= 1:
         for p in range(root - 1):
             _sum(acc, br(p), 1, g - 1, n + 1, tuple(sorted((p,) + rest)), root - p)
-    for g1, si, g2, sj in _stable_splits(g, len(rest)):
+    for g1, si, g2, sj, ways in _stable_splits(g, tuple(runs)):
         part_i = tuple(rest[t] for t in si)
         part_j = tuple(rest[t] for t in sj)
         for p in range(sum(part_i) % 2, root - 1, 2):
             num, den = _pair(g1, len(si) + 1, (p,) + part_i)
-            _sum(acc, br(p) * num, den, g2, len(sj) + 1, part_j, root - p)
+            _sum(acc, ways * br(p) * num, den, g2, len(sj) + 1, part_j, root - p)
     return _close(acc, 2 * root)
 
 
@@ -204,18 +217,24 @@ def _sum(acc: Dict[int, int], w: int, den: int, g: int, n: int, spect: Tuple[int
 
 
 @lru_cache(maxsize=None)
-def _stable_splits(g: int, m: int) -> Tuple[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]], ...]:
-    """Ways (g1, slots_i, g2, slots_j) to share genus g and m slots between two stable pieces.
+def _stable_splits(g: int, runs: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...], int, Tuple[int, ...], int], ...]:
+    """Ways (g1, slots_i, g2, slots_j, ways) to share genus g and a sorted rest between two stable pieces.
 
-    Each piece also gets one new boundary, so piece i is (g1, |slots_i| + 1).
+    ``runs`` are the lengths of the rest's runs of equal entries, in order.
+    Piece i takes the first t slots of each run and piece j the others; the
+    ways = ∏ C(run, t) labelled splits that take t entries of each run have
+    the same pieces, so one entry stands for all of them.  Each piece also
+    gets one new boundary, so piece i is (g1, |slots_i| + 1).
     """
+    starts = [sum(runs[:k]) for k in range(len(runs))]
     splits = []
-    for g1 in range(g + 1):
-        for mask in range(1 << m):
-            slots_i = tuple(t for t in range(m) if mask >> t & 1)
-            slots_j = tuple(t for t in range(m) if not mask >> t & 1)
+    for takes in product(*(range(r + 1) for r in runs)):
+        slots_i = tuple(s for o, t in zip(starts, takes) for s in range(o, o + t))
+        slots_j = tuple(s for o, t, r in zip(starts, takes, runs) for s in range(o + t, o + r))
+        ways = prod(map(comb, runs, takes))
+        for g1 in range(g + 1):
             if is_stable(g1, len(slots_i) + 1) and is_stable(g - g1, len(slots_j) + 1):
-                splits.append((g1, slots_i, g - g1, slots_j))
+                splits.append((g1, slots_i, g - g1, slots_j, ways))
     return tuple(splits)
 
 

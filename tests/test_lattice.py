@@ -168,16 +168,65 @@ def test_recursion_steps_match_a_term_by_term_reference():
     # their agreement does not check those sums.  The symmetric formula lives only in this
     # test: it roots at no single entry and writes every term out, so it checks the sums
     # independently of the step; the rooted reference checks every root.  The points have
-    # repeated, zero and all-distinct entries.
+    # repeated, zero and all-distinct entries; the last two have a run of three and two runs
+    # at once, so the step's run weights are checked at genus 0 and 1.
     points = [
         (0, 5, (0, 0, 2, 2, 4)), (1, 3, (2, 3, 3)), (2, 2, (4, 4)), (1, 4, (1, 1, 1, 3)), (2, 1, (6,)),
-        (1, 4, (0, 2, 3, 5)), (2, 2, (3, 9)),
+        (1, 4, (0, 2, 3, 5)), (2, 2, (3, 9)), (0, 6, (1, 1, 1, 3, 3, 5)), (1, 5, (2, 2, 2, 4, 4)),
     ]
     for g, n, b in points:
         assert _reference_symmetric(g, n, b) == nbar_eval(g, n, b), b
         for root in sorted(set(itertools.permutations(b))):
             if root[0]:
                 assert nbar_eval_asym(g, n, root) == _reference_asymmetric(g, n, root), root
+
+
+def _compositions(m):
+    """Every tuple of positive run lengths with sum m."""
+    if not m:
+        yield ()
+    for first in range(1, m + 1):
+        for tail in _compositions(m - first):
+            yield (first,) + tail
+
+
+def _stable_labelled_splits(g, m):
+    """Every (g1, slots_i, g2, slots_j) that shares genus g and slots 0..m-1 between two stable pieces."""
+    splits = []
+    for g1, inside in itertools.product(range(g + 1), itertools.product((True, False), repeat=m)):
+        slots_i = tuple(t for t in range(m) if inside[t])
+        slots_j = tuple(t for t in range(m) if not inside[t])
+        if is_stable(g1, len(slots_i) + 1) and is_stable(g - g1, len(slots_j) + 1):
+            splits.append((g1, slots_i, g - g1, slots_j))
+    return sorted(splits)
+
+
+def test_stable_splits_by_runs_expand_to_every_labelled_split_once():
+    # An entry takes the first t slots of each run into piece i and the rest into piece j;
+    # choosing which t slots of each run instead gives its ways labelled splits.  Expanded,
+    # the entries of each run pattern must give every stable labelled split exactly once,
+    # and with every run of length 1 the entries are the labelled splits themselves.
+    for g in range(4):
+        for m in range(7):
+            labelled = _stable_labelled_splits(g, m)
+            ones = lattice._stable_splits(g, (1,) * m)
+            assert sorted(entry[:4] for entry in ones) == labelled and {entry[4] for entry in ones} <= {1}
+            for runs in _compositions(m):
+                starts = [sum(runs[:k]) for k in range(len(runs))]
+                expanded = []
+                for g1, slots_i, g2, slots_j, ways in lattice._stable_splits(g, runs):
+                    takes = [sum(start <= s < start + r for s in slots_i) for start, r in zip(starts, runs)]
+                    firsts = tuple(s for start, t in zip(starts, takes) for s in range(start, start + t))
+                    others = tuple(s for start, t, r in zip(starts, takes, runs) for s in range(start + t, start + r))
+                    assert (slots_i, slots_j) == (firsts, others), (g, runs)
+                    choices = list(itertools.product(*(
+                        itertools.combinations(range(start, start + r), t) for start, t, r in zip(starts, takes, runs)
+                    )))
+                    assert len(choices) == ways, (g, runs)
+                    for choice in choices:
+                        inside = set(itertools.chain(*choice))
+                        expanded.append((g1, tuple(sorted(inside)), g2, tuple(t for t in range(m) if t not in inside)))
+                assert sorted(expanded) == labelled, (g, runs)
 
 
 def _direct_sum(g, n, spect, c):
