@@ -42,14 +42,16 @@ EXIT_IO = 4
 
 # `poly` refuses a case with χ above its engine's bound, unless --force is given or the polynomial is
 # in the disk cache.  Cold on a 2-vCPU x86 machine, the last χ inside took at most about 5.5 s of CPU
-# for comb and comb-asym (χ = 7) and 7 s for tr (χ = 8), and one χ more took 14-22 s (comb) and
-# 11-18 s (tr).
+# for comb and comb-asym (χ = 7) and 6.0 s for tr (χ = 9: (0,11), writing a 115 MB cache entry), and
+# one χ more took 14-22 s (comb) and, for tr even with --no-cache, 8.6-11.2 s, most of it rendering.
 # `eval` with an even Σ b_i refuses the same χ for tr, which builds the whole polynomial, and one χ
 # more for comb and comb-asym, which fit the polynomials one χ below the point for their values at
-# b = 0.  On that machine `eval 3 6 1 1 1 1 1 1 --engine tr` (χ = 10) took 30-34 s and
-# `eval 0 11 2 0 0 0 0 0 0 0 0 0 0` (χ = 9) 28.6-31.4 s; at b = (2, 0, …) a comb eval at χ = 8
-# took 3.7-4.0 s for (0,10), 7.7-9.1 s for (2,6) and 7.7-8.1 s for (1,8)
-POLY_BOUND = {"comb": 7, "comb-asym": 7, "tr": 8}
+# b = 0.  On that machine `eval --engine tr` at b = (2, 0, …) or (1, …, 1) took 2.2-5.9 s at χ = 10
+# and 7.4-13.3 s at χ = 11 ((0,13), (3,7), (2,9)): it renders nothing, so its guard is one χ
+# stricter than the time needs.  `eval 0 11 2 0 0 0 0 0 0 0 0 0 0` (χ = 9) took 28.6-31.4 s; at
+# b = (2, 0, …) a comb eval at χ = 8 took 3.7-4.0 s for (0,10), 7.7-9.1 s for (2,6) and 7.7-8.1 s
+# for (1,8)
+POLY_BOUND = {"comb": 7, "comb-asym": 7, "tr": 9}
 # a comb eval also refuses a point with χ² · Σ b_i above this, unless --force is given: the
 # recursion's table grows with both, and (2,2) at b = (1500, 2) ran past 100 s
 EVAL_BOUND = 1600

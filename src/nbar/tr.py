@@ -14,7 +14,7 @@ live spectator has principal-part vectors in that variable as coefficients
 are then plain integer arithmetic: each factor's series is integer numerators
 over one denominator, an order's residue data is their product over the
 product of the denominators, and a table brings its orders to one lcm,
-decomposes integer slices and is divided out once per entry when it is
+decomposes integer slices and reduces its numerators by one gcd when it is
 finished.  A ξ factor in a slot substituted by z ↦ 1/z is just a sign, as
 the basis forms are anti-invariant: ξ(1/z) d(1/z) = -ξ(z) dz.
 
@@ -31,11 +31,19 @@ symmetry between the root and a spectator is not built in, and
 The certificates are the same in integers: the log tally cancels exactly
 over the table's common denominator, and the residual is emptied exactly.
 
+The contraction is integer too.  Tables and correlators are integer
+numerators over one denominator, each block of the contraction sums integers
+over the product of its tensors' and its table's denominators, and a
+correlator is brought to one denominator, with one lcm and one gcd, when it
+is complete.  Fractions are built only where a result leaves the module:
+:func:`tr_tensor`, the coefficients of :func:`xi_decompose` and the
+polynomial of :func:`tr_correlator`.
+
 :class:`RationalFunction` is left to the reference functions (:func:`xi`,
-the slot functions, :func:`principal_parts`).  The checks in
-:mod:`nbar.checks` take a reference function into ξ coordinates with
-:func:`principal_parts` and :func:`xi_decompose`, and compare every identity
-with this engine's tensors in those coordinates.
+:func:`principal_parts`).  The checks in :mod:`nbar.checks` take a reference
+function into ξ coordinates with :func:`principal_parts` and
+:func:`xi_decompose`, and compare every identity with this engine's tensors
+in those coordinates.
 
 The two-point input of the recursion is the modified form
 dz₁ dz₂ / (z₁ - z₂)² + dz₁ dz₂ / (z₁ z₂); substitutions z ↦ 1/z always act
@@ -44,10 +52,12 @@ on forms, i.e. they carry a Jacobian -1/z² per substituted slot.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
-from typing import Dict, Iterable, Sequence, Tuple
+from math import comb, gcd, lcm
+from typing import Dict, Iterable, List, Tuple
 
 from .exact import Poly, RationalFunction, Scalar, linsolve, mercator
 from .lattice import _check_stable, is_stable
@@ -106,56 +116,45 @@ def _z_d_dz(v: PfVector) -> PfVector:
 
 
 @lru_cache(maxsize=None)
-def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[PfKey, Fraction], ...]:
-    """Principal parts of ξ_{parity,k}, built by the operators of :func:`xi` in coordinates.
+def _xi_chain(parity: int, m: int) -> Tuple[Tuple[PfKey, int], ...]:
+    """Twice the principal parts of (z d/dz)^m applied to the seed of ξ_{parity,·}, in integers.
 
     The seeds z²/(1 - z²) = -1 - ½/(z - 1) + ½/(z + 1) and
     z/(1 - z²) = -½/(z - 1) - ½/(z + 1) lose their constant to the first
-    operator, and both operators map a proper function to a proper one.
+    operator, and both operators map a proper function to a proper one.  Each
+    m extends the chain at m - 1, so ξ_{p,k+1} starts where ξ_{p,k} stopped.
+    """
+    if m == 0:
+        return ((-1, 1), 1 if parity == 0 else -1), ((1, 1), -1)
+    return tuple(sorted((key, c) for key, c in _z_d_dz(dict(_xi_chain(parity, m - 1))).items() if c))
+
+
+@lru_cache(maxsize=None)
+def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[PfKey, Fraction], ...]:
+    """Principal parts of ξ_{parity,k}, built by the operators of :func:`xi` in coordinates.
+
+    The plain derivative of the chain at 2k (:func:`_xi_chain`), halved, plus
+    the 1/z of the even k = 0 member.
     """
     if parity not in (0, 1) or k < 0:
         raise ValueError(f"invalid basis index ({parity}, {k})")
-    v: PfVector = {(1, 1): -HALF, (-1, 1): HALF if parity == 0 else -HALF}
-    for _ in range(2 * k):
-        v = _z_d_dz(v)
-    v = _d_dz(v)
+    v = _d_dz(dict(_xi_chain(parity, 2 * k)))
     if parity == 0 and k == 0:
-        v[(0, 1)] = Fraction(1)
-    return tuple(sorted((key, c) for key, c in v.items() if c))
+        v[(0, 1)] = 2
+    return tuple(sorted((key, Fraction(c, 2)) for key, c in v.items() if c))
 
 
 register("tr.xi", xi)
+register("tr.xi_chain", _xi_chain)
 register("tr.xi_principal_parts", xi_principal_parts)
-
-
-def omega02_plain(w: Fraction) -> RationalFunction:
-    """Two-point slot function 1/(z - w)² + 1/(z w) at a rational w ≠ 0, as a function of z."""
-    return RationalFunction(1, Poly([w * w, -2 * w, 1])) + RationalFunction(1, Poly([0, w]))
-
-
-def omega02_inverse_first(w: Fraction) -> RationalFunction:
-    """The same two-point slot with its z entry replaced by 1/z as a form."""
-    return -(RationalFunction(1, Poly([1, -2 * w, w * w])) + RationalFunction(1, Poly([0, w])))
-
-
-def omega02_diagonal() -> RationalFunction:
-    """The two-point slot evaluated on the pair (z, 1/z), as a form in z."""
-    main = RationalFunction(Poly([1]), Poly([1, 0, -2, 0, 1]))
-    extra = RationalFunction(Poly([1]), Poly([0, 0, 1]))
-    return -(main + extra)
-
-
-def kernel_rational_part() -> RationalFunction:
-    """The factor z³/(1 - z²)² of the recursion kernel."""
-    return RationalFunction(Poly([0, 0, 0, 1]), Poly([1, 0, -2, 0, 1]))
 
 
 def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
     """The u^k coefficient of a two-point slot at z = α + u, as integer principal parts in w.
 
-    ``kind`` "o2p" is :func:`omega02_plain`, whose coefficient is
-    (k + 1)(w - α)^{-(k+2)} + (-1)^k α^{k+1}/w.  "o2i" is
-    :func:`omega02_inverse_first`, -(1/(1 - zw)² + 1/(zw)); with
+    ``kind`` "o2p" is the plain slot 1/(z - w)² + 1/(zw), whose coefficient
+    is (k + 1)(w - α)^{-(k+2)} + (-1)^k α^{k+1}/w.  "o2i" is the slot with its
+    z entry replaced by 1/z as a form, -(1/(1 - zw)² + 1/(zw)); with
     1 - αw = -α(w - α) and w^k = Σ_i C(k, i) α^{k-i} (w - α)^i its first term
     has coefficient (k + 1)(-α)^{k+2} Σ_i C(k, i) α^{k-i} (w - α)^{i-k-2}.
     """
@@ -172,7 +171,8 @@ def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
 
 Desc = Tuple
 TWO_POINT = ("o2p", "o2i")  # the factors that carry a live spectator
-# principal parts of kernel_rational_part() and of omega02_diagonal()
+# principal parts of the kernel's factor z³/(1 - z²)² and of the diagonal factor
+# -(1/(z² - 1)² + 1/z²), the two-point slot on the pair (z, 1/z) as a form in z
 KERNEL_PP: PfVector = {(1, 2): Fraction(1, 4), (1, 1): HALF, (-1, 2): Fraction(-1, 4), (-1, 1): HALF}
 DIAGONAL_PP: PfVector = {(1, 2): Fraction(-1, 4), (1, 1): Fraction(1, 4), (-1, 2): Fraction(-1, 4),
                          (-1, 1): Fraction(-1, 4), (0, 2): Fraction(-1)}
@@ -199,6 +199,7 @@ def _scaled(x: Scalar, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
+@lru_cache(maxsize=None)
 def _factor_terms(desc: Desc, alpha: int, upto: int) -> Tuple[Dict[int, PfTensor], int]:
     """Series coefficients of one factor at z = α + u through u^upto ≥ 0, over one denominator.
 
@@ -210,7 +211,8 @@ def _factor_terms(desc: Desc, alpha: int, upto: int) -> Tuple[Dict[int, PfTensor
     the singular part of the series, and each pole β ≠ α adds
     (z - β)^{-j} = Σ_m C(-j, m) (α - β)^{-j-m} u^m.  So den is the lcm of the
     parts' denominators times 2^{j + upto} for the highest order j at β = -α,
-    and every division by a power of α - β is checked to be exact.
+    and every division by a power of α - β is checked to be exact.  Memoized
+    per (desc, α, upto): the returned dicts are shared, and read only.
     """
     if desc[0] in TWO_POINT:
         return {
@@ -232,6 +234,9 @@ def _factor_terms(desc: Desc, alpha: int, upto: int) -> Tuple[Dict[int, PfTensor
                 raise EngineError(f"the series of {desc} at z = {alpha} is not integral over {den}")
             ser[m] = ser.get(m, 0) + q
     return {e: {(): c} for e, c in ser.items() if c}, den
+
+
+register("tr.factor_terms", _factor_terms)
 
 
 def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor, int]:
@@ -279,17 +284,28 @@ def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor,
 
 # -- decomposition over the basis -------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pivot(k: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """Inverse of the principal parts of ξ_{0,k}, ξ_{1,k} on the rows (+1, 2k + 2), (-1, 2k + 2).
+Pivot = Tuple[Tuple[Tuple[int, int], ...], int, Tuple[Tuple[Tuple[PfKey, int], ...], ...], int]
 
-    ξ_{p,k} has poles of order exactly 2k + 2 at both branch points, so this
-    square is invertible and the basis matrix is block-triangular in k.  Row
-    p of the inverse maps a vector's entries on those rows to γ_{p,k}.
+
+@lru_cache(maxsize=None)
+def _pivot(k: int) -> Pivot:
+    """The back-substitution step at k in integers: ``(inverse, inv_den, parts, pp_den)``.
+
+    ``inverse`` / inv_den is the inverse of the principal parts of ξ_{0,k},
+    ξ_{1,k} on the rows (+1, 2k + 2), (-1, 2k + 2), and ``parts`` / pp_den
+    are those principal parts.  ξ_{p,k} has poles of order exactly 2k + 2 at
+    both branch points, so this square is invertible and the basis matrix is
+    block-triangular in k.  Row p of the inverse maps a vector's entries on
+    those rows to γ_{p,k}.
     """
-    pps = [dict(xi_principal_parts(p, k)) for p in (0, 1)]
-    square = [[pp[(a, 2 * k + 2)] for pp in pps] for a in (1, -1)]
-    return tuple(zip(*(linsolve(square, unit) for unit in ((1, 0), (0, 1)))))
+    pps = [xi_principal_parts(p, k) for p in (0, 1)]
+    square = [[dict(pp)[(a, 2 * k + 2)] for pp in pps] for a in (1, -1)]
+    pivot = tuple(zip(*(linsolve(square, unit) for unit in ((1, 0), (0, 1)))))
+    inv_den = lcm(*(x.denominator for inv in pivot for x in inv))
+    pp_den = lcm(*(x.denominator for pp in pps for _, x in pp))
+    inverse = tuple(tuple(_scaled(x, inv_den) for x in inv) for inv in pivot)
+    parts = tuple(tuple((pk, _scaled(x, pp_den)) for pk, x in pp) for pp in pps)
+    return inverse, inv_den, parts, pp_den
 
 
 register("tr.pivots", _pivot)
@@ -333,7 +349,8 @@ def xi_decompose(v: PfVector) -> Dict[XiIndex, Fraction]:
 
     The values may be ints or Fractions.  The residual is kept as integer
     numerators over one running denominator, which each k multiplies by the
-    denominators of its pivot and of PP(ξ_{·,k}); only the γ are Fractions.
+    denominators of its pivot and of PP(ξ_{·,k}) (:func:`_pivot`); only the
+    returned γ are Fractions.
     """
     den = lcm(*(c.denominator for c in v.values()))
     res = {key: _scaled(c, den) for key, c in v.items() if c}
@@ -343,31 +360,29 @@ def xi_decompose(v: PfVector) -> Dict[XiIndex, Fraction]:
         rows = (res.get((1, 2 * k + 2), 0), res.get((-1, 2 * k + 2), 0))
         if not any(rows):
             continue
-        pivot = _pivot(k)
-        pps = [xi_principal_parts(p, k) for p in (0, 1)]
-        inv_den = lcm(*(x.denominator for inv in pivot for x in inv))
-        pp_den = lcm(*(x.denominator for pp in pps for _, x in pp))
-        res = {key: c * (inv_den * pp_den) for key, c in res.items()}
-        for p, (inv, pp) in enumerate(zip(pivot, pps)):
-            gamma = _scaled(inv[0], inv_den) * rows[0] + _scaled(inv[1], inv_den) * rows[1]
+        inverse, inv_den, parts, pp_den = _pivot(k)
+        scale = inv_den * pp_den
+        res = {key: c * scale for key, c in res.items()}
+        for p, ((i0, i1), part) in enumerate(zip(inverse, parts)):
+            gamma = i0 * rows[0] + i1 * rows[1]
             if gamma:
                 gammas[(p, k)] = Fraction(gamma, den * inv_den)
-                for pk, x in pp:
-                    res[pk] = res.get(pk, 0) - gamma * _scaled(x, pp_den)
-        den *= inv_den * pp_den
+                for pk, x in part:
+                    res[pk] = res.get(pk, 0) - gamma * x
+        den *= scale
     left = sorted(key for key, c in res.items() if c)
     if left:
         raise EngineError(f"principal parts {sorted(v)} are not in the span of ξ; {left} are left")
     return gammas
 
 
-def _decompose_slots(coeffs: PfTensor, den: int) -> Dict[XiKey, Fraction]:
+def _decompose_slots(coeffs: PfTensor, den: int) -> Table:
     """ξ coordinates, in every slot, of the tensor coeffs / den given in principal-part coordinates.
 
     ``coeffs`` holds integers.  The slots are decomposed one at a time,
     spectators first and the root last; each slice is one certified
     :func:`xi_decompose`.  A slot's γ are brought back to integers over their
-    lcm before the next slot, so the finished tensor is divided out once per entry.
+    lcm before the next slot, so the result is integers over one denominator.
     """
     for s in reversed(range(max(map(len, coeffs), default=0))):
         slices: Dict[Tuple, PfVector] = {}
@@ -382,13 +397,21 @@ def _decompose_slots(coeffs: PfTensor, den: int) -> Dict[XiKey, Fraction]:
         common = lcm(*(gamma.denominator for gamma in gammas.values()))
         coeffs = {key: _scaled(gamma, common) for key, gamma in gammas.items()}
         den *= common
-    return {key: Fraction(c, den) for key, c in coeffs.items()}
+    return _reduced(coeffs, den)
+
+
+def _reduced(nums: Dict[XiKey, int], den: int) -> Table:
+    """nums / den without its zero entries, over its least denominator: one gcd divides out."""
+    nums = {key: c for key, c in nums.items() if c}
+    d = gcd(den, *nums.values())
+    return {key: c // d for key, c in nums.items()}, den // d
 
 
 # -- the tables --------------------------------------------------------------------------
 
 Order = Tuple[int, Tuple[Desc, ...]]  # a sign and one order of factors
-Table = Dict[XiKey, Fraction]  # ξ coordinates: the root's index, then each live spectator's
+# ξ coordinates (the root's index, then each live spectator's) as integer numerators over one denominator
+Table = Tuple[Dict[XiKey, int], int]
 
 _TABLES: Dict[Tuple[Order, ...], Table] = register("tr.tables", {})
 
@@ -431,57 +454,147 @@ def _two_point(a: XiIndex) -> Table:
 
 # -- the engine -------------------------------------------------------------------------
 
-_TENSORS: Dict[Tuple[int, int], XiTensor] = register("tr.tensors", {})
+_TENSORS: Dict[Tuple[int, int], Table] = register("tr.tensors", {})
 
 
 def tr_tensor(g: int, n: int) -> XiTensor:
-    """The (g, n) correlator in basis coordinates, one key per orbit (memoized module-wide).
+    """The (g, n) correlator in basis coordinates, one key per orbit, as Fractions.
 
     A key is the root's ξ index followed by the spectators' indices sorted
-    ascending.  (1,1) and (0,3) are tables; any other correlator contracts C
-    with ω_{g-1,n+1} and with each ω_{g1} ω_{g2}, and P with ω_{g,n-1}, one
-    entry at a time.  Each term is weighted by the spectator orderings it
-    stands for: C meets ω_{g-1,n+1} once per distinct spectator index,
-    ω_{g1} ω_{g2} share out S₁ ⊎ S₂ in ∏_κ C(m_{S₁⊎S₂}(κ), m_{S₁}(κ)) ways,
-    and P's live slot w can be any spectator equal to w.
+    ascending.  The recursion runs on :func:`_tensor`, the same tensor as
+    integers over one denominator, so rebinding this function, as a tracer
+    does, wraps only the outer call.
+    """
+    nums, den = _tensor(g, n)
+    return {key: Fraction(c, den) for key, c in nums.items()}
+
+
+def _tensor(g: int, n: int) -> Table:
+    """The (g, n) correlator as integer numerators over one denominator (memoized module-wide).
+
+    (1,1) and (0,3) are tables; any other correlator is a contraction (:func:`_contract`).
     """
     _check_stable(g, n)
-    if (g, n) == (1, 1):
-        return dict(_table((1, (("diag",),))))
-    if (g, n) == (0, 3):
-        table = _table((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",))))
-        return {key: c for key, c in table.items() if key[1] <= key[2]}
-    if (g, n) in _TENSORS:
-        return _TENSORS[g, n]
-    out: XiTensor = {}
-
-    def add(table: Table, c: Fraction, spectators: Sequence[XiIndex]) -> None:
-        """c times a table, on the spectators sorted together with the table's live slot, if it has one."""
-        for (root, *live), x in table.items():
-            rest = sorted((*spectators, *live))
-            key = (root,) + tuple(rest)
-            out[key] = out.get(key, 0) + prod(map(rest.count, live), start=c) * x
-
-    if g >= 1:
-        for key, c in _tensor(g - 1, n + 1).items():
-            for b, rest in _removals(key[1:]):
-                add(_pair(key[0], b), c, rest)
-    for g1 in range(g + 1):
-        for m in range(n):
-            if is_stable(g1, m + 1) and is_stable(g - g1, n - m):
-                for (a, *s1), c1 in _tensor(g1, m + 1).items():
-                    for (b, *s2), c2 in _tensor(g - g1, n - m).items():
-                        both = s1 + s2
-                        ways = prod(comb(both.count(x), s1.count(x)) for x in set(s1))
-                        add(_pair(a, b), ways * c1 * c2, both)
-    if n > 1:
-        for (a, *rest), c in _tensor(g, n - 1).items():
-            add(_two_point(a), c, rest)
-    hit = _TENSORS[g, n] = {key: c for key, c in out.items() if c}
+    hit = _TENSORS.get((g, n))
+    if hit is None:
+        if (g, n) == (1, 1):
+            hit = _table((1, (("diag",),)))
+        elif (g, n) == (0, 3):
+            nums, den = _table((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",))))
+            hit = _reduced({key: c for key, c in nums.items() if key[1] <= key[2]}, den)
+        else:
+            hit = _contract(g, n)
+        _TENSORS[g, n] = hit
     return hit
 
 
-_tensor = tr_tensor  # the recursion's name for it: rebinding tr_tensor, as a tracer does, wraps only the outer call
+Weights = Dict[Tuple[XiIndex, XiIndex, Tuple[XiIndex, ...]], int]  # (a ≤ b, sorted spectators) → weight of C[a, b]
+Buckets = Dict[int, Dict[XiKey, int]]  # numerators of a correlator, by denominator
+
+
+def _over_lcm(tables: Dict[object, Table]) -> Tuple[Dict[object, Dict[XiKey, int]], int]:
+    """Tables brought to the lcm of their denominators: ``(numerators by name, lcm)``."""
+    common = lcm(*(den for _, den in tables.values()))
+    return {name: {key: c * (common // den) for key, c in nums.items()} for name, (nums, den) in tables.items()}, common
+
+
+def _genus_weights(nums: Dict[XiKey, int]) -> Weights:
+    """C met by ω_{g-1,n+1}: each entry with each distinct spectator b in C's second slot."""
+    weights: Weights = {}
+    for key, c in nums.items():
+        a = key[0]
+        for b, rest in _removals(key[1:]):
+            ab = (a, b, rest) if a <= b else (b, a, rest)
+            weights[ab] = weights.get(ab, 0) + c
+    return weights
+
+
+def _by_spectators(nums: Dict[XiKey, int]) -> Dict[Tuple[XiIndex, ...], List[Tuple[XiIndex, int]]]:
+    """The entries of a tensor grouped by their sorted spectators, as (root, numerator) pairs."""
+    out: Dict[Tuple[XiIndex, ...], List[Tuple[XiIndex, int]]] = {}
+    for key, c in nums.items():
+        out.setdefault(key[1:], []).append((key[0], c))
+    return out
+
+
+def _split_weights(nums1: Dict[XiKey, int], nums2: Dict[XiKey, int], copies: int) -> Weights:
+    """C met by ω_{g1} ω_{g2}, S₁ ⊎ S₂ shared out in ∏_κ C(m_{S₁⊎S₂}(κ), m_{S₁}(κ)) ways, times ``copies``.
+
+    The entries are grouped by their spectators, so each pair (S₁, S₂) is
+    counted and sorted once for all of its roots.
+    """
+    counted2 = [(s2, Counter(s2), roots2) for s2, roots2 in _by_spectators(nums2).items()]
+    weights: Weights = {}
+    for s1, roots1 in _by_spectators(nums1).items():
+        counts1 = Counter(s1).items()
+        for s2, counts2, roots2 in counted2:
+            ways = copies
+            for x, k in counts1:
+                if x in counts2:
+                    ways *= comb(k + counts2[x], k)
+            rest = tuple(sorted(s1 + s2))
+            for a, c1 in roots1:
+                c1 *= ways
+                for b, c2 in roots2:
+                    ab = (a, b, rest) if a <= b else (b, a, rest)
+                    weights[ab] = weights.get(ab, 0) + c1 * c2
+    return weights
+
+
+def _add_cut(buckets: Buckets, weights: Weights, den: int) -> None:
+    """Each weight / den times C[a, b], on its spectators, into the bucket of den times the tables' lcm."""
+    tables, table_den = _over_lcm({ab: _pair(*ab) for ab in {(a, b) for a, b, _ in weights}})
+    out = buckets.setdefault(den * table_den, {})
+    for (a, b, rest), w in weights.items():
+        if w:
+            for root, x in tables[a, b].items():
+                key = root + rest
+                out[key] = out.get(key, 0) + w * x
+
+
+def _add_join(buckets: Buckets, nums: Dict[XiKey, int], den: int) -> None:
+    """P[a] met by each entry (a, S) / den of ω_{g,n-1}, its live slot w sorted into S, once per spectator equal to w."""
+    tables, table_den = _over_lcm({a: _two_point(a) for a in {key[0] for key in nums}})
+    out = buckets.setdefault(den * table_den, {})
+    for key, c in nums.items():
+        rest = key[1:]
+        for (root, w), x in tables[key[0]].items():
+            lo, hi = bisect_left(rest, w), bisect_right(rest, w)
+            full = (root,) + rest[:hi] + (w,) + rest[hi:]
+            out[full] = out.get(full, 0) + (hi - lo + 1) * c * x
+
+
+def _contract(g: int, n: int) -> Table:
+    """ω_{g,n}: C contracted with ω_{g-1,n+1} and with each ω_{g1} ω_{g2}, and P with ω_{g,n-1}.
+
+    Each term is weighted by the spectator orderings it stands for.  It is
+    all integer arithmetic, in blocks: the genus cut, each split (g1, m) and
+    the join.  A cut block first sums one weight per ({a, b}, sorted
+    spectators), as C[a, b] = C[b, a], and a split and its twin
+    (g - g1, n - 1 - m) give the same weights, so only one of the two runs,
+    counted twice.  A block brings its tables to their lcm and adds integers
+    into a bucket keyed by its tensors' denominator times that lcm.  The
+    buckets are brought to their lcm and reduced by one gcd.
+    """
+    buckets: Buckets = {}
+    if g >= 1:
+        nums, den = _tensor(g - 1, n + 1)
+        _add_cut(buckets, _genus_weights(nums), den)
+    for g1 in range(g + 1):
+        for m in range(n):
+            twin = (g - g1, n - 1 - m)
+            if (g1, m) <= twin and is_stable(g1, m + 1) and is_stable(g - g1, n - m):
+                (nums1, den1), (nums2, den2) = _tensor(g1, m + 1), _tensor(g - g1, n - m)
+                _add_cut(buckets, _split_weights(nums1, nums2, 1 if (g1, m) == twin else 2), den1 * den2)
+    if n > 1:
+        _add_join(buckets, *_tensor(g, n - 1))
+    common = lcm(*buckets)
+    total: Dict[XiKey, int] = {}
+    for den, out in buckets.items():
+        scale = common // den
+        for key, c in out.items():
+            total[key] = total.get(key, 0) + scale * c
+    return _reduced(total, common)
 
 
 def tr_correlator(g: int, n: int) -> QuasiPolynomial:

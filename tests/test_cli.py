@@ -110,13 +110,14 @@ def _engines_answer_seven(monkeypatch):
 
 
 # tr builds the whole (g, n) polynomial; at b = 0 the comb engines fit the cases one chi lower
-@pytest.mark.parametrize("engine, g, n", [("tr", 3, 6), ("tr", 0, 11), ("comb", 0, 11), ("comb-asym", 0, 11)])
+@pytest.mark.parametrize("engine, g, n", [("tr", 3, 6), ("tr", 0, 12), ("comb", 0, 11), ("comb-asym", 0, 11)])
 def test_eval_refuses_a_point_past_its_engine_chi_bound_unless_forced(capsys, monkeypatch, engine, g, n):
     argv = ["eval", str(g), str(n), "2"] + ["0"] * (n - 1) + ["--engine", engine]
+    limit = {"tr": 9, "comb": 8, "comb-asym": 8}[engine]
     _engines_must_not_start(monkeypatch)
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
-    assert err == (f"error: chi = {2 * g - 2 + n} exceeds 8, past which a cold eval --engine {engine} "
+    assert err == (f"error: chi = {2 * g - 2 + n} exceeds {limit}, past which a cold eval --engine {engine} "
                    "takes tens of seconds or more; pass --force\n")
 
     _engines_answer_seven(monkeypatch)
@@ -128,6 +129,12 @@ def test_eval_chi_bound_leaves_chi_eight_alone(capsys, monkeypatch, engine):
     _engines_answer_seven(monkeypatch)
     for g, n in ((0, 10), (1, 8), (2, 6)):
         assert run(capsys, ["eval", str(g), str(n), "2"] + ["0"] * (n - 1) + ["--engine", engine])[:2] == (0, "7\n")
+
+
+def test_eval_tr_chi_bound_leaves_chi_nine_alone(capsys, monkeypatch):
+    _engines_answer_seven(monkeypatch)
+    for g, n in ((0, 11), (1, 9), (2, 7), (5, 1)):
+        assert run(capsys, ["eval", str(g), str(n), "2"] + ["0"] * (n - 1) + ["--engine", "tr"])[:2] == (0, "7\n")
 
 
 @pytest.mark.parametrize("engine", ["comb", "comb-asym", "tr"])
@@ -227,7 +234,7 @@ def test_poly_uses_cache(capsys, tmp_path, monkeypatch):
     assert qp_from_json(second) == qp_from_json(first)
 
 
-@pytest.mark.parametrize("engine, g, n", [("comb", 0, 10), ("comb-asym", 1, 8), ("tr", 0, 11), ("tr", 5, 1)])
+@pytest.mark.parametrize("engine, g, n", [("comb", 0, 10), ("comb-asym", 1, 8), ("tr", 0, 12), ("tr", 5, 2)])
 def test_poly_refuses_a_runaway_case_unless_forced(capsys, tmp_path, monkeypatch, engine, g, n):
     def runaway(*args, **kwargs):
         raise AssertionError("the guard must refuse before the engine starts")
@@ -253,13 +260,13 @@ def test_poly_refuses_a_runaway_case_unless_forced(capsys, tmp_path, monkeypatch
 
 
 def test_poly_bound_leaves_cache_hits_and_cases_inside_alone(capsys, tmp_path, monkeypatch):
-    stand_in = QuasiPolynomial(0, 11, {0: {(0,) * 11: 1}})
+    stand_in = QuasiPolynomial(0, 12, {0: {(0,) * 12: 1}})
     cache_put(tmp_path, stand_in, "tr")
     monkeypatch.setattr(cli, "nbar_poly", lambda *args, **kwargs: nbar_poly(0, 3))
-    code, out, _ = run(capsys, ["poly", "0", "11", "--engine", "tr", "--cache-dir", str(tmp_path)])
+    code, out, _ = run(capsys, ["poly", "0", "12", "--engine", "tr", "--cache-dir", str(tmp_path)])
     assert (code, out) == (0, cli.render_poly(stand_in, "pretty"))
-    # (4,2) is at the tr bound, and (4,1) at the comb bound
-    for g, n, engine in ((4, 2, "tr"), (4, 1, "comb"), (4, 1, "comb-asym")):
+    # (5,1) is at the tr bound, and (4,1) at the comb bound
+    for g, n, engine in ((5, 1, "tr"), (4, 1, "comb"), (4, 1, "comb-asym")):
         code, _, _ = run(capsys, ["poly", str(g), str(n), "--engine", engine, "--no-cache"])
         assert code == 0
 

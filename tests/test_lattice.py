@@ -437,7 +437,8 @@ def test_clear_caches_empties_every_registered_memo():
     euler_char(1, 3)
     sizes = memo.sizes()
     for name in ("lattice.values", "lattice.sums", "lattice.polys", "lattice.splits", "lattice.euler",
-                 "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_principal_parts", "checks.xi_parts"):
+                 "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_chain", "tr.xi_principal_parts",
+                 "tr.factor_terms", "checks.xi_parts"):
         assert sizes[name] > 0, name
     clear_caches()
     assert set(memo.sizes().values()) == {0}

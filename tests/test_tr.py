@@ -7,18 +7,46 @@ b ≥ 0 of parity p, with [b] = b for b > 0 and [0] = 1.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
-from math import comb, lcm
+from functools import lru_cache
+from math import comb, gcd, lcm, prod
 
 import pytest
 
 from nbar.exact import Poly, RationalFunction, mercator
 from nbar import checks, tr
-from nbar.lattice import clear_caches, euler_char, nbar_poly
-from nbar.quasipoly import qp_to_xi_tensor
+from nbar.lattice import clear_caches, euler_char, is_stable, nbar_poly
+from nbar.quasipoly import qp_to_json, qp_to_xi_tensor
 
 F = Fraction
 Z = RationalFunction.var()
+
+
+# The engine's slot functions as rational functions of z.  The engine itself
+# reads only their principal parts (tr.KERNEL_PP, tr.DIAGONAL_PP) and the
+# closed forms of tr.two_point_coeff; the tests below check those against these.
+
+def omega02_plain(w: Fraction) -> RationalFunction:
+    """Two-point slot function 1/(z - w)² + 1/(z w) at a rational w ≠ 0, as a function of z."""
+    return RationalFunction(1, Poly([w * w, -2 * w, 1])) + RationalFunction(1, Poly([0, w]))
+
+
+def omega02_inverse_first(w: Fraction) -> RationalFunction:
+    """The same two-point slot with its z entry replaced by 1/z as a form."""
+    return -(RationalFunction(1, Poly([1, -2 * w, w * w])) + RationalFunction(1, Poly([0, w])))
+
+
+def omega02_diagonal() -> RationalFunction:
+    """The two-point slot evaluated on the pair (z, 1/z), as a form in z."""
+    main = RationalFunction(Poly([1]), Poly([1, 0, -2, 0, 1]))
+    extra = RationalFunction(Poly([1]), Poly([0, 0, 1]))
+    return -(main + extra)
+
+
+def kernel_rational_part() -> RationalFunction:
+    """The factor z³/(1 - z²)² of the recursion kernel."""
+    return RationalFunction(Poly([0, 0, 0, 1]), Poly([1, 0, -2, 0, 1]))
 
 
 def series_window(f: RationalFunction, lo: int, hi: int):
@@ -78,21 +106,21 @@ def test_xi_invalid_index():
 
 def test_two_point_slot_functions():
     for wq in (F(5), F(7, 2)):
-        plain = tr.omega02_plain(wq)
+        plain = omega02_plain(wq)
         for zq in (F(2), F(3), F(1, 2)):
             assert plain(zq) == 1 / (zq - wq) ** 2 + 1 / (zq * wq)
-    diag = tr.omega02_diagonal()
+    diag = omega02_diagonal()
     for q in (F(2), F(3, 2), F(-4, 3)):
         assert diag(q) == -(1 / (q * q - 1) ** 2 + 1 / (q * q))
     for wq in (F(3), F(7, 2)):
-        inv = tr.omega02_inverse_first(wq)
+        inv = omega02_inverse_first(wq)
         for zq in (F(2), F(5, 3)):
             assert inv(zq) == -(1 / (1 - zq * wq) ** 2 + F(1) / (zq * wq))
 
 
 def test_kernel_rational_part():
     want = (Z ** 3) / ((1 - Z * Z) ** 2)
-    assert tr.kernel_rational_part() == want
+    assert kernel_rational_part() == want
 
 
 def test_xi_decompose_round_trip():
@@ -145,13 +173,13 @@ def test_xi_principal_parts_match_laurent_expansions():
 
 
 def test_constant_factor_vectors_match_reference_functions():
-    assert tr.KERNEL_PP == tr.principal_parts(tr.kernel_rational_part())
-    assert tr.DIAGONAL_PP == tr.principal_parts(tr.omega02_diagonal())
+    assert tr.KERNEL_PP == tr.principal_parts(kernel_rational_part())
+    assert tr.DIAGONAL_PP == tr.principal_parts(omega02_diagonal())
 
 
 def test_factor_series_match_laurent_expansions():
     factors = [(("xi", p, k), tr.xi(p, k)) for p in (0, 1) for k in range(0, 9)]
-    factors += [(("R",), tr.kernel_rational_part()), (("diag",), tr.omega02_diagonal())]
+    factors += [(("R",), kernel_rational_part()), (("diag",), omega02_diagonal())]
     for desc, f in factors:
         for alpha in (1, -1):
             ser = f.laurent_at(alpha, 6)
@@ -166,7 +194,7 @@ def test_two_point_coefficients_match_laurent_expansions():
     # Both sides of each comparison are proper rational functions of w whose
     # denominators divide (w - α)^{k+2} w, so for k ≤ 6 agreement at 10 rational
     # points (away from -1, 0, 1) makes them equal as functions of w.
-    for kind, slot in (("o2p", tr.omega02_plain), ("o2i", tr.omega02_inverse_first)):
+    for kind, slot in (("o2p", omega02_plain), ("o2i", omega02_inverse_first)):
         for alpha in (1, -1):
             for w in (F(6 + i, 3) for i in range(10)):
                 ser = slot(w).laurent_at(alpha, 6)
@@ -251,6 +279,7 @@ def reference_pf_data(factors, alpha):
     return data, tally
 
 
+@lru_cache(maxsize=None)
 def reference_table(orders):
     acc = {}
     for alpha in (1, -1):
@@ -274,24 +303,87 @@ def reference_table(orders):
     return coeffs
 
 
+def as_fractions(table):
+    """A table or tensor of the engine, integer numerators over one denominator, as Fractions."""
+    nums, den = table
+    return {key: F(c, den) for key, c in nums.items()}
+
+
+def is_least(table):
+    """Integer numerators over a positive denominator that no common factor divides."""
+    nums, den = table
+    return all(type(c) is int and c for c in nums.values()) and type(den) is int and gcd(den, *nums.values()) == 1
+
+
 def test_integer_tables_match_the_fraction_reference():
     clear_caches()
     for g, n in checks.stable_cases(5):
         tr.tr_tensor(g, n)
     assert len(tr._TABLES) > 50
     for orders, table in tr._TABLES.items():
-        assert all(type(c) is F for c in table.values()), orders
-        assert table == reference_table(orders), orders
+        assert is_least(table), orders
+        assert as_fractions(table) == reference_table(orders), orders
 
 
 def test_table_brings_orders_with_different_denominators_to_one():
     # each order alone is a certified table; their sum has data over different denominators
     diag, pair = (1, (("diag",),)), (-1, (("xi", 0, 0), ("xi", 1, 2)))
     assert tr._pf_data(diag[1], 1)[2] != tr._pf_data(pair[1], 1)[2]
-    want = dict(tr._table(diag))
-    for key, c in tr._table(pair).items():
+    want = as_fractions(tr._table(diag))
+    for key, c in as_fractions(tr._table(pair)).items():
         want[key] = want.get(key, 0) + c
-    assert tr._table(diag, pair) == {key: c for key, c in want.items() if c}
+    assert as_fractions(tr._table(diag, pair)) == {key: c for key, c in want.items() if c}
+
+
+@lru_cache(maxsize=None)
+def reference_tensor(g, n):
+    """ω_{g,n} contracted term by term in Fractions on the reference tables, one key per orbit.
+
+    The recursion of tr.tr_tensor without its integer buckets, grouped weights
+    or twin splits: every (root, spectators) entry of every smaller correlator
+    meets its whole table, and each term is added to the result as a Fraction.
+    """
+    if (g, n) == (1, 1):
+        return reference_table(((1, (("diag",),)),))
+    if (g, n) == (0, 3):
+        table = reference_table(((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",)))))
+        return {key: c for key, c in table.items() if key[1] <= key[2]}
+    out = {}
+
+    def add(orders, c, spectators):
+        for (root, *live), x in reference_table(orders).items():
+            rest = sorted((*spectators, *live))
+            key = (root,) + tuple(rest)
+            out[key] = out.get(key, 0) + prod(map(rest.count, live), start=c) * x
+
+    def pair(a, b):
+        return ((-1, (("xi",) + min(a, b), ("xi",) + max(a, b))),)
+
+    if g >= 1:
+        for (a, *spect), c in reference_tensor(g - 1, n + 1).items():
+            for i, b in enumerate(spect):
+                if i == 0 or spect[i - 1] != b:
+                    add(pair(a, b), c, spect[:i] + spect[i + 1:])
+    for g1 in range(g + 1):
+        for m in range(n):
+            if is_stable(g1, m + 1) and is_stable(g - g1, n - m):
+                for (a, *s1), c1 in reference_tensor(g1, m + 1).items():
+                    for (b, *s2), c2 in reference_tensor(g - g1, n - m).items():
+                        both = s1 + s2
+                        ways = prod(comb(both.count(x), s1.count(x)) for x in set(s1))
+                        add(pair(a, b), ways * c1 * c2, both)
+    if n > 1:
+        for (a, *rest), c in reference_tensor(g, n - 1).items():
+            add(((1, (("xi",) + a, ("o2i",))), (-1, (("o2p",), ("xi",) + a))), c, rest)
+    return {key: c for key, c in out.items() if c}
+
+
+def test_integer_contraction_matches_the_fraction_reference():
+    for g, n in checks.stable_cases(5):
+        assert is_least(tr._tensor(g, n)), (g, n)
+        got = tr.tr_tensor(g, n)
+        assert all(type(c) is F for c in got.values()), (g, n)
+        assert got == reference_tensor(g, n), (g, n)
 
 
 def test_residual_log_coefficient_raises(monkeypatch):
@@ -323,8 +415,8 @@ def test_asymmetric_pair_table_fails_the_symmetry_certificate(monkeypatch):
     real = tr._pair
 
     def doubled(a, b):
-        table = real(a, b)
-        return {key: 2 * c for key, c in table.items()} if a == b == (0, 0) else table
+        nums, den = real(a, b)
+        return ({key: 2 * c for key, c in nums.items()}, den) if a == b == (0, 0) else (nums, den)
 
     clear_caches()
     monkeypatch.setattr(tr, "_pair", doubled)
@@ -394,3 +486,43 @@ def test_string_transform():
     got = checks.string_transform(RationalFunction(1))
     want = ((Z * Z) / (Z * Z - 1)).derivative()
     assert got == want
+
+
+# The qp_to_json SHA-256 of every tr case with χ ≤ 8, as the contraction in
+# Fractions gave them; the comb engine gives the same digest at every χ = 8 case.
+TR_DIGESTS = {
+    (0, 3): "551d2a26fd2d2bbb2b9122db6b517d23a1e1b6fdc0d60b0873bcf59a46bc803d",
+    (1, 1): "1d56d6fc800263e9866eeacda98b8f5a94347f2063bf9a0c76ba58d5d36386ba",
+    (0, 4): "39b48f1f6da1813ebce4c0bc576c86e13467c306b04066ca8613c361328cc5b3",
+    (1, 2): "5099c35db885d6cf7c7f1a1a21fefe6958110684d4e703a25b2f166fe23477af",
+    (0, 5): "69f848b0fc1c39aa3f2cee42d24e14f33ee3abbfb0cfb5ca8a02efa8ba1227a9",
+    (1, 3): "f6622dbeb8e1aed6c6b297302aa8c44e0c4639f3873f6717a1d02d12140e937f",
+    (2, 1): "58e93b8cbb707f0ca433a5063a25a302b3d57fa69e142aa9d944d11a2c741b33",
+    (0, 6): "d3a13ea59265726c4b5a3af1150d60653c4be00e52fe1be5f5fab55f5f302984",
+    (1, 4): "97ee2a1d5a5fdccda3251cef5c32bda95c34a3b7ba3c677e9ad5b6f6f770c81e",
+    (2, 2): "75493349dafcfcb386c86f0c2f24f30f5f3b5f8206140622c31a06ea4a56abbb",
+    (0, 7): "4b59538a0e012e5ce2b99911857b4cf6cde48f71956ca63be624e0f907ed736f",
+    (1, 5): "1ebd9b130799f4da6b4dd1d65be9b0e68f16fd1110060d8f64e4e57e8580a683",
+    (2, 3): "afdb2ee76b221a71fefb65e3e3e3a80ac7becc1a1f9580c009c17eb328a6ffc7",
+    (3, 1): "01ab6384a041ab4430c51ad0e4ba48a375712e9ef15a15c4d4533d85a63505b6",
+    (0, 8): "e5255fe61c6c9269e3f347c126633f6fab7ca7f132fdbcaaf15e6a1039794f7c",
+    (1, 6): "16c7d58de2851bcf734f50d61bea2b03fb6ae0f26df6f68ae0276311c5bff0bf",
+    (2, 4): "bf6c35036688f26316ec0337c4096e7625548cfba65c100bd5f5d64df6db9682",
+    (3, 2): "5026c48344955ecccf8799b05f4d8e79418733537870f8e3ae84c4206dd9f976",
+    (0, 9): "2897cc35dfc63905ba6b6ad61f8ae56501cb524c6de04731d6d5a2529f7edf3b",
+    (1, 7): "7473c656b943eb90898b70862ebf42449c6d6ca2cdd29516836df37c746bbb4c",
+    (2, 5): "f19fc05a1bcb3494430c828b3b21207fc10f746043d1c498f26769730c64ec62",
+    (3, 3): "3495b8cfbe032b93ac682f0bbac74916622fe934969dd2be3e1f574771579bbe",
+    (4, 1): "e2ff3567a0a786118db9297f281a043fd2794fd8f9e5d0491b8876479d8114d8",
+    (0, 10): "e7d9ea9a8283a5055be4281b8f106b445da329af485405ee5346b54568d642ea",
+    (1, 8): "49064765a006611edaed796f31f98f4a271574b625eacbd2ba07758547db1ac6",
+    (2, 6): "00f4365a599bb4363a3a25d53a444e2719c8fdbf612d812fa17a9311d4196ab0",
+    (3, 4): "a76709f4c4aaa7888936bb518f280d3f0181db451693debce36862a04887e5b4",
+    (4, 2): "342c2c99d4efa329349301a006ce55dfecc25b24b704ed4e6e70291ef667a94e",
+}
+
+
+def test_tr_digests_through_chi_8_are_pinned():
+    assert list(TR_DIGESTS) == checks.stable_cases(8)
+    for (g, n), want in TR_DIGESTS.items():
+        assert hashlib.sha256(qp_to_json(nbar_poly(g, n, "tr")).encode()).hexdigest() == want, (g, n)
