@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from . import golden
 from .exact import Poly, RationalFunction, mercator
-from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly
+from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly, positivity_report
 from .memo import register
 from .quasipoly import XiIndex, XiTensor, _arrangements
 from .tr import HALF, EngineError, PfKey, principal_parts, tr_correlator, tr_tensor, xi, xi_decompose
@@ -129,7 +129,8 @@ def residues() -> Iterator[Outcome]:
 def table() -> Iterator[Outcome]:
     """Computed polynomials against the reference table, one outcome per row.
 
-    A flagged row's differences are reported, with the row still ok.
+    A flagged row's differences are reported, with the row still ok; so is
+    the last outcome, a note on the sign of every stored coefficient.
     """
     for g, n in golden.EXACT_CASES:
         classes = nbar_poly(g, n).classes
@@ -154,6 +155,10 @@ def table() -> Iterator[Outcome]:
                 yield Outcome(_with_diffs(head, diffs, "published"), True, tuple(diffs))
             else:
                 yield Outcome(f"({g},{n}) k={k}: {tag} matches", True)
+    report = positivity_report()
+    note = [f"note: {len(report)} negative stored coefficient(s) found:"]
+    note += [f"    ({g},{n}) k={k} {key}: {c}" for g, n, k, key, c in report]
+    yield Outcome("\n".join(note) if report else "all stored coefficients non-negative over the table range", True)
 
 
 def _with_diffs(head: str, diffs, source: str) -> str:

@@ -21,17 +21,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache as cache_mod
-from .lattice import (
-    _check_asym_point,
-    _check_nonzero_point,
-    _check_stable,
-    euler_char,
-    nbar_eval,
-    nbar_eval_asym,
-    nbar_poly,
-    positivity_report,
-    psi_number,
-)
+from .lattice import _check_nonzero_point, _check_stable, euler_char, nbar_eval, nbar_poly, psi_number
 from .quasipoly import QuasiPolynomial, qp_to_json
 
 EXIT_OK = 0
@@ -40,18 +30,16 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_IO = 4
 
-# `poly` refuses a case with χ above its engine's bound, unless --force is given or the polynomial is
-# in the disk cache.  Cold on a 2-vCPU x86 machine, the last χ inside took at most about 5.5 s of CPU
-# for comb and comb-asym (χ = 7) and 6.0 s for tr (χ = 9: (0,11), writing a 115 MB cache entry), and
-# one χ more took 14-22 s (comb) and, for tr even with --no-cache, 8.6-11.2 s, most of it rendering.
-# `eval` with an even Σ b_i refuses the same χ for tr, which builds the whole polynomial, and one χ
-# more for comb and comb-asym, which fit the polynomials one χ below the point for their values at
-# b = 0.  On that machine `eval --engine tr` at b = (2, 0, …) or (1, …, 1) took 2.2-5.9 s at χ = 10
-# and 7.4-13.3 s at χ = 11 ((0,13), (3,7), (2,9)): it renders nothing, so its guard is one χ
-# stricter than the time needs.  `eval 0 11 2 0 0 0 0 0 0 0 0 0 0` (χ = 9) took 28.6-31.4 s; at
-# b = (2, 0, …) a comb eval at χ = 8 took 3.7-4.0 s for (0,10), 7.7-9.1 s for (2,6) and 7.7-8.1 s
-# for (1,8)
-POLY_BOUND = {"comb": 7, "comb-asym": 7, "tr": 9}
+# One rule for both engines: on a cache miss `poly` refuses χ above its engine's bound, and `eval` with
+# an even Σ b_i refuses χ above the bound plus one, each unless --force is given.  Cold on a 2-vCPU x86
+# machine, the last χ inside `poly` took at most about 5.5 s of CPU for comb (χ = 7) and 6.0 s for tr
+# (χ = 9: (0,11), writing a 115 MB cache entry); one χ more took 14-22 s (comb) and, for tr even with
+# --no-cache, 8.6-11.2 s, most of it rendering.  `eval` gets the χ more: comb fits the cases one χ
+# below the point for its values at b = 0, and at b = (2, 0, …) a χ = 8 point took 3.7-4.0 s for
+# (0,10), 7.7-9.1 s for (2,6) and 7.7-8.1 s for (1,8), while `eval 0 11 2 0 … 0` (χ = 9) took
+# 28.6-31.4 s; tr renders nothing, and at b = (2, 0, …) or (1, …, 1) it took 2.2-5.9 s at χ = 10 and
+# 7.4-13.3 s at χ = 11 ((0,13), (3,7), (2,9))
+POLY_BOUND = {"comb": 7, "tr": 9}
 # a comb eval also refuses a point with χ² · Σ b_i above this, unless --force is given: the
 # recursion's table grows with both, and (2,2) at b = (1500, 2) ran past 100 s
 EVAL_BOUND = 1600
@@ -73,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=("pretty", "json"), default="pretty")
     p_eval.add_argument(
         "--force", action="store_true",
-        help=f"run past the engine's chi bound, or a comb engine past chi^2 * sum(b) = {EVAL_BOUND}",
+        help=f"run past the engine's chi bound, or comb past chi^2 * sum(b) = {EVAL_BOUND}",
     )
     p_eval.set_defaults(run=cmd_eval)
 
@@ -96,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "what",
         choices=("euler", "desk", "string", "dilaton", "engines", "residues", "all"),
     )
-    p_verify.add_argument("--max-chi", type=int, default=3, help="complexity bound 2g-2+n for euler checks")
+    p_verify.add_argument(
+        "--max-chi", type=int, default=3, help=f"complexity bound 2g-2+n for euler checks, 1 to {POLY_BOUND['comb']}"
+    )
     p_verify.set_defaults(run=cmd_verify)
 
     p_psi = sub.add_parser("psi", help="intersection number from top coefficients")
@@ -174,28 +164,23 @@ def _emit(text: str, out: Optional[Path]) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     b = _check_nonzero_point(args.g, args.n, args.b)
-    if args.engine == "comb-asym":
-        _check_asym_point(args.g, args.n, b)
     chi = 2 * args.g - 2 + args.n
-    # the comb engines fit the cases one χ below the point, for their values at b = 0
-    limit = POLY_BOUND[args.engine] + (args.engine != "tr")
+    limit = POLY_BOUND[args.engine] + 1
     if sum(b) % 2:
         value = Fraction(0)
     elif chi > limit and not args.force:
         raise ValueError(
             f"chi = {chi} exceeds {limit}, past which a cold eval --engine {args.engine} "
-            "takes tens of seconds or more; pass --force"
+            "can take ten seconds or more; pass --force"
         )
-    elif args.engine != "tr" and chi * chi * sum(b) > EVAL_BOUND and not args.force:
+    elif args.engine == "comb" and chi * chi * sum(b) > EVAL_BOUND and not args.force:
         raise ValueError(
-            f"chi^2 * sum(b) = {chi}^2 * {sum(b)} exceeds {EVAL_BOUND}, past which the {args.engine} "
+            f"chi^2 * sum(b) = {chi}^2 * {sum(b)} exceeds {EVAL_BOUND}, past which the comb "
             "recursion can run for minutes; --engine tr evaluates any point from the polynomial, "
             "or pass --force"
         )
     elif args.engine == "comb":
         value = nbar_eval(args.g, args.n, b)
-    elif args.engine == "comb-asym":
-        value = nbar_eval_asym(args.g, args.n, b)
     else:
         value = nbar_poly(args.g, args.n, engine="tr").evaluate(b)
     if args.format == "json":
@@ -242,20 +227,12 @@ def _report(outcomes: Iterable) -> bool:
 def cmd_table(_args: argparse.Namespace) -> int:
     from . import checks
 
-    ok = _report(checks.table())
-    report = positivity_report()
-    if report:
-        print(f"note: {len(report)} negative stored coefficient(s) found:")
-        for g, n, k, key, c in report:
-            print(f"    ({g},{n}) k={k} {key}: {c}")
-    else:
-        print("all stored coefficients non-negative over the table range")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if _report(checks.table()) else EXIT_VERIFY
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_chi < 1:
-        raise ValueError(f"--max-chi must be at least 1, got {args.max_chi}")
+    if not 1 <= args.max_chi <= POLY_BOUND["comb"]:
+        raise ValueError(f"--max-chi must be from 1 to the comb bound {POLY_BOUND['comb']}, got {args.max_chi}")
     from . import checks
 
     topics = {

@@ -72,14 +72,6 @@ def _check_nonzero_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
     return b
 
 
-def _check_asym_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
-    """:func:`_check_point`, and raises unless the first entry, the root of :func:`nbar_eval_asym`, is positive."""
-    b = _check_point(g, n, b)
-    if b[0] <= 0:
-        raise ValueError("the asymmetric recursion needs a positive first argument")
-    return b
-
-
 def br(p: int) -> int:
     """The weight [p]: p for positive p, and 1 at p = 0."""
     return p if p else 1
@@ -113,7 +105,9 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     first entry is not the largest checks that the step does not depend on
     its root.
     """
-    b = _check_asym_point(g, n, b)
+    b = _check_point(g, n, b)
+    if b[0] <= 0:
+        raise ValueError("the asymmetric recursion needs a positive first argument")
     if sum(b) % 2:
         return Fraction(0)
     if (g, n) in ((0, 3), (1, 1)):
@@ -255,9 +249,8 @@ _POLY_MEMO: Dict[Tuple[int, int, str], QuasiPolynomial] = register("lattice.poly
 def nbar_poly(g: int, n: int, engine: str = "comb") -> QuasiPolynomial:
     """The full parity-split polynomial form of N̄_{g,n}.
 
-    ``engine`` selects how values are produced: ``comb`` for the
-    recursion's value table, ``comb-asym`` for its step rooted in the first
-    argument, ``tr`` for the residue-based recursion on the spectral curve.
+    ``engine`` is ``comb``, a fit of the recursion's value table, or ``tr``,
+    the residue-based recursion on the spectral curve.
     """
     _check_stable(g, n)
     key = (g, n, engine)
@@ -266,8 +259,6 @@ def nbar_poly(g: int, n: int, engine: str = "comb") -> QuasiPolynomial:
         return hit
     if engine == "comb":
         qp = qp_fit(lambda b: Fraction(*_pair(g, n, b)), g, n)
-    elif engine == "comb-asym":
-        qp = qp_fit(lambda b: nbar_eval_asym(g, n, b), g, n)
     elif engine == "tr":
         from . import tr
 

@@ -48,7 +48,7 @@ def test_eval_json(capsys):
 
 def test_eval_engines_agree(capsys):
     values = {}
-    for engine in ("comb", "comb-asym", "tr"):
+    for engine in ("comb", "tr"):
         code, out, _ = run(capsys, ["eval", "1", "2", "2", "4", "--engine", engine])
         assert code == 0
         values[engine] = out.strip()
@@ -63,18 +63,22 @@ def test_eval_rejects_bad_input(capsys):
     assert code == 3
     code, _, err = run(capsys, ["eval", "0", "4", "1", "2"])
     assert code == 3
-    code, _, err = run(capsys, ["eval", "0", "4", "0", "1", "0", "0", "--engine", "comb-asym"])
-    assert code == 3
-    assert "positive first argument" in err
 
 
-@pytest.mark.parametrize("engine", ["comb", "comb-asym"])
+@pytest.mark.parametrize("command", [["eval", "1", "2", "2", "4"], ["poly", "1", "2", "--no-cache"]], ids=["eval", "poly"])
+def test_the_retired_comb_asym_engine_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--engine", "comb-asym"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'comb-asym'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["comb"])
 def test_eval_refuses_a_runaway_comb_point_unless_forced(capsys, monkeypatch, engine):
     def runaway(*args):
         raise AssertionError("the guard must refuse before the recursion starts")
 
     monkeypatch.setattr(cli, "nbar_eval", runaway)
-    monkeypatch.setattr(cli, "nbar_eval_asym", runaway)
     # (2,2): chi = 4, and 4^2 * (1500 + 2) is far past the bound
     code, out, err = run(capsys, ["eval", "2", "2", "1500", "2", "--engine", engine])
     assert (code, out) == (3, "")
@@ -82,7 +86,6 @@ def test_eval_refuses_a_runaway_comb_point_unless_forced(capsys, monkeypatch, en
     assert "--engine tr" in err and "--force" in err and "Traceback" not in err
 
     monkeypatch.setattr(cli, "nbar_eval", lambda g, n, b: F(7))
-    monkeypatch.setattr(cli, "nbar_eval_asym", lambda g, n, b: F(7))
     code, out, _ = run(capsys, ["eval", "2", "2", "1500", "2", "--engine", engine, "--force"])
     assert (code, out) == (0, "7\n")
 
@@ -99,32 +102,32 @@ def _engines_must_not_start(monkeypatch):
     def runaway(*args, **kwargs):
         raise AssertionError("the guard must refuse before the engine starts")
 
-    for name in ("nbar_eval", "nbar_eval_asym", "nbar_poly"):
+    for name in ("nbar_eval", "nbar_poly"):
         monkeypatch.setattr(cli, name, runaway)
 
 
 def _engines_answer_seven(monkeypatch):
     monkeypatch.setattr(cli, "nbar_eval", lambda g, n, b: F(7))
-    monkeypatch.setattr(cli, "nbar_eval_asym", lambda g, n, b: F(7))
     monkeypatch.setattr(cli, "nbar_poly", lambda g, n, engine: SimpleNamespace(evaluate=lambda b: F(7)))
 
 
-# tr builds the whole (g, n) polynomial; at b = 0 the comb engines fit the cases one chi lower
-@pytest.mark.parametrize("engine, g, n", [("tr", 3, 6), ("tr", 0, 12), ("comb", 0, 11), ("comb-asym", 0, 11)])
+# eval allows both engines one chi past their poly bound: comb fits the cases one chi lower for
+# its value at b = 0, and tr renders nothing
+@pytest.mark.parametrize("engine, g, n", [("tr", 3, 7), ("tr", 0, 13), ("comb", 0, 11)])
 def test_eval_refuses_a_point_past_its_engine_chi_bound_unless_forced(capsys, monkeypatch, engine, g, n):
     argv = ["eval", str(g), str(n), "2"] + ["0"] * (n - 1) + ["--engine", engine]
-    limit = {"tr": 9, "comb": 8, "comb-asym": 8}[engine]
+    limit = {"tr": 10, "comb": 8}[engine]
     _engines_must_not_start(monkeypatch)
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert err == (f"error: chi = {2 * g - 2 + n} exceeds {limit}, past which a cold eval --engine {engine} "
-                   "takes tens of seconds or more; pass --force\n")
+                   "can take ten seconds or more; pass --force\n")
 
     _engines_answer_seven(monkeypatch)
     assert run(capsys, argv + ["--force"])[:2] == (0, "7\n")
 
 
-@pytest.mark.parametrize("engine", ["comb", "comb-asym", "tr"])
+@pytest.mark.parametrize("engine", ["comb", "tr"])
 def test_eval_chi_bound_leaves_chi_eight_alone(capsys, monkeypatch, engine):
     _engines_answer_seven(monkeypatch)
     for g, n in ((0, 10), (1, 8), (2, 6)):
@@ -133,11 +136,11 @@ def test_eval_chi_bound_leaves_chi_eight_alone(capsys, monkeypatch, engine):
 
 def test_eval_tr_chi_bound_leaves_chi_nine_alone(capsys, monkeypatch):
     _engines_answer_seven(monkeypatch)
-    for g, n in ((0, 11), (1, 9), (2, 7), (5, 1)):
+    for g, n in ((0, 11), (1, 9), (2, 7), (5, 1), (0, 12), (3, 6), (1, 10)):
         assert run(capsys, ["eval", str(g), str(n), "2"] + ["0"] * (n - 1) + ["--engine", "tr"])[:2] == (0, "7\n")
 
 
-@pytest.mark.parametrize("engine", ["comb", "comb-asym", "tr"])
+@pytest.mark.parametrize("engine", ["comb", "tr"])
 def test_eval_odd_sum_prints_zero_without_an_engine(capsys, monkeypatch, engine):
     _engines_must_not_start(monkeypatch)
     # chi = 11 and chi^2 * sum(b) = 1573: past the chi bound of every engine, but the count is 0
@@ -234,7 +237,7 @@ def test_poly_uses_cache(capsys, tmp_path, monkeypatch):
     assert qp_from_json(second) == qp_from_json(first)
 
 
-@pytest.mark.parametrize("engine, g, n", [("comb", 0, 10), ("comb-asym", 1, 8), ("tr", 0, 12), ("tr", 5, 2)])
+@pytest.mark.parametrize("engine, g, n", [("comb", 0, 10), ("comb", 1, 8), ("tr", 0, 12), ("tr", 5, 2)])
 def test_poly_refuses_a_runaway_case_unless_forced(capsys, tmp_path, monkeypatch, engine, g, n):
     def runaway(*args, **kwargs):
         raise AssertionError("the guard must refuse before the engine starts")
@@ -266,7 +269,7 @@ def test_poly_bound_leaves_cache_hits_and_cases_inside_alone(capsys, tmp_path, m
     code, out, _ = run(capsys, ["poly", "0", "12", "--engine", "tr", "--cache-dir", str(tmp_path)])
     assert (code, out) == (0, cli.render_poly(stand_in, "pretty"))
     # (5,1) is at the tr bound, and (4,1) at the comb bound
-    for g, n, engine in ((5, 1, "tr"), (4, 1, "comb"), (4, 1, "comb-asym")):
+    for g, n, engine in ((5, 1, "tr"), (4, 1, "comb")):
         code, _, _ = run(capsys, ["poly", str(g), str(n), "--engine", engine, "--no-cache"])
         assert code == 0
 
@@ -352,6 +355,17 @@ def test_verify_rejects_an_empty_euler_range(capsys):
         assert "--max-chi" in err
 
 
+def test_verify_refuses_an_euler_range_past_the_comb_bound_before_fitting(capsys, monkeypatch):
+    def runaway(*args, **kwargs):
+        raise AssertionError("the range check must refuse before any polynomial is fitted")
+
+    monkeypatch.setattr(checks, "nbar_poly", runaway)
+    for bad in ("8", "9"):
+        code, out, err = run(capsys, ["verify", "euler", "--max-chi", bad])
+        assert (code, out) == (3, "")
+        assert err == f"error: --max-chi must be from 1 to the comb bound 7, got {bad}\n"
+
+
 def test_verify_residues(capsys):
     code, out, _ = run(capsys, ["verify", "residues"])
     assert code == 0
@@ -394,6 +408,7 @@ def test_table_fails_on_a_perturbed_polynomial(capsys, monkeypatch):
     assert code == 1
     assert "(1,1) k=0: FAIL 2 coefficient(s) differ\n    (0,): computed 5/6, reference 5/12\n" in out
     assert "(0,4) k=0: ok (5 coefficients)" in out
+    assert out.endswith("\nall stored coefficients non-negative over the table range\n")
 
 
 def test_cli_import_loads_no_checks_engine_or_table():

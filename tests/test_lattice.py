@@ -26,6 +26,7 @@ from nbar.lattice import (
     positivity_report,
     psi_number,
 )
+from nbar.quasipoly import qp_fit
 
 F = Fraction
 
@@ -272,10 +273,12 @@ def test_both_evaluators_reject_non_integers():
 
 
 def test_poly_engines_agree():
-    for g, n in [(0, 4), (1, 2)]:
-        assert nbar_poly(g, n, engine="comb") == nbar_poly(g, n, engine="comb-asym")
-    with pytest.raises(ValueError):
-        nbar_poly(0, 4, engine="magic")
+    # the fit of the step rooted at b_1 equals the comb polynomial: the step does not depend on its root
+    for g, n in checks.stable_cases(5):
+        assert nbar_poly(g, n) == qp_fit(lambda b: nbar_eval_asym(g, n, b), g, n), (g, n)
+    for unknown in ("magic", "comb-asym"):
+        with pytest.raises(ValueError):
+            nbar_poly(0, 4, engine=unknown)
 
 
 def test_engines_agree_at_seeded_random_points():
