@@ -62,7 +62,7 @@ def stable_cases(max_chi: int) -> List[Tuple[int, int]]:
     return [(g, chi + 2 - 2 * g) for chi in range(1, max_chi + 1) for g in range((chi + 1) // 2 + 1)]
 
 
-SMALL_CASES = stable_cases(2)  # string, dilaton and engine sweeps
+SMALL_CASES = stable_cases(2)  # string and dilaton sweeps
 # each first entry is smaller than another entry, so the point's memo value, rooted at its
 # largest entry, and the step rooted at b_1 take different roots
 ASYMMETRIC_POINTS = [(0, 4, (2, 4, 0, 2)), (1, 2, (3, 5)), (1, 2, (2, 6))]
@@ -109,9 +109,9 @@ def dilaton() -> Iterator[Outcome]:
         yield _check(f"dilaton ({g},{n})", dilaton_check(g, n))
 
 
-def engines() -> Iterator[Outcome]:
-    """Residue engine against the recursion, and the recursion at two roots of each asymmetric point."""
-    for g, n in SMALL_CASES:
+def engines(max_chi: int) -> Iterator[Outcome]:
+    """Residue engine against the recursion through max_chi, and the recursion at two roots of each asymmetric point."""
+    for g, n in stable_cases(max_chi):
         yield _check(f"engines ({g},{n}) residue vs recursion", tr_correlator(g, n) == nbar_poly(g, n))
     for g, n, bs in ASYMMETRIC_POINTS:
         yield _check(f"engines ({g},{n}) asymmetric at b={bs}", nbar_eval_asym(g, n, bs) == nbar_eval(g, n, bs))

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification or table comparison failed,
-2 usage error (argparse), 3 invalid input or an engine or certificate failure
-from any subcommand, 4 I/O error, a closed standard output included.
+2 usage error (argparse), 3 invalid input (``error:``) or a failed exact
+certificate (``engine error:``) from any subcommand, 4 I/O error, a closed
+standard output included.
 
 ``main`` builds the parser once per process, on its first call, and is the one
-place that turns a ``ValueError`` or an ``EngineError`` into exit 3 and a
+place that turns a ``ValueError``, ``EngineError`` included, into exit 3 and a
 closed standard output into exit 4.
 """
 
@@ -22,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache as cache_mod
 from .lattice import _check_nonzero_point, _check_stable, euler_char, nbar_eval, nbar_poly, psi_number
-from .quasipoly import QuasiPolynomial, qp_to_json
+from .quasipoly import EngineError, QuasiPolynomial, qp_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("euler", "desk", "string", "dilaton", "engines", "residues", "all"),
     )
     p_verify.add_argument(
-        "--max-chi", type=int, default=3, help=f"complexity bound 2g-2+n for euler checks, 1 to {POLY_BOUND['comb']}"
+        "--max-chi", type=int, default=3, help=f"bound on 2g-2+n for euler and engines, 1 to {POLY_BOUND['comb']}"
     )
     p_verify.set_defaults(run=cmd_verify)
 
@@ -240,7 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "desk": checks.desk,
         "string": checks.string,
         "dilaton": checks.dilaton,
-        "engines": checks.engines,
+        "engines": lambda: checks.engines(args.max_chi),
         "residues": checks.residues,
     }
     ok = _report(o for name, run in topics.items() if args.what in (name, "all") for o in run())
@@ -270,11 +271,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: standard output is closed", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except Exception as exc:  # engine failures should not show a traceback to users
-        from .tr import EngineError
-
-        if not isinstance(exc, EngineError):
-            raise
-        print(f"engine error: {exc}", file=sys.stderr)
+        print(f"{'engine error' if isinstance(exc, EngineError) else 'error'}: {exc}", file=sys.stderr)
     return EXIT_INVALID

@@ -37,7 +37,7 @@ from math import comb, factorial, gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .memo import clear_all, register
-from .quasipoly import QuasiPolynomial, qp_fit
+from .quasipoly import EngineError, QuasiPolynomial, qp_fit
 
 HALF = Fraction(1, 2)
 
@@ -340,9 +340,9 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
     coefficient of ∏ b_i^{2 a_i} in every parity class equals the
     intersection number divided by 2^{5g-6+2n} ∏ a_i!.  Each class stores
     one coefficient per orbit; the orbit of the exponents a, the first k of
-    them in the odd block of class k, is read from every class, and all
-    classes are required to agree.  For off-top total degree the number is
-    zero by definition.
+    them in the odd block of class k, is read from every class; classes that
+    disagree raise :class:`EngineError`.  For off-top total degree the number
+    is zero by definition.
     """
     n = len(alphas)
     _check_stable(g, n)
@@ -354,9 +354,9 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
     qp = nbar_poly(g, n)
     seen = [qp.coefficient(k, alphas) for k in sorted(qp.orbits)]
     if not seen:
-        raise AssertionError("count polynomial has no parity classes")
+        raise EngineError("count polynomial has no parity classes")
     if len(set(seen)) != 1:
-        raise AssertionError(f"top coefficients disagree across parity classes: {seen}")
+        raise EngineError(f"top coefficients disagree across parity classes: {seen}")
     scale = Fraction(2) ** (5 * g - 6 + 2 * n)
     for a in alphas:
         scale *= factorial(a)

@@ -39,6 +39,13 @@ XiKey = Tuple[XiIndex, ...]  # a tensor key: one ξ index per slot
 XiTensor = Dict[XiKey, Fraction]
 
 
+class EngineError(ValueError):
+    """An exact certificate of either engine failed, so the result is untrusted; ``nbar`` exits 3.
+
+    A ``ValueError``, so that every handler of bad input, a cache read's included, catches it too.
+    """
+
+
 class QuasiPolynomial:
     """A parity-split polynomial in b_1², …, b_n² with exact coefficients, one per block orbit."""
 
@@ -201,7 +208,7 @@ def _collapse(
     non-zero coefficient).  Every entry must carry its orbit's coefficient,
     and each orbit of class k must be hit exactly ``spread(k, orbit)`` times:
     once per placement for JSON, once per distinct root for a tensor.  So
-    every entry of the orbit is present; otherwise ``ValueError`` is raised.
+    every entry of the orbit is present; otherwise :class:`EngineError` is raised.
     """
     orbits: Dict[int, ClassDict] = {}
     hits: Dict[Tuple[int, ExpKey], int] = {}
@@ -209,12 +216,12 @@ def _collapse(
         orbit = _sort_blocks(key, k)
         have = orbits.setdefault(k, {}).setdefault(orbit, c)
         if have is not c and have != c:
-            raise ValueError(f"not slot-symmetric: class {k} key {key} has {c}, its orbit {orbit} has {have}")
+            raise EngineError(f"not slot-symmetric: class {k} key {key} has {c}, its orbit {orbit} has {have}")
         hits[k, orbit] = hits.get((k, orbit), 0) + 1
     for (k, orbit), hit in hits.items():
         want = spread(k, orbit)
         if hit != want:
-            raise ValueError(f"not slot-symmetric: class {k} orbit {orbit} has {hit} of its {want} entries")
+            raise EngineError(f"not slot-symmetric: class {k} orbit {orbit} has {hit} of its {want} entries")
     return orbits
 
 
@@ -394,9 +401,9 @@ def qp_fit(
     by total degree, then an integer change of basis to the orbit monomials.
     It is then checked exactly at the nodes of the keys of degree + 2, which
     contain the solve points: each check is the integer row of monomial values
-    there dotted with the solution, and any discrepancy raises.  A returned
-    class therefore equals ``func`` on its class whenever ``func`` is a
-    block-symmetric polynomial of total degree at most degree + 2 there.
+    there dotted with the solution, and any discrepancy raises :class:`EngineError`.
+    A returned class therefore equals ``func`` on its class whenever ``func``
+    is a block-symmetric polynomial of total degree at most degree + 2 there.
     """
     D = degree if degree is not None else 3 * g - 3 + n
     if D < 0:
@@ -424,7 +431,7 @@ def qp_fit(
         for p in checks:
             got = Fraction(sum(c * monomial(q, p) for q, c in zip(keys, nums) if c), den)
             if got != values[p]:
-                raise ValueError(
+                raise EngineError(
                     f"fit for class {k} fails verification at b={_point(p, k)}: "
                     f"fitted {got}, actual {values[p]}"
                 )

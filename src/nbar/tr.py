@@ -62,16 +62,12 @@ from typing import Dict, Iterable, List, Tuple
 from .exact import Poly, RationalFunction, Scalar, linsolve, mercator
 from .lattice import _check_stable, is_stable
 from .memo import register
-from .quasipoly import QuasiPolynomial, XiIndex, XiKey, XiTensor, _removals, qp_from_xi_tensor
+from .quasipoly import EngineError, QuasiPolynomial, XiIndex, XiKey, XiTensor, _removals, qp_from_xi_tensor
 
 HALF = Fraction(1, 2)
 
 PfKey = Tuple[int, int]  # (α, j): the coefficient of (z - α)^{-j}, α ∈ {-1, 0, +1}
 PfVector = Dict[PfKey, Scalar]
-
-
-class EngineError(RuntimeError):
-    """The recursion left its certified domain; the result would be untrusted."""
 
 
 # -- the basis -------------------------------------------------------------------

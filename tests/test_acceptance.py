@@ -52,8 +52,9 @@ def test_criterion_1_reference_table():
 
 def test_criterion_2_engine_cross_validation():
     t0 = time.monotonic()
-    for g, n in MANDATORY_CROSS:
-        assert tr.tr_correlator(g, n) == nbar_poly(g, n), f"engines disagree at ({g},{n})"
+    outcomes = list(checks.engines(7))  # the MANDATORY_CROSS cases, then the asymmetric points
+    assert len(outcomes) == len(MANDATORY_CROSS) + len(checks.ASYMMETRIC_POINTS)
+    assert all(o.ok for o in outcomes), [o.line for o in outcomes if not o.ok]
     elapsed = time.monotonic() - t0
     assert elapsed < 600, f"cross-validation took {elapsed:.1f}s"
     print(
@@ -88,6 +89,7 @@ def test_criterion_5_euler_characteristics():
         (1, 2): F(1, 2),
         (1, 3): F(17, 12),
         (2, 1): F(247, 1440),
+        (2, 2): F(413, 720),
     }
     for (g, n), w in want.items():
         assert euler_char(g, n) == w, f"χ({g},{n})"

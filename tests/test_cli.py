@@ -16,10 +16,10 @@ from types import SimpleNamespace
 import pytest
 
 import nbar
-from nbar import checks, cli
+from nbar import checks, cli, lattice, tr
 from nbar.cache import cache_get, cache_put, default_cache_dir
 from nbar.cli import main
-from nbar.lattice import nbar_poly
+from nbar.lattice import clear_caches, nbar_poly
 from nbar.quasipoly import QuasiPolynomial, qp_from_json, qp_to_json
 
 F = Fraction
@@ -237,6 +237,32 @@ def test_poly_uses_cache(capsys, tmp_path, monkeypatch):
     assert qp_from_json(second) == qp_from_json(first)
 
 
+def test_a_failed_certificate_in_poly_exits_three_with_one_engine_error_line(capsys, monkeypatch):
+    # a doubled (0,0) pair table skews the (1,2) residue tensor between its root and a spectator
+    real = tr._pair
+
+    def doubled(a, b):
+        nums, den = real(a, b)
+        return ({key: 2 * c for key, c in nums.items()}, den) if a == b == (0, 0) else (nums, den)
+
+    clear_caches()
+    monkeypatch.setattr(tr, "_pair", doubled)
+    try:
+        code, out, err = run(capsys, ["poly", "1", "2", "--engine", "tr", "--no-cache"])
+    finally:
+        clear_caches()  # the engine memo now holds the skewed tables
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("engine error: not slot-symmetric")
+
+
+def test_a_failed_cache_write_warns_and_still_prints(capsys, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code, out, err = run(capsys, ["poly", "1", "1", "--cache-dir", str(blocker)])
+    assert (code, out) == (0, cli.render_poly(nbar_poly(1, 1), "pretty"))
+    assert len(err.splitlines()) == 1 and err.startswith("warning: cache write failed: ")
+
+
 @pytest.mark.parametrize("engine, g, n", [("comb", 0, 10), ("comb", 1, 8), ("tr", 0, 12), ("tr", 5, 2)])
 def test_poly_refuses_a_runaway_case_unless_forced(capsys, tmp_path, monkeypatch, engine, g, n):
     def runaway(*args, **kwargs):
@@ -311,7 +337,7 @@ def test_euler_command_rejects_unstable_pairs(capsys):
         assert "not stable" in err
 
 
-def test_psi_command(capsys):
+def test_psi_command(capsys, monkeypatch):
     code, out, _ = run(capsys, ["psi", "1", "1"])
     assert code == 0
     assert out.strip() == "1/24"
@@ -320,6 +346,16 @@ def test_psi_command(capsys):
     assert out.strip() == "1/1152"
     code, _, _ = run(capsys, ["psi", "0", "1", "0"])
     assert code == 3
+    # a polynomial whose parity classes disagree fails psi's certificate
+    skewed = {
+        "top coefficients disagree": QuasiPolynomial(1, 1, {0: {(1,): F(1, 48)}, 1: {(1,): F(1, 24)}}),
+        "no parity classes": QuasiPolynomial(1, 1, {}),
+    }
+    for message, qp in skewed.items():
+        monkeypatch.setattr(lattice, "nbar_poly", lambda g, n, qp=qp: qp)
+        code, out, err = run(capsys, ["psi", "1", "1"])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("engine error: ") and message in err
 
 
 def test_verify_euler(capsys):
@@ -360,10 +396,12 @@ def test_verify_refuses_an_euler_range_past_the_comb_bound_before_fitting(capsys
         raise AssertionError("the range check must refuse before any polynomial is fitted")
 
     monkeypatch.setattr(checks, "nbar_poly", runaway)
-    for bad in ("8", "9"):
-        code, out, err = run(capsys, ["verify", "euler", "--max-chi", bad])
-        assert (code, out) == (3, "")
-        assert err == f"error: --max-chi must be from 1 to the comb bound 7, got {bad}\n"
+    monkeypatch.setattr(checks, "tr_correlator", runaway)
+    for topic in ("euler", "engines"):
+        for bad in ("8", "9"):
+            code, out, err = run(capsys, ["verify", topic, "--max-chi", bad])
+            assert (code, out) == (3, "")
+            assert err == f"error: --max-chi must be from 1 to the comb bound 7, got {bad}\n"
 
 
 def test_verify_residues(capsys):
@@ -397,16 +435,22 @@ def test_verify_all(capsys):
     lines = out.splitlines()
     assert all(line.endswith(" ok") for line in lines)
     topics = [line.split(" ", 1)[0] for line in lines]
-    counts = [("euler", 7), ("desk", 2), ("string", 4), ("dilaton", 4), ("engines", 7), ("residues", 12)]
+    counts = [("euler", 7), ("desk", 2), ("string", 4), ("dilaton", 4), ("engines", 10), ("residues", 12)]
     assert topics == [t for t, count in counts for _ in range(count)]
 
 
 def test_table_fails_on_a_perturbed_polynomial(capsys, monkeypatch):
     real = checks.nbar_poly
-    monkeypatch.setattr(checks, "nbar_poly", lambda g, n: real(g, n).scale(2 if (g, n) == (1, 1) else 1))
+
+    def perturbed(g, n):
+        qp = real(g, n).scale(2 if (g, n) == (1, 1) else 1)
+        return QuasiPolynomial(g, n, {**qp.orbits, 1: {(0, 0, 0): F(1)}}) if (g, n) == (0, 3) else qp
+
+    monkeypatch.setattr(checks, "nbar_poly", perturbed)
     code, out, _ = run(capsys, ["table"])
     assert code == 1
     assert "(1,1) k=0: FAIL 2 coefficient(s) differ\n    (0,): computed 5/6, reference 5/12\n" in out
+    assert "(0,3): FAIL unexpected parity classes [1]" in out.splitlines()
     assert "(0,4) k=0: ok (5 coefficients)" in out
     assert out.endswith("\nall stored coefficients non-negative over the table range\n")
 
@@ -588,6 +632,17 @@ def test_cache_heals_after_corruption_via_cli(capsys, tmp_path):
     assert qp_from_json(out) == nbar_poly(0, 4)
     # the store was rewritten with a valid entry
     assert cache_get(tmp_path, 0, 4, "comb") == nbar_poly(0, 4)
+
+
+def test_cache_misses_an_entry_whose_payload_names_another_case(tmp_path):
+    # a valid entry under another case's file names: digest and parse pass, the (g, n) check refuses it
+    for (g, n), (g2, n2) in (((1, 1), (2, 1)), ((0, 4), (0, 5))):
+        path = cache_put(tmp_path, nbar_poly(g, n), "comb")
+        moved = tmp_path / f"nbar_g{g2}_n{n2}_comb.json"
+        moved.write_bytes(path.read_bytes())
+        moved.with_suffix(".sha256").write_bytes(path.with_suffix(".sha256").read_bytes())
+        assert cache_get(tmp_path, g2, n2, "comb") is None
+        assert cache_get(tmp_path, g, n, "comb") == nbar_poly(g, n)
 
 
 def test_cache_respects_environment_variable(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from nbar import checks
-from nbar.lattice import nbar_eval, nbar_poly
+from nbar.lattice import nbar_poly
 
 F = Fraction
 
@@ -69,10 +69,3 @@ def test_dilaton_identity_symbolically():
         big = nbar_poly(g, n + 1)
         diff = big.pin_even(2) - big.pin_even(0)
         assert diff == nbar_poly(g, n).scale(2 * g - 2 + n), (g, n)
-
-
-def test_spot_values_from_the_identities():
-    assert nbar_eval(1, 2, (1, 3)) == F(17, 12)
-    # dilaton at b = 4: N̄_{1,2}(2,4) - N̄_{1,2}(0,4) = (16+20)/48
-    qp = nbar_poly(1, 2)
-    assert qp.evaluate((2, 4)) - qp.evaluate((0, 4)) == F(36, 48)

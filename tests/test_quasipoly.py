@@ -18,6 +18,7 @@ from nbar.cache import cache_get, cache_put
 from nbar.checks import stable_cases
 from nbar.lattice import clear_caches, nbar_eval, nbar_poly
 from nbar.quasipoly import (
+    EngineError,
     QuasiPolynomial,
     _block_basis,
     _omega_tables,
@@ -216,6 +217,39 @@ def test_parse_diagnostics_name_the_position():
     with pytest.raises(ValueError, match="duplicate class"):
         qp_parse(bad)
 
+    with pytest.raises(ValueError, match=r"\$\.classes: expected list, got dict"):
+        qp_parse({**good, "classes": {}})
+
+    bad = json.loads(json.dumps(good))
+    bad["classes"][0] = [1]
+    with pytest.raises(ValueError, match=r"\$\.classes\[0\]: expected object, got list"):
+        qp_parse(bad)
+
+    bad = json.loads(json.dumps(good))
+    del bad["classes"][1]["terms"]
+    with pytest.raises(ValueError, match=r"\$\.classes\[1\]: missing field 'odd_count' or 'terms'"):
+        qp_parse(bad)
+
+    bad = json.loads(json.dumps(good))
+    bad["classes"][1]["terms"] = "3"
+    with pytest.raises(ValueError, match=r"\$\.classes\[1\]\.terms: expected list, got str"):
+        qp_parse(bad)
+
+    bad = json.loads(json.dumps(good))
+    del bad["classes"][2]["terms"][0]["coeff"]
+    with pytest.raises(ValueError, match=r"\$\.classes\[2\]\.terms\[0\]: expected object with"):
+        qp_parse(bad)
+
+    bad = json.loads(json.dumps(good))
+    bad["classes"][2]["terms"][0]["coeff"] = 5
+    with pytest.raises(ValueError, match=r"\$\.classes\[2\]\.terms\[0\]\.coeff: expected rational string"):
+        qp_parse(bad)
+
+    bad = json.loads(json.dumps(good))
+    bad["classes"][0]["terms"][1]["exponents"] = [0, 0]
+    with pytest.raises(ValueError, match=r"\$\.classes\[0\]\.terms\[1\]\.exponents: duplicate exponent key \(0, 0\)"):
+        qp_parse(bad)
+
 
 def test_parse_rejects_booleans_as_integers():
     good = qp_serialize(sample_qp())
@@ -245,8 +279,10 @@ def test_parse_rejects_a_class_that_is_not_block_symmetric():
         {"odd_count": 2, "terms": [{"exponents": [0, 0], "coeff": "1"}]},
         {"odd_count": 0, "terms": [{"exponents": [1, 0], "coeff": "1"}]},
     ]}
-    with pytest.raises(ValueError, match=r"\$\.classes\[1\]: not slot-symmetric"):
+    with pytest.raises(ValueError, match=r"\$\.classes\[1\]: not slot-symmetric") as caught:
         qp_parse(data)
+    # the symmetry certificate's EngineError comes out as a plain ValueError with the class's path
+    assert type(caught.value) is ValueError
     # both placements, with different coefficients
     data["classes"][1]["terms"].append({"exponents": [0, 1], "coeff": "2"})
     with pytest.raises(ValueError, match=r"\$\.classes\[1\]: not slot-symmetric"):
@@ -383,7 +419,7 @@ def test_fit_detects_wrong_degree_bound():
     def func(b):
         return Fraction(sum(v ** 4 for v in b))
 
-    with pytest.raises(ValueError, match="verification"):
+    with pytest.raises(EngineError, match="verification"):
         qp_fit(func, 0, 2, degree=1)
 
 

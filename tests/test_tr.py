@@ -102,6 +102,10 @@ def test_xi_invalid_index():
         tr.xi(2, 0)
     with pytest.raises(ValueError):
         tr.xi(0, -1)
+    with pytest.raises(ValueError, match=r"invalid basis index \(2, 0\)"):
+        tr.xi_principal_parts(2, 0)
+    with pytest.raises(ValueError, match=r"invalid basis index \(0, -1\)"):
+        tr.xi_principal_parts(0, -1)
 
 
 def test_two_point_slot_functions():
@@ -421,7 +425,7 @@ def test_asymmetric_pair_table_fails_the_symmetry_certificate(monkeypatch):
     clear_caches()
     monkeypatch.setattr(tr, "_pair", doubled)
     try:
-        with pytest.raises(ValueError, match="not slot-symmetric"):
+        with pytest.raises(tr.EngineError, match="not slot-symmetric"):
             tr.tr_correlator(1, 2)
     finally:
         clear_caches()  # the engine memo now holds the skewed (1,2) tensor
@@ -452,11 +456,6 @@ def test_three_point_tensor():
 def test_engine_matches_combinatorial_counts():
     for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
         assert tr.tr_tensor(g, n) == qp_to_xi_tensor(nbar_poly(g, n))
-
-
-def test_correlator_wrapper_returns_quasi_polynomial():
-    qp = tr.tr_correlator(0, 4)
-    assert qp == nbar_poly(0, 4)
 
 
 def test_residue_engine_satisfies_dilaton_and_euler_through_chi_6():
