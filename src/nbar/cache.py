@@ -3,13 +3,18 @@
 Each polynomial is stored as its own JSON file, ``nbar_g{g}_n{n}_{engine}.json``,
 with the SHA-256 digest of that file in a sidecar ``nbar_g{g}_n{n}_{engine}.sha256``
 next to it.  Entries from different engines ("comb" vs "tr") are kept
-separate and never substituted for one another.  Reads verify the digest and
-re-parse the payload; anything that fails verification, a missing digest
-included, is treated as a miss, so a corrupted entry heals itself on the next
-write.  Writes put the payload first and then its digest, each through a
-temporary file and an atomic rename.  No file is shared between keys, so
-concurrent writers cannot lose each other's entries, and two writers of one
-key write the same bytes.
+separate and never substituted for one another.  A read verifies the digest,
+then parses the payload under its certificates (``qp_from_json``: the
+slot-symmetry check of every class) and checks that it names the (g, n) asked
+for; anything that fails, a missing digest included, is a miss, so a corrupted
+entry heals itself on the next write.  A hit returns the polynomial and the
+verified payload text, and ``nbar poly --format json`` prints that text as it
+is, after the digest check and the parse, instead of rendering the polynomial
+again: only :func:`cache_put` writes an entry, so the text is the one a
+render would print.  Writes put the payload first and then its digest, each
+through a temporary file and an atomic rename.  No file is shared between
+keys, so concurrent writers cannot lose each other's entries, and two writers
+of one key write the same bytes.
 
 The payload is the text of :func:`nbar.quasipoly.qp_to_json`, which writes the
 ``indent=2`` JSON of ``qp_serialize`` directly, byte-identical to
@@ -35,15 +40,19 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "nbar"
 
 
-def _entry_paths(directory: Path, g: int, n: int, provenance: str) -> Tuple[Path, Path]:
+def _entry_paths(directory: Path, g: int, n: int, provenance: str) -> Tuple[str, str]:
     """The payload file of one entry and its digest sidecar."""
-    stem = f"nbar_g{g}_n{n}_{provenance}"
-    return Path(directory) / f"{stem}.json", Path(directory) / f"{stem}.sha256"
+    stem = os.path.join(directory, f"nbar_g{g}_n{n}_{provenance}")
+    return stem + ".json", stem + ".sha256"
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -56,29 +65,32 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def cache_get(directory: Path, g: int, n: int, provenance: str) -> Optional[QuasiPolynomial]:
-    """Look up a stored polynomial; any verification failure is a miss."""
+def cache_get(directory: Path, g: int, n: int, provenance: str) -> Optional[Tuple[QuasiPolynomial, str]]:
+    """A stored polynomial and the payload text it was parsed from; any verification failure is a miss."""
     path, sidecar = _entry_paths(directory, g, n, provenance)
     try:
-        blob = path.read_bytes()
-        digest = sidecar.read_bytes()
+        blob = _read(path)
+        digest = _read(sidecar)
     except OSError:
         return None
     if hashlib.sha256(blob).hexdigest().encode("ascii") != digest:
         return None
     try:
-        qp = qp_from_json(blob.decode("utf-8"))
+        text = blob.decode("utf-8")
+        qp = qp_from_json(text)
     except (ValueError, UnicodeDecodeError):
         return None
     if qp.g != g or qp.n != n:
         return None
-    return qp
+    return qp, text
 
 
 def cache_put(directory: Path, qp: QuasiPolynomial, provenance: str) -> Path:
     """Store a polynomial, replacing any previous entry for its key; returns the payload file."""
     path, sidecar = _entry_paths(directory, qp.g, qp.n, provenance)
     blob = qp_to_json(qp).encode("utf-8")
+    if not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
     _atomic_write(path, blob)
     _atomic_write(sidecar, hashlib.sha256(blob).hexdigest().encode("ascii"))
-    return path
+    return Path(path)

@@ -93,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_psi = sub.add_parser("psi", help="intersection number from top coefficients")
     p_psi.add_argument("g", type=int)
     p_psi.add_argument("alphas", type=int, nargs="+", help="exponents a_1 .. a_n")
+    p_psi.add_argument("--force", action="store_true", help="compute past the comb engine's chi bound")
     p_psi.set_defaults(run=cmd_psi)
 
     p_euler = sub.add_parser("euler", help="orbifold Euler characteristic")
@@ -196,23 +197,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_poly(args: argparse.Namespace) -> int:
     _check_stable(args.g, args.n)
-    qp = None
     cache_dir = args.cache_dir or cache_mod.default_cache_dir()
+    hit = None if args.no_cache else cache_mod.cache_get(cache_dir, args.g, args.n, args.engine)
+    if hit is not None:
+        # only cache_put writes an entry, and it writes qp_to_json's text: the text that passed the
+        # digest check and the certifying parse is what render_poly would print for JSON
+        qp, text = hit
+        return _emit(text if args.format == "json" else render_poly(qp, args.format), args.out)
+    chi = 2 * args.g - 2 + args.n
+    if chi > POLY_BOUND[args.engine] and not args.force:
+        raise ValueError(
+            f"chi = {chi} exceeds {POLY_BOUND[args.engine]}, past which a cold --engine {args.engine} "
+            "polynomial takes tens of seconds or more; pass --force"
+        )
+    qp = nbar_poly(args.g, args.n, engine=args.engine)
     if not args.no_cache:
-        qp = cache_mod.cache_get(cache_dir, args.g, args.n, args.engine)
-    if qp is None:
-        chi = 2 * args.g - 2 + args.n
-        if chi > POLY_BOUND[args.engine] and not args.force:
-            raise ValueError(
-                f"chi = {chi} exceeds {POLY_BOUND[args.engine]}, past which a cold --engine {args.engine} "
-                "polynomial takes tens of seconds or more; pass --force"
-            )
-        qp = nbar_poly(args.g, args.n, engine=args.engine)
-        if not args.no_cache:
-            try:
-                cache_mod.cache_put(cache_dir, qp, args.engine)
-            except OSError as exc:
-                print(f"warning: cache write failed: {exc}", file=sys.stderr)
+        try:
+            cache_mod.cache_put(cache_dir, qp, args.engine)
+        except OSError as exc:
+            print(f"warning: cache write failed: {exc}", file=sys.stderr)
     return _emit(render_poly(qp, args.format), args.out)
 
 
@@ -249,6 +252,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_psi(args: argparse.Namespace) -> int:
+    # psi reads the comb polynomial of (g, n), so it refuses past that engine's poly bound
+    chi = 2 * args.g - 2 + len(args.alphas)
+    if chi > POLY_BOUND["comb"] and not args.force:
+        raise ValueError(
+            f"chi = {chi} exceeds {POLY_BOUND['comb']}, past which the comb polynomial that psi reads "
+            "takes tens of seconds or more; pass --force"
+        )
     print(psi_number(args.g, args.alphas))
     return EXIT_OK
 

@@ -58,11 +58,13 @@ class QuasiPolynomial:
         for k, d in orbits.items():
             if not 0 <= k <= n:
                 raise ValueError(f"odd count {k} out of range for n={n}")
-            dd = {tuple(key): Fraction(c) for key, c in d.items() if c}
+            # a Fraction is kept as it is; only other numbers are converted
+            dd = {tuple(key): c if isinstance(c, Fraction) else Fraction(c) for key, c in d.items() if c}
             for key in dd:
                 if len(key) != n:
                     raise ValueError(f"exponent key {key} has wrong length for n={n}")
-                if not all(isinstance(e, int) and e >= 0 for e in key):
+                # type(e) is int, not isinstance: a bool exponent would be written to JSON as true
+                if not all(type(e) is int and e >= 0 for e in key):
                     raise ValueError(f"exponent key {key} has an exponent that is not a non-negative integer")
                 if key != _sort_blocks(key, k):
                     raise ValueError(f"exponent key {key} of class {k} is not sorted within its blocks")
@@ -268,12 +270,16 @@ def qp_to_json(qp: QuasiPolynomial) -> str:
 
 
 def qp_parse(data: object) -> QuasiPolynomial:
-    """Rebuild a quasi-polynomial from plain data, with positional diagnostics; see :func:`_collapse`."""
+    """Rebuild a quasi-polynomial from plain data, with positional diagnostics; see :func:`_collapse`.
+
+    One pass per term checks its shape, exponents and coefficient, in that order; the
+    ``$.classes[i].terms[j]`` path of a diagnostic is built only when it is raised.
+    """
 
     def fail(path: str, msg: str):
         raise ValueError(f"{path}: {msg}")
 
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         fail("$", f"expected object, got {type(data).__name__}")
     for field in ("g", "n", "classes"):
         if field not in data:
@@ -284,13 +290,13 @@ def qp_parse(data: object) -> QuasiPolynomial:
         fail("$.g", f"expected non-negative integer, got {g!r}")
     if not (type(n) is int and n >= 1):
         fail("$.n", f"expected positive integer, got {n!r}")
-    if not isinstance(classes, list):
+    if type(classes) is not list:
         fail("$.classes", f"expected list, got {type(classes).__name__}")
     out: Dict[int, ClassDict] = {}
     rationals: Dict[str, Fraction] = {}
     for i, cls in enumerate(classes):
         path = f"$.classes[{i}]"
-        if not isinstance(cls, dict):
+        if type(cls) is not dict:
             fail(path, f"expected object, got {type(cls).__name__}")
         if "odd_count" not in cls or "terms" not in cls:
             fail(path, "missing field 'odd_count' or 'terms'")
@@ -300,32 +306,26 @@ def qp_parse(data: object) -> QuasiPolynomial:
         if k in out:
             fail(f"{path}.odd_count", f"duplicate class {k}")
         terms = cls["terms"]
-        if not isinstance(terms, list):
+        if type(terms) is not list:
             fail(f"{path}.terms", f"expected list, got {type(terms).__name__}")
         d: ClassDict = {}
         for j, term in enumerate(terms):
-            tpath = f"{path}.terms[{j}]"
-            if not isinstance(term, dict) or "exponents" not in term or "coeff" not in term:
-                fail(tpath, "expected object with 'exponents' and 'coeff'")
-            exps = term["exponents"]
-            if (
-                not isinstance(exps, list)
-                or len(exps) != n
-                or not all(type(e) is int and e >= 0 for e in exps)
-            ):
-                fail(f"{tpath}.exponents", f"expected list of {n} non-negative integers, got {exps!r}")
-            raw = term["coeff"]
-            if not isinstance(raw, str):
-                fail(f"{tpath}.coeff", f"expected rational string like '5/12', got {raw!r}")
+            if type(term) is not dict or "exponents" not in term or "coeff" not in term:
+                fail(f"{path}.terms[{j}]", "expected object with 'exponents' and 'coeff'")
+            exps, raw = term["exponents"], term["coeff"]
+            if type(exps) is not list or len(exps) != n or not all(type(e) is int and e >= 0 for e in exps):
+                fail(f"{path}.terms[{j}].exponents", f"expected list of {n} non-negative integers, got {exps!r}")
+            if type(raw) is not str:
+                fail(f"{path}.terms[{j}].coeff", f"expected rational string like '5/12', got {raw!r}")
             c = rationals.get(raw)  # an orbit repeats its coefficient in every placement: parse it once
             if c is None:
                 try:
                     c = rationals[raw] = Fraction(raw)
                 except (ValueError, ZeroDivisionError):
-                    fail(f"{tpath}.coeff", f"not a rational number: {raw!r}")
+                    fail(f"{path}.terms[{j}].coeff", f"not a rational number: {raw!r}")
             key = tuple(exps)
             if key in d:
-                fail(f"{tpath}.exponents", f"duplicate exponent key {key}")
+                fail(f"{path}.terms[{j}].exponents", f"duplicate exponent key {key}")
             d[key] = c
         try:
             out[k] = _collapse((k, key, c) for key, c in d.items() if c).get(k, {})

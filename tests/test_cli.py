@@ -16,7 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 import nbar
-from nbar import checks, cli, lattice, tr
+from nbar import cache as cache_mod
+from nbar import checks, cli, lattice, quasipoly, tr
 from nbar.cache import cache_get, cache_put, default_cache_dir
 from nbar.cli import main
 from nbar.lattice import clear_caches, nbar_poly
@@ -321,6 +322,69 @@ def test_poly_json_hit_prints_the_stored_bytes(capsys, tmp_path, monkeypatch, en
         assert out.encode("utf-8") == (tmp_path / f"nbar_g{g}_n{n}_{engine}.json").read_bytes()
 
 
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+
+
+@pytest.mark.parametrize("engine", ["comb", "tr"])
+def test_every_hit_prints_the_reference_bytes(capsys, tmp_path, monkeypatch, engine):
+    texts = {path: path.read_text(encoding="utf-8") for path in sorted(REFS.glob("g*n*.json"))}
+    assert len(texts) >= 10
+    for text in texts.values():
+        cache_put(tmp_path, qp_from_json(text), engine)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a cache hit must not compute or render JSON")
+
+    monkeypatch.setattr(cli, "nbar_poly", must_not_run)
+    for path, text in texts.items():
+        qp = qp_from_json(text)
+        argv = ["poly", str(qp.g), str(qp.n), "--engine", engine, "--cache-dir", str(tmp_path)]
+        assert run(capsys, argv + ["--format", "json"]) == (0, text, ""), path.name
+        for fmt in ("pretty", "latex", "csv"):
+            assert run(capsys, argv + ["--format", fmt]) == (0, cli.render_poly(qp, fmt), ""), (path.name, fmt)
+    # a JSON hit prints the verified payload: it renders nothing
+    for owner in (quasipoly, cache_mod, cli):
+        monkeypatch.setattr(owner, "qp_to_json", must_not_run)
+    monkeypatch.setattr(cli, "render_poly", must_not_run)
+    for path, text in texts.items():
+        qp = qp_from_json(text)
+        argv = ["poly", str(qp.g), str(qp.n), "--engine", engine, "--format", "json", "--cache-dir", str(tmp_path)]
+        assert run(capsys, argv) == (0, text, ""), path.name
+
+
+def _rehash(path: Path, text: str) -> None:
+    """Replace an entry's payload and write the matching digest, so only the parse can refuse it."""
+    path.write_text(text, encoding="utf-8")
+    path.with_suffix(".sha256").write_text(hashlib.sha256(text.encode("utf-8")).hexdigest(), encoding="utf-8")
+
+
+def test_a_hit_is_certified_before_it_is_printed(capsys, tmp_path, monkeypatch):
+    computed = []
+
+    def engine(g, n, engine):
+        computed.append((g, n))
+        return nbar_poly(g, n, engine)
+
+    monkeypatch.setattr(cli, "nbar_poly", engine)
+    # (0,4) with one placement of an orbit missing: not slot-symmetric
+    entry = cache_put(tmp_path, nbar_poly(0, 4), "comb")
+    data = json.loads(entry.read_text(encoding="utf-8"))
+    data["classes"][0]["terms"].pop()
+    _rehash(entry, json.dumps(data, indent=2))
+    with pytest.raises(ValueError, match="not slot-symmetric"):
+        qp_from_json(entry.read_text(encoding="utf-8"))
+    # (1,1)'s valid entry under (2,1)'s file names
+    _rehash(tmp_path / "nbar_g2_n1_comb.json", qp_to_json(nbar_poly(1, 1)))
+    for g, n in [(0, 4), (2, 1)]:
+        fresh = qp_to_json(nbar_poly(g, n))
+        code, out, err = run(capsys, ["poly", str(g), str(n), "--format", "json", "--cache-dir", str(tmp_path)])
+        assert (code, out, err) == (0, fresh, "")
+        assert computed[-1] == (g, n)
+        # the entry was rewritten, and is now a hit
+        assert cache_get(tmp_path, g, n, "comb") == (nbar_poly(g, n), fresh)
+    assert len(computed) == 2
+
+
 def test_euler_command(capsys):
     code, out, _ = run(capsys, ["euler", "0", "6"])
     assert code == 0
@@ -356,6 +420,30 @@ def test_psi_command(capsys, monkeypatch):
         code, out, err = run(capsys, ["psi", "1", "1"])
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("engine error: ") and message in err
+
+
+def test_psi_refuses_a_case_past_the_comb_bound_unless_forced(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("psi must refuse before it computes a polynomial")
+
+    monkeypatch.setattr(lattice, "nbar_poly", must_not_run)
+    # (0,11) at chi = 9 and (0,10) at chi = 8, each at a top-degree exponent vector
+    for alphas in [[8] + [0] * 10, [7] + [0] * 9]:
+        code, out, err = run(capsys, ["psi", "0", *map(str, alphas)])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: chi = ") and "--force" in err
+    # at the bound, and past it with --force, psi reads the polynomial
+    asked = []
+
+    def stand_in(g, n):
+        asked.append((g, n))
+        return QuasiPolynomial(g, n, {0: {(0,) * (n - 1) + (n - 3,): F(1)}})
+
+    monkeypatch.setattr(lattice, "nbar_poly", stand_in)
+    for argv in (["psi", "0", "6"] + ["0"] * 8, ["psi", "0", "8"] + ["0"] * 10 + ["--force"]):
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+    assert asked == [(0, 9), (0, 11)]
 
 
 def test_verify_euler(capsys):
@@ -552,7 +640,7 @@ def test_cache_round_trip(tmp_path):
     qp = nbar_poly(0, 4)
     path = cache_put(tmp_path, qp, "comb")
     assert path.exists()
-    assert cache_get(tmp_path, 0, 4, "comb") == qp
+    assert cache_get(tmp_path, 0, 4, "comb") == (qp, qp_to_json(qp))
 
 
 def test_cache_put_returns_entry_with_canonical_bytes(tmp_path):
@@ -570,7 +658,7 @@ def test_cache_engines_are_separate(tmp_path):
     qp = nbar_poly(0, 4)
     cache_put(tmp_path, qp, "comb")
     assert cache_get(tmp_path, 0, 4, "tr") is None
-    assert cache_get(tmp_path, 0, 4, "comb") == qp
+    assert cache_get(tmp_path, 0, 4, "comb") == (qp, qp_to_json(qp))
 
 
 def test_cache_detects_tampered_payload(tmp_path):
@@ -589,7 +677,7 @@ def test_cache_detects_corrupt_digest(tmp_path):
     assert cache_get(tmp_path, 0, 4, "comb") is None
     # a subsequent write heals the cache
     cache_put(tmp_path, qp, "comb")
-    assert cache_get(tmp_path, 0, 4, "comb") == qp
+    assert cache_get(tmp_path, 0, 4, "comb") == (qp, qp_to_json(qp))
 
 
 def test_cache_bad_digest_misses_only_its_entry(tmp_path):
@@ -600,7 +688,7 @@ def test_cache_bad_digest_misses_only_its_entry(tmp_path):
     (tmp_path / "nbar_g1_n1_comb.sha256").unlink()
     assert cache_get(tmp_path, 0, 3, "comb") is None
     assert cache_get(tmp_path, 1, 1, "comb") is None
-    assert cache_get(tmp_path, 0, 4, "comb") == qps[(0, 4)]
+    assert cache_get(tmp_path, 0, 4, "comb") == (qps[(0, 4)], qp_to_json(qps[(0, 4)]))
 
 
 def test_cache_ignores_stale_manifest(tmp_path):
@@ -614,7 +702,7 @@ def test_cache_ignores_stale_manifest(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     assert cache_get(tmp_path, 0, 4, "comb") is None
     cache_put(tmp_path, qp, "comb")
-    assert cache_get(tmp_path, 0, 4, "comb") == qp
+    assert cache_get(tmp_path, 0, 4, "comb") == (qp, qp_to_json(qp))
     assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
 
@@ -631,7 +719,7 @@ def test_cache_heals_after_corruption_via_cli(capsys, tmp_path):
     assert code == 0
     assert qp_from_json(out) == nbar_poly(0, 4)
     # the store was rewritten with a valid entry
-    assert cache_get(tmp_path, 0, 4, "comb") == nbar_poly(0, 4)
+    assert cache_get(tmp_path, 0, 4, "comb") == (nbar_poly(0, 4), qp_to_json(nbar_poly(0, 4)))
 
 
 def test_cache_misses_an_entry_whose_payload_names_another_case(tmp_path):
@@ -642,7 +730,7 @@ def test_cache_misses_an_entry_whose_payload_names_another_case(tmp_path):
         moved.write_bytes(path.read_bytes())
         moved.with_suffix(".sha256").write_bytes(path.with_suffix(".sha256").read_bytes())
         assert cache_get(tmp_path, g2, n2, "comb") is None
-        assert cache_get(tmp_path, g, n, "comb") == nbar_poly(g, n)
+        assert cache_get(tmp_path, g, n, "comb") == (nbar_poly(g, n), qp_to_json(nbar_poly(g, n)))
 
 
 def test_cache_respects_environment_variable(tmp_path, monkeypatch):

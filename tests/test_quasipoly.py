@@ -131,6 +131,20 @@ def test_constructor_validates_keys():
         QuasiPolynomial(0, 2, {0: {(-1, 0): F(1)}})
     with pytest.raises(ValueError, match="not a non-negative integer"):
         QuasiPolynomial(0, 1, {1: {(1.5,): F(1)}})
+    # nor a bool, which qp_to_json would write as true and qp_from_json then refuse
+    for key in [(True,), (False,)]:
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            QuasiPolynomial(0, 1, {1: {key: 1}})
+    with pytest.raises(ValueError, match="not a non-negative integer"):
+        QuasiPolynomial(0, 2, {0: {(0, True): F(1)}})
+
+
+def test_constructor_keeps_fraction_coefficients_and_converts_the_rest():
+    c = F(5, 12)
+    qp = QuasiPolynomial(0, 2, {0: {(0, 1): c, (0, 0): 3}, 2: {(0, 0): "1/7"}})
+    assert qp.orbits[0][(0, 1)] is c
+    assert qp.orbits == {0: {(0, 1): F(5, 12), (0, 0): F(3)}, 2: {(0, 0): F(1, 7)}}
+    assert all(type(v) is Fraction for d in qp.orbits.values() for v in d.values())
 
 
 def test_constructor_rejects_keys_not_sorted_within_blocks():
@@ -249,6 +263,23 @@ def test_parse_diagnostics_name_the_position():
     bad["classes"][0]["terms"][1]["exponents"] = [0, 0]
     with pytest.raises(ValueError, match=r"\$\.classes\[0\]\.terms\[1\]\.exponents: duplicate exponent key \(0, 0\)"):
         qp_parse(bad)
+
+    # a list-valued coefficient is refused before it is looked up among the parsed rationals
+    bad = json.loads(json.dumps(good))
+    bad["classes"][1]["terms"][0]["coeff"] = ["3"]
+    with pytest.raises(ValueError, match=r"\$\.classes\[1\]\.terms\[0\]\.coeff: expected rational string"):
+        qp_parse(bad)
+
+    # a true exponent is refused by its path; in a term with a bad coefficient too, the exponents come first
+    bad = json.loads(json.dumps(good))
+    bad["classes"][0]["terms"][1]["exponents"][0] = True
+    with pytest.raises(ValueError, match=r"\$\.classes\[0\]\.terms\[1\]\.exponents: expected list of 2"):
+        qp_parse(bad)
+    bad["classes"][0]["terms"][1]["coeff"] = ["1/4"]
+    with pytest.raises(ValueError, match=r"\$\.classes\[0\]\.terms\[1\]\.exponents: expected list of 2"):
+        qp_parse(bad)
+    with pytest.raises(ValueError, match=r"\$\.classes\[0\]\.terms\[1\]\.exponents"):
+        qp_from_json(json.dumps(bad))
 
 
 def test_parse_rejects_booleans_as_integers():
