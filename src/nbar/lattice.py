@@ -33,11 +33,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .memo import clear_all, register
-from .quasipoly import EngineError, QuasiPolynomial, qp_fit
+from .quasipoly import EngineError, QuasiPolynomial, _close, _reduced, qp_fit
 
 HALF = Fraction(1, 2)
 
@@ -129,23 +129,6 @@ def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
         s = key[2]
         hit = _MEMO[key] = _step(g, n, s[-1], s[:-1]) if s[-1] else _zero_value(g, n)
     return hit
-
-
-def _reduced(num: int, den: int) -> Pair:
-    """num / den as a reduced pair, for a positive den."""
-    d = gcd(num, den)
-    return num // d, den // d
-
-
-def _close(acc: Dict[int, int], den: int) -> Pair:
-    """Σ_d acc[d] / d, divided by ``den``, as a reduced pair.
-
-    ``acc`` maps each denominator to the sum of the numerators over it; the
-    few distinct denominators are brought to their lcm and one gcd reduces
-    the result.
-    """
-    common = lcm(*acc)
-    return _reduced(sum(num * (common // d) for d, num in acc.items()), den * common)
 
 
 def _step(g: int, n: int, root: int, rest: Tuple[int, ...]) -> Pair:

@@ -13,10 +13,13 @@ spectators) is collapsed to orbits under one exact certificate (:func:`_collapse
 
 :func:`qp_fit` recovers a class from exact values by forward substitution in
 the Newton basis of its interpolation nodes, a triangular system with no
-elimination, and certifies the result exactly on a larger set of points.
-One evaluator, :func:`_pairing`, reads three per-axis integer tables (node
-values and coefficients of the Newton basis, and powers): it serves the solve,
-the change of basis, the certificate and :meth:`QuasiPolynomial.evaluate`.
+elimination, and certifies the result exactly on a larger set of points, all
+in integers.  Every sum over the arrangements of a block is one removal
+recursion (:func:`_removal_sums`) on a per-axis integer table: node values
+and coefficients of the Newton basis, or powers.  The tables of the nodes
+grow on demand and their sums are memoized across fits; the solve, the change
+of basis, the certificate and :meth:`QuasiPolynomial.evaluate` pair an odd
+block's sum with an even block's (:func:`_pairing`, :func:`_contraction`).
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, lcm, prod
-from operator import getitem, mul
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact import linsolve  # linsolve is not called here; perfbench/tracing.py rebinds it by name
@@ -93,7 +96,7 @@ class QuasiPolynomial:
         k = len(xs)
         d = self.orbits.get(k, {})
         top = max((e for key in d for e in key), default=0)
-        monomial = _pairing(k, _powers(xs, top), _powers(ys, top))
+        monomial = _pairing(k, _removal_sums(_powers(xs, top), {}), _removal_sums(_powers(ys, top), {}))
         index = tuple(range(k)) + tuple(range(self.n - k))
         return sum((c * monomial(key, index) for key, c in d.items()), Fraction(0))
 
@@ -378,6 +381,16 @@ def qp_from_xi_tensor(g: int, n: int, tensor: XiTensor) -> QuasiPolynomial:
 # -- exact fitting --------------------------------------------------------------------
 
 Table = List[List[int]]  # row i: a node, an exponent or a slot; column a: ω_a or the a-th power
+BlockSum = Callable[[ExpKey, ExpKey], int]  # (block, index) ↦ a sum over the block's arrangements
+
+# the per-axis tables of each parity, grown on demand (:func:`_omega_tables`), and one memo of
+# block sums per table kind (0 node values, 1 coefficients, 2 powers) and parity, shared by every fit
+_TABLES: Dict[int, Tuple[Table, Table, Table]] = register("quasipoly.tables", {})
+_SUMS: Dict[Tuple[int, int], Dict[Tuple[ExpKey, ExpKey], int]] = {
+    (kind, parity): register(f"quasipoly.{name}_sums.{('even', 'odd')[parity]}", {})
+    for kind, name in enumerate(("node", "coeff", "power"))
+    for parity in (0, 1)
+}
 
 
 def qp_fit(
@@ -389,54 +402,94 @@ def qp_fit(
     """Fit the parity classes of a symmetric quasi-polynomial from exact values.
 
     ``func`` is called on block-sorted points of strictly positive integers,
-    the odd arguments first.  ``degree`` bounds the *total* degree in the
-    b_i² and defaults to 3g - 3 + n.  The unknowns of class k are the
-    block-symmetric monomials m_λ(odd b²) · m_μ(even b²) with λ of at most
-    k parts, μ of at most n - k parts and |λ| + |μ| ≤ degree, one per orbit.
-    Each unknown (λ, μ) has its own point: odd entries 2λ_i + 1 and even
-    entries 2μ_j + 2, zero-padded and sorted within each block (:func:`_point`).
+    the odd arguments first, and returns an int or a ``Fraction``.  ``degree``
+    bounds the *total* degree in the b_i² and defaults to 3g - 3 + n.  The
+    unknowns of class k are the block-symmetric monomials m_λ(odd b²) ·
+    m_μ(even b²) with λ of at most k parts, μ of at most n - k parts and
+    |λ| + |μ| ≤ degree, one per orbit.  Each unknown (λ, μ) has its own
+    point: odd entries 2λ_i + 1 and even entries 2μ_j + 2, zero-padded and
+    sorted within each block (:func:`_point`).
 
-    The class is solved in the Newton basis of those nodes (:func:`_pairing`),
-    where the system is lower triangular: forward substitution over the keys
-    by total degree, then an integer change of basis to the orbit monomials.
-    It is then checked exactly at the nodes of the keys of degree + 2, which
-    contain the solve points: each check is the integer row of monomial values
-    there dotted with the solution, and any discrepancy raises :class:`EngineError`.
-    A returned class therefore equals ``func`` on its class whenever ``func``
-    is a block-symmetric polynomial of total degree at most degree + 2 there.
+    All arithmetic is on integers: the values of a class are brought to
+    numerators over one denominator.  The class is solved in the Newton basis
+    of its nodes, where the system is lower triangular: forward substitution
+    over the keys by total degree, each step an integer sum per denominator
+    closed by one lcm and one gcd.  The Newton coefficients over one
+    denominator then go to the orbit monomials by integer dot products
+    (:func:`_contraction`).  The class is checked exactly at the nodes of the
+    keys of degree + 2, which contain the solve points: each check is the
+    monomials at that node dotted with the integer numerators, compared with
+    ``func``'s value across both denominators, and any discrepancy raises
+    :class:`EngineError`.  A returned class therefore equals ``func`` on its
+    class whenever ``func`` is a block-symmetric polynomial of total degree at
+    most degree + 2 there.
     """
     D = degree if degree is not None else 3 * g - 3 + n
     if D < 0:
         raise ValueError(f"degree bound {D} is negative")
 
-    odd_at, odd_coeffs, odd_pw = _omega_tables(1, D)
-    even_at, even_coeffs, even_pw = _omega_tables(0, D)
+    size = D + 2  # the certificate's nodes reach index D + 2
+    odd_at, even_at = _block_sums(0, 1, size), _block_sums(0, 0, size)
+    odd_coeff, even_coeff = _block_sums(1, 1, size), _block_sums(1, 0, size)
+    odd_pw, even_pw = _block_sums(2, 1, size), _block_sums(2, 0, size)
     classes: Dict[int, ClassDict] = {}
     for k in range(n + 1):
         keys = _block_basis(k, n - k, D)
         checks = sorted(_block_basis(k, n - k, D + 2), key=lambda p: (sum(p), p))
-        values = {p: Fraction(func(_point(p, k))) for p in checks}
-        # N_q vanishes at the node of p unless q ≤ p entrywise, so in degree order only earlier q enter
-        at = _pairing(k, odd_at, even_at)
-        newton: ClassDict = {}
+        values = {p: func(_point(p, k)) for p in checks}
+        vden = lcm(*(v.denominator for v in values.values()))
+        vnum = {p: v.numerator * (vden // v.denominator) for p, v in values.items()}
+        # vden times the Newton coefficients, as reduced pairs.  N_q vanishes at the node of p unless
+        # q ≤ p entrywise, so in degree order only earlier q enter, and none of an odd block λ ≰ λ_p
+        solved: Dict[ExpKey, List[Tuple[ExpKey, int, int]]] = {}  # λ ↦ (μ, num, den) of each non-zero (λ, μ)
         for p in sorted(keys, key=sum):
-            known = sum(c * v for q, c in newton.items() if c and (v := at(q, p)))
-            newton[p] = (values[p] - known) / at(p, p)
-        to_monomial = _pairing(k, odd_coeffs, even_coeffs)
-        coeffs = [sum(c * v for q, c in newton.items() if c and (v := to_monomial(q, key))) for key in keys]
-        # the solution over one denominator, so that each check is an integer dot product
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        monomial = _pairing(k, odd_pw, even_pw)
+            lam_p, mu_p = p[:k], p[k:]
+            acc = {1: vnum[p]}
+            for lam, row in solved.items():
+                s = odd_at(lam, lam_p)
+                if s:
+                    for mu, num, den in row:
+                        v = even_at(mu, mu_p)
+                        if v:
+                            acc[den] = acc.get(den, 0) - s * num * v
+            num, den = _close(acc, odd_at(lam_p, lam_p) * even_at(mu_p, mu_p))
+            if num:
+                solved.setdefault(lam_p, []).append((mu_p, num, den))
+        # over one denominator the change of basis is integer dot products, reduced by one gcd
+        common = lcm(*(den for row in solved.values() for _, _, den in row))
+        newton = {lam + mu: num * (common // den) for lam, row in solved.items() for mu, num, den in row}
+        to_monomial = _contraction(k, newton, odd_coeff, even_coeff)
+        raw = [to_monomial(key) for key in keys]
+        shared = gcd(common * vden, *raw)
+        nums, den = [r // shared for r in raw], common * vden // shared
+        monomial = _contraction(k, dict(zip(keys, nums)), odd_pw, even_pw)
         for p in checks:
-            got = Fraction(sum(c * monomial(q, p) for q, c in zip(keys, nums) if c), den)
-            if got != values[p]:
+            got = monomial(p)
+            if got * vden != vnum[p] * den:
                 raise EngineError(
                     f"fit for class {k} fails verification at b={_point(p, k)}: "
-                    f"fitted {got}, actual {values[p]}"
+                    f"fitted {Fraction(got, den)}, actual {values[p]}"
                 )
-        classes[k] = dict(zip(keys, coeffs))
+        classes[k] = {key: Fraction(num, den) for key, num in zip(keys, nums) if num}
     return QuasiPolynomial(g, n, classes)
+
+
+def _reduced(num: int, den: int) -> Tuple[int, int]:
+    """num / den as a reduced pair, for a positive den."""
+    d = gcd(num, den)
+    return num // d, den // d
+
+
+def _close(acc: Dict[int, int], den: int) -> Tuple[int, int]:
+    """Σ_d acc[d] / d, divided by a positive ``den``, as a reduced pair.
+
+    ``acc`` maps each denominator to the sum of the numerators over it; the
+    few distinct denominators are brought to their lcm and one gcd reduces
+    the result.  The fit's forward substitution and the lattice recursion's
+    step both close their sums here.
+    """
+    common = lcm(*acc)
+    return _reduced(sum(num * (common // d) for d, num in acc.items()), den * common)
 
 
 def _point(key: ExpKey, k: int) -> Tuple[int, ...]:
@@ -458,42 +511,93 @@ def _powers(ts: Sequence[int], top: int) -> Table:
     return [list(accumulate([t] * top, mul, initial=1)) for t in ts]
 
 
-def _omega_tables(parity: int, D: int) -> Tuple[Table, Table, Table]:
-    """ω_a(t) = ∏_{j<a} (t − t_j) on the per-axis nodes t_j = (2j + 2 − parity)² of b², for a ≤ D.
+def _omega_tables(parity: int, size: int) -> Tuple[Table, Table, Table]:
+    """ω_a(t) = ∏_{j<a} (t − t_j) on the per-axis nodes t_j = (2j + 2 − parity)² of b².
 
-    Returns three integer tables built by recurrences, column a for ω_a or
-    the a-th power: the node values ω_a(t_j) in row j ≤ D + 2, the
-    coefficients [t^e] ω_a in row e ≤ D (ω_{a+1} = (t − t_a) ω_a is monic and
-    vanishes at t_0, …, t_a), and the powers t_j^a in row j ≤ D + 2.
+    Returns three square integer tables, of at least ``size`` + 1 rows and
+    columns, column a for ω_a or the a-th power: the node values ω_a(t_j) in
+    row j, the coefficients [t^e] ω_a in row e (ω_{a+1} = (t − t_a) ω_a is
+    monic and vanishes at t_0, …, t_a), and the powers t_j^a in row j.  No
+    entry depends on the size, so the tables are kept per parity and rebuilt
+    larger only when a fit asks for more.
     """
-    nodes = [(2 * j + 2 - parity) ** 2 for j in range(D + 3)]
-    at = [list(accumulate([s - t for t in nodes[:D]], mul, initial=1)) for s in nodes]
-    omegas = [[1] + [0] * D]  # the coefficients of ω_a, by ascending power
-    for t in nodes[:D]:
-        omegas.append([u - t * w for u, w in zip([0] + omegas[-1], omegas[-1])])
-    return at, [list(row) for row in zip(*omegas)], _powers(nodes, D)
+    tables = _TABLES.get(parity)
+    if tables is None or len(tables[0]) <= size:
+        nodes = [(2 * j + 2 - parity) ** 2 for j in range(size + 1)]
+        at = [list(accumulate([s - t for t in nodes[:size]], mul, initial=1)) for s in nodes]
+        omegas = [[1] + [0] * size]  # the coefficients of ω_a, by ascending power
+        for t in nodes[:size]:
+            omegas.append([u - t * w for u, w in zip([0] + omegas[-1], omegas[-1])])
+        tables = _TABLES[parity] = (at, [list(row) for row in zip(*omegas)], _powers(nodes, size))
+    return tables
 
 
-def _arrangement_sum(block: ExpKey, index: ExpKey, table: Table) -> int:
-    """Σ over the distinct arrangements α of ``block`` of ∏_i table[index_i][α_i]."""
-    rows = [table[i] for i in index]
-    return sum(prod(map(getitem, rows, alpha)) for alpha in _arrangements(block))
+def _block_sums(kind: int, parity: int, size: int) -> BlockSum:
+    """:func:`_removal_sums` on table ``kind`` of :func:`_omega_tables` for ``parity``, with its shared memo."""
+    return _removal_sums(_omega_tables(parity, size)[kind], _SUMS[kind, parity])
 
 
-def _pairing(k: int, odd: Table, even: Table) -> Callable[[ExpKey, ExpKey], int]:
-    """(q, p) ↦ the odd block's :func:`_arrangement_sum` times the even block's, memoized per block pair.
+def _removal_sums(table: Table, memo: Dict[Tuple[ExpKey, ExpKey], int]) -> BlockSum:
+    """(block, index) ↦ Σ over the distinct arrangements α of the ascending ``block`` of ∏_i table[index_i][α_i].
 
-    The one evaluator of sums over the distinct arrangements α of λ and β of μ
-    for an orbit key q = (λ, μ); the tables of :func:`_omega_tables` give, with
-    the row indices p, the Newton basis function N_q = Σ ∏_i ω_{α_i}(x_i) ·
+    The last slot takes each distinct entry e of the block once, so the sum
+    is Σ_e table[index[-1]][e] times the same sum for block ∖ e on index[:-1]
+    (:func:`_removals`); ``memo`` keeps one entry per (block, index) met.
+    """
+
+    def block_sum(block: ExpKey, index: ExpKey) -> int:
+        if not block:
+            return 1
+        s = memo.get((block, index))
+        if s is None:
+            row, head = table[index[-1]], index[:-1]
+            s = memo[block, index] = sum(row[e] * block_sum(rest, head) for e, rest in _removals(block) if row[e])
+        return s
+
+    return block_sum
+
+
+def _pairing(k: int, odd: BlockSum, even: BlockSum) -> BlockSum:
+    """(q, p) ↦ the odd block sum of (λ_q, λ_p) times the even block sum of (μ_q, μ_p).
+
+    For an orbit key q = (λ, μ) this is a sum over the distinct arrangements
+    α of λ and β of μ; on the tables of :func:`_omega_tables`, with the row
+    indices p, it is the Newton basis function N_q = Σ ∏_i ω_{α_i}(x_i) ·
     ∏_j ω_{β_j}(y_j) at the node of p, the coefficient of m_p in N_q, or the
     monomial m_λ(x) · m_μ(y) at the node of p.  On the powers of a point's own
     squares (:func:`_powers`), p = (0, …, k − 1) + (0, …, n − k − 1) gives the
     monomial at that point.
     """
-    odd_sum = lru_cache(maxsize=None)(lambda block, index: _arrangement_sum(block, index, odd))
-    even_sum = lru_cache(maxsize=None)(lambda block, index: _arrangement_sum(block, index, even))
-    return lambda q, p: odd_sum(q[:k], p[:k]) * even_sum(q[k:], p[k:])
+    return lambda q, p: odd(q[:k], p[:k]) * even(q[k:], p[k:])
+
+
+def _contraction(k: int, coeffs: Dict[ExpKey, int], odd: BlockSum, even: BlockSum) -> Callable[[ExpKey], int]:
+    """p ↦ Σ_q coeffs[q] · :func:`_pairing` (q, p), summed through the blocks.
+
+    The keys are grouped by their odd block λ.  One inner sum Σ_μ
+    coeffs[(λ, μ)] · even(μ, μ_p) is taken per (λ, μ_p) and shared by every p
+    with that even block; p then gets Σ_λ odd(λ, λ_p) times it.  The integers
+    are those of the sum over the keys, regrouped.
+    """
+    groups: Dict[ExpKey, List[Tuple[ExpKey, int]]] = {}
+    for q, c in coeffs.items():
+        if c:
+            groups.setdefault(q[:k], []).append((q[k:], c))
+    inner: Dict[Tuple[ExpKey, ExpKey], int] = {}
+
+    def at(p: ExpKey) -> int:
+        lam_p, mu_p = p[:k], p[k:]
+        total = 0
+        for lam, row in groups.items():
+            s = odd(lam, lam_p)
+            if s:
+                i = inner.get((lam, mu_p))
+                if i is None:
+                    i = inner[lam, mu_p] = sum(c * even(mu, mu_p) for mu, c in row)
+                total += s * i
+        return total
+
+    return at
 
 
 def _blocks(length: int, size: int, low: int = 0) -> List[ExpKey]:

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from math import prod
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from nbar import golden, quasipoly
+from nbar import golden, memo, quasipoly
 from nbar.cache import cache_get, cache_put
 from nbar.checks import stable_cases
 from nbar.lattice import clear_caches, nbar_eval, nbar_poly
@@ -21,7 +22,7 @@ from nbar.quasipoly import (
     EngineError,
     QuasiPolynomial,
     _block_basis,
-    _omega_tables,
+    _block_sums,
     _pairing,
     _point,
     qp_fit,
@@ -92,6 +93,24 @@ def test_evaluate_matches_the_expansion_over_permutations():
     # the seeded points have negative entries, and repeated ones beyond the all-zero points
     assert any(v < 0 for b in points for v in b)
     assert sum(len(set(b)) < len(b) for b in points) > len(stable_cases(5))
+
+
+def test_evaluate_at_wide_points_matches_the_expanded_terms():
+    # repeated entries and zeros make the removal recursion take each distinct
+    # entry once with its multiplicity; brute force sums every expanded term
+    qp = nbar_poly(0, 8, "tr")
+    classes = qp.classes
+    for k in range(9):
+        for odd, even in (([1, 1, 3, 1, 5, 3, 1, 1], [0, 2, 0, 0, 4, 2, 0, 2]), ([3] * 8, [0] * 8)):
+            b = tuple(odd[:k] + even[:8 - k])
+            xs, ys = [v * v for v in odd[:k]], [v * v for v in even[:8 - k]]
+            want = sum(
+                c * prod(x ** e for x, e in zip(xs, key[:k])) * prod(y ** e for y, e in zip(ys, key[k:]))
+                for key, c in classes.get(k, {}).items()
+            )
+            assert qp.evaluate(b) == want, b
+            assert qp.evaluate(b[::-1]) == want, b
+    assert set(classes) == {0, 2, 4, 6, 8}
 
 
 def test_evaluate_wrong_arity():
@@ -435,6 +454,7 @@ def test_fit_recovers_known_polynomial():
         },
     )
     assert qp == want
+    assert qp_fit(lambda b: int(func(b)), 0, 2, degree=2) == want  # func may return ints
 
 
 def test_fit_drops_identically_zero_classes():
@@ -476,6 +496,24 @@ def test_fit_degree_bounds_total_degree():
                     qp_fit(monomial.evaluate, 0, n, degree=1)
 
 
+def test_certificate_checks_every_node_of_degree_plus_two():
+    # one wrong value at any node beyond the solve points must be caught, and
+    # named: the certificate sums through the blocks, so this pins that no node
+    # of degree D + 1 or D + 2 drops out of the regrouped sums
+    fits = 0
+    for n in range(1, 5):
+        for D in range(4):
+            for k in range(n + 1):
+                keys = _block_basis(k, n - k, D)
+                base = QuasiPolynomial(0, n, {k: {key: F(i + 1, 3) for i, key in enumerate(keys)}})
+                for node in set(_block_basis(k, n - k, D + 2)) - set(keys):
+                    bad = _point(node, k)
+                    with pytest.raises(EngineError, match=rf"class {k} fails verification at b={re.escape(str(bad))}:"):
+                        qp_fit(lambda b: base.evaluate(b) + (b == bad), 0, n, degree=D)
+                    fits += 1
+    assert fits == 490
+
+
 def test_certificate_points_are_unisolvent_for_degree_plus_two():
     # the certificate points are never solved on, but their degree + 2 system
     # must be non-singular for every plan of a cross-checked case.  In degree
@@ -485,13 +523,12 @@ def test_certificate_points_are_unisolvent_for_degree_plus_two():
     plans = 0
     for g, n in stable_cases(5) + [(3, 2), (4, 1)]:
         D = 3 * g - 3 + n
-        odd_at, even_at = _omega_tables(1, D + 2)[0], _omega_tables(0, D + 2)[0]
         for k in range(n + 1):
             small, large = _block_basis(k, n - k, D), _block_basis(k, n - k, D + 2)
             assert len({_point(key, k) for key in large}) == len(large)
             assert set(small) <= set(large)
             ordered = sorted(large, key=lambda key: (sum(key), key))
-            at = _pairing(k, odd_at, even_at)
+            at = _pairing(k, _block_sums(0, 1, D + 2), _block_sums(0, 0, D + 2))
             for i, p in enumerate(ordered):
                 assert at(p, p) != 0, (g, n, k, p)
                 assert not any(at(q, p) for q in ordered[i + 1:]), (g, n, k, p)
@@ -502,18 +539,25 @@ def test_certificate_points_are_unisolvent_for_degree_plus_two():
 def test_certificate_checks_the_monomial_coefficients(monkeypatch):
     # one wrong coefficient of ω_1 leaves the Newton solve exact but spoils the
     # change of basis to monomials; the certificate reads only the powers of the
-    # nodes, so it must reject the monomial coefficients that come out
+    # nodes, so it must reject the monomial coefficients that come out.  The block
+    # sums are memoized across fits, so the corrupted table is read only after
+    # the memos are emptied, and they are emptied again before other tests
     tables = quasipoly._omega_tables
 
-    def off_by_one(parity, D):
-        at, coeffs, powers = tables(parity, D)
+    def off_by_one(parity, size):
+        at, coeffs, powers = tables(parity, size)
+        coeffs = [list(row) for row in coeffs]  # the shared table itself stays intact
         coeffs[0][1] += 1  # [t^0] ω_1 = -t_0
         return at, coeffs, powers
 
+    clear_caches()
     monkeypatch.setattr(quasipoly, "_omega_tables", off_by_one)
-    for g, n in [(0, 4), (1, 2)]:
-        with pytest.raises(ValueError, match="verification"):
-            qp_fit(lambda b, g=g, n=n: nbar_eval(g, n, b), g, n)
+    try:
+        for g, n in [(0, 4), (1, 2)]:
+            with pytest.raises(ValueError, match="verification"):
+                qp_fit(lambda b, g=g, n=n: nbar_eval(g, n, b), g, n)
+    finally:
+        clear_caches()
 
 
 def test_fit_never_calls_linsolve(monkeypatch):
@@ -524,6 +568,23 @@ def test_fit_never_calls_linsolve(monkeypatch):
     for g, n in [(0, 5), (1, 3)]:
         clear_caches()
         assert nbar_poly(g, n) == nbar_poly(g, n, "tr"), (g, n)
+
+
+def test_shared_block_sums_do_not_depend_on_the_order_of_the_fits():
+    # the fits share their block sums, so a fit must not depend on which fits
+    # filled them: reverse χ order from a cold start, then forward order on the
+    # sums that it left, must both give the reference bytes
+    digests = json.loads((REFS / "digests.json").read_text())
+    ladder = stable_cases(3)
+    tables = [name for name in memo.sizes() if name.startswith("quasipoly.")]
+    clear_caches()
+    assert all(memo.sizes()[name] == 0 for name in tables)
+    for order in (ladder[::-1], ladder):
+        memo._TABLES["lattice.polys"].clear()
+        for g, n in order:
+            text = qp_to_json(nbar_poly(g, n))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[f"g{g}n{n}"], (g, n, order)
+    assert all(memo.sizes()[name] > 0 for name in tables)
 
 
 def test_fit_uses_few_small_points():
