@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from . import golden
 from .exact import Poly, RationalFunction, mercator
-from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly, positivity_report
+from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly, positivity_report, psi_scale
 from .memo import register
 from .quasipoly import XiIndex, XiTensor, _arrangements
 from .tr import HALF, EngineError, PfKey, principal_parts, tr_correlator, tr_tensor, xi, xi_decompose
@@ -117,6 +117,34 @@ def engines(max_chi: int) -> Iterator[Outcome]:
         yield _check(f"engines ({g},{n}) asymmetric at b={bs}", nbar_eval_asym(g, n, bs) == nbar_eval(g, n, bs))
 
 
+def top_coefficients(max_chi: int, engine: str) -> Iterator[Outcome]:
+    """Every top-degree orbit of ``engine``'s polynomials through max_chi against the DVV recursion.
+
+    In each parity class, the orbit of exponents a with Σ a_i = 3g - 3 + n
+    times :func:`nbar.lattice.psi_scale` must equal
+    :func:`witten_kontsevich`, which shares no code with either engine.  One
+    outcome per (g, n); a case with no top-degree orbit has not passed.
+    """
+    for g, n in stable_cases(max_chi):
+        diffs = []
+        orbits = 0
+        for k, orbit in sorted(nbar_poly(g, n, engine).orbits.items()):
+            for key, c in sorted(orbit.items()):
+                if sum(key) == 3 * g - 3 + n:
+                    orbits += 1
+                    got, want = c * psi_scale(g, key), witten_kontsevich(g, key)
+                    if got != want:
+                        diffs.append(((k, key), got, want))
+        label = f"top ({g},{n}) {engine}"
+        if diffs:
+            head = f"{label}: FAIL {len(diffs)} of {orbits} top-degree orbits differ"
+            yield Outcome(_with_diffs(head, diffs, "Witten-Kontsevich"), False, tuple(diffs))
+        elif orbits:
+            yield Outcome(f"{label}: {orbits} top-degree orbits ok", True)
+        else:
+            yield Outcome(f"{label}: FAIL no top-degree orbit", False)
+
+
 def residues() -> Iterator[Outcome]:
     for k in range(6):
         for parity in (0, 1):
@@ -174,8 +202,15 @@ def _expanded(g: int, n: int) -> XiTensor:
 
 
 def _xi_coords(f: RationalFunction) -> Dict[XiIndex, Fraction]:
-    """The ξ coordinates of f, certified twice; a function outside the ξ span raises :class:`EngineError`."""
-    return xi_decompose(principal_parts(f))
+    """The ξ coordinates of f, certified twice; a function outside the ξ span raises :class:`EngineError`.
+
+    The principal parts go to :func:`xi_decompose` as integer numerators over
+    their lcm; this is where its γ numerators become Fractions.
+    """
+    v = principal_parts(f)
+    den = lcm(*(c.denominator for c in v.values()))
+    gammas, gamma_den = xi_decompose({key: c.numerator * (den // c.denominator) for key, c in v.items()})
+    return {xik: Fraction(c, den * gamma_den) for xik, c in gammas.items()}
 
 
 def is_form_antiinvariant(f: RationalFunction) -> bool:

@@ -33,13 +33,14 @@ EXIT_IO = 4
 
 # One rule for both engines: on a cache miss `poly` refuses χ above its engine's bound, and `eval` with
 # an even Σ b_i refuses χ above the bound plus one, each unless --force is given.  Cold on a 2-vCPU x86
-# machine, the last χ inside `poly` took at most about 2.4 s of CPU for comb (χ = 7: (1,7)) and 6.0 s
+# machine, the last χ inside `poly` took at most about 2.4 s of CPU for comb (χ = 7: (1,7)) and 6.0-7.4 s
 # for tr (χ = 9: (0,11), writing a 115 MB cache entry); one χ more took 3.8-9.6 s (comb: (0,10), (2,6),
-# (1,8)) and, for tr even with --no-cache, 8.6-11.2 s, most of it rendering.  `eval` gets the χ more:
-# comb fits the cases one χ below the point for its values at b = 0, and at b = (2, 0, …) a χ = 8
-# point took 1.4-1.8 s for (0,10), 4.6-4.9 s for (2,6) and 3.5-3.9 s for (1,8), while
+# (1,8)) and, for tr even with --no-cache, 0.5-5.7 s for (5,2), (4,4), (3,6) and (2,8), and 8.6-11.2 s
+# for the larger outputs ((1,10), (0,12)) when last measured, most of it rendering.  `eval` gets the
+# χ more: comb fits the cases one χ below the point for its values at b = 0, and at b = (2, 0, …) a
+# χ = 8 point took 1.4-1.8 s for (0,10), 4.6-4.9 s for (2,6) and 3.5-3.9 s for (1,8), while
 # `eval 0 11 2 0 … 0` (χ = 9) took 5.1-5.4 s; tr renders nothing, and at b = (2, 0, …) or (1, …, 1)
-# it took 2.2-5.9 s at χ = 10 and 7.4-13.3 s at χ = 11 ((0,13), (3,7), (2,9))
+# it took 1.7-3.6 s at χ = 10 ((0,12), (1,10), (3,6)) and 2.7-8.8 s at χ = 11 ((0,13), (2,9), (3,7))
 POLY_BOUND = {"comb": 7, "tr": 9}
 # a comb eval also refuses a point with χ² · Σ b_i above this, unless --force is given: the
 # recursion's table grows with both, and (2,2) at b = (1500, 2) ran past 100 s

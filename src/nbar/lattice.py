@@ -340,10 +340,12 @@ def psi_number(g: int, alphas: Sequence[int]) -> Fraction:
         raise EngineError("count polynomial has no parity classes")
     if len(set(seen)) != 1:
         raise EngineError(f"top coefficients disagree across parity classes: {seen}")
-    scale = Fraction(2) ** (5 * g - 6 + 2 * n)
-    for a in alphas:
-        scale *= factorial(a)
-    return seen[0] * scale
+    return seen[0] * psi_scale(g, alphas)
+
+
+def psi_scale(g: int, alphas: Sequence[int]) -> int:
+    """2^{5g-6+2n} ∏ a_i!: a top-degree coefficient of N̄_{g,n} times this is ⟨ψ_1^{a_1} ⋯ ψ_n^{a_n}⟩_g."""
+    return 2 ** (5 * g - 6 + 2 * len(alphas)) * prod(map(factorial, alphas))
 
 
 # -- coefficient positivity --------------------------------------------------------------------

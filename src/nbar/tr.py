@@ -8,15 +8,23 @@ coefficients of (z - α)^{-j} for α ∈ {-1, 0, +1}.  The engine works in these
 coordinates only.  Each factor of a term is a principal-part vector (ξ is
 built in coordinates by its defining operators; the kernel's rational part
 and the diagonal two-point factor are constants), and its Laurent series at
-a branch point z = ±1 is read off that vector.  A factor that depends on a
-live spectator has principal-part vectors in that variable as coefficients
-(the two-point factors have closed forms).  The residues against the kernel
-are then plain integer arithmetic: each factor's series is integer numerators
-over one denominator, an order's residue data is their product over the
-product of the denominators, and a table brings its orders to one lcm,
-decomposes integer slices and reduces its numerators by one gcd when it is
-finished.  A ξ factor in a slot substituted by z ↦ 1/z is just a sign, as
-the basis forms are anti-invariant: ξ(1/z) d(1/z) = -ξ(z) dz.
+a branch point z = ±1 is read off that vector as integer numerators over one
+denominator.  One dense series is kept per factor and branch point, regrown
+to exactly the highest order asked of it, and so is the product ξ_a·R with
+the kernel's rational part, which every pair table C[a, ·] and the
+two-point table P[a] share.  The residues against the kernel are then plain
+integer arithmetic: an order's residue data is the product of its series
+over the product of their denominators, and a table brings its orders to
+one lcm, decomposes integer slices and reduces its numerators by one gcd
+when it is finished.  A factor that depends on a live spectator has
+principal-part vectors in that variable as coefficients (the two-point
+factors have closed forms).  P[a] meets the two slots of ω_{0,2} only
+through their difference Δ^α_k = [u^k](ω_{0,2}(1/z, w) - ω_{0,2}(z, w)) at
+z = α + u, which lies in the ξ span in w although neither slot does for
+k ≥ 1.  Each Δ^α_k is decomposed once, so P[a]'s w slot is an integer
+combination of certified ξ coordinates and only its root slot is
+back-substituted.  A ξ factor in a slot substituted by z ↦ 1/z is just a
+sign, as the basis forms are anti-invariant: ξ(1/z) d(1/z) = -ξ(z) dz.
 
 Each residue term lies in the ξ span by itself, so it is computed once, as a
 table of structure constants in ξ coordinates, and reused for every (g, n);
@@ -29,15 +37,17 @@ construction and keeps one coefficient per root and sorted spectators; the
 symmetry between the root and a spectator is not built in, and
 :func:`qp_from_xi_tensor` checks it.  So a returned tensor is correct, not plausible.
 The certificates are the same in integers: the log tally cancels exactly
-over the table's common denominator, and the residual is emptied exactly.
+over the table's common denominator (for P[a] in the ξ coordinates of the
+Δ combination, which is zero exactly when its principal parts are, as the
+decomposition is one-to-one), and the residual is emptied exactly.
 
 The contraction is integer too.  Tables and correlators are integer
 numerators over one denominator, each block of the contraction sums integers
 over the product of its tensors' and its table's denominators, and a
 correlator is brought to one denominator, with one lcm and one gcd, when it
-is complete.  Fractions are built only where a result leaves the module:
-:func:`tr_tensor`, the coefficients of :func:`xi_decompose` and the
-polynomial of :func:`tr_correlator`.
+is complete.  :func:`xi_decompose` takes and returns integer numerators
+too.  Fractions are built only where a result leaves the module:
+:func:`tr_tensor` and the polynomial of :func:`tr_correlator`.
 
 :class:`RationalFunction` is left to the reference functions (:func:`xi`,
 :func:`principal_parts`).  The checks in :mod:`nbar.checks` take a reference
@@ -57,7 +67,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Dict, Iterable, List, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .exact import Poly, RationalFunction, Scalar, linsolve, mercator
 from .lattice import _check_stable, is_stable
@@ -195,44 +206,76 @@ def _scaled(x: Scalar, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-@lru_cache(maxsize=None)
-def _factor_terms(desc: Desc, alpha: int, upto: int) -> Tuple[Dict[int, PfTensor], int]:
-    """Series coefficients of one factor at z = α + u through u^upto ≥ 0, over one denominator.
+# one factor, or a product of factors, at z = α + u as (e0, nums, den): the coefficient of u^e is
+# nums[e - e0] / den for e0 ≤ e < e0 + len(nums), e0 being the order of the pole at α
+Series = Tuple[int, Tuple[int, ...], int]
 
-    Returns ``(terms, den)``: the coefficient of u^e is terms[e] / den, with
-    terms[e] a tensor of integers over the principal parts of the live
-    spectator the factor watches: one slot for a two-point factor, whose
-    coefficients are integers (den = 1), none (the key ``()``) for the
-    others.  Those are expanded from their principal parts: the part at α is
-    the singular part of the series, and each pole β ≠ α adds
+_SERIES: Dict[Tuple[Desc, int], Series] = register("tr.series", {})
+_KERNEL_PRODUCTS: Dict[Tuple[XiIndex, int], Series] = register("tr.kernel_products", {})
+
+
+def _grown(memo: Dict, key, upto: int, build: Callable[[int], Series]) -> Series:
+    """The series kept at ``key`` if it reaches u^upto, else ``build(upto)``, kept in its place.
+
+    A series is regrown to exactly the order asked for, with no headroom: its
+    denominator grows with its order, and so do the integers of every product
+    made with it.  A caller reads only as far as it asked, and takes the
+    series as read-only.
+    """
+    hit = memo.get(key)
+    if hit is None or hit[0] + len(hit[1]) <= upto:
+        hit = memo[key] = build(upto)
+    return hit
+
+
+def _series(desc: Desc, alpha: int, upto: int) -> Series:
+    """A factor that watches no spectator at z = α + u, through at least u^upto, in integers over one denominator.
+
+    The series is expanded from the factor's principal parts: the part at α
+    is its singular part, and each pole β ≠ α adds
     (z - β)^{-j} = Σ_m C(-j, m) (α - β)^{-j-m} u^m.  So den is the lcm of the
     parts' denominators times 2^{j + upto} for the highest order j at β = -α,
-    and every division by a power of α - β is checked to be exact.  Memoized
-    per (desc, α, upto): the returned dicts are shared, and read only.
+    and every division by a power of α - β is checked to be exact.  One
+    series is kept per (desc, α) (:func:`_grown`).
     """
-    if desc[0] in TWO_POINT:
-        return {
-            k: {(pk,): c for pk, c in two_point_coeff(desc[0], alpha, k).items()}
-            for k in range(upto + 1)
-        }, 1
-    pp = tuple(_factor_pp(desc))
-    far = max((j + upto for (beta, j), _ in pp if beta == -alpha), default=0)  # |α - 0| = 1, |α + α| = 2
-    den = lcm(*(c.denominator for _, c in pp)) * 2 ** far
-    ser: Dict[int, int] = {}
-    for (beta, j), c in pp:
-        num = _scaled(c, den)
-        if beta == alpha:
-            ser[-j] = num
-            continue
-        for m in range(upto + 1):
-            q, r = divmod((-1) ** m * comb(j + m - 1, m) * num, (alpha - beta) ** (j + m))
-            if r:
-                raise EngineError(f"the series of {desc} at z = {alpha} is not integral over {den}")
-            ser[m] = ser.get(m, 0) + q
-    return {e: {(): c} for e, c in ser.items() if c}, den
+
+    def build(upto: int) -> Series:
+        pp = tuple(_factor_pp(desc))
+        lo = _factor_ord(desc, alpha)
+        far = max((j + upto for (beta, j), _ in pp if beta == -alpha), default=0)  # |α - 0| = 1, |α + α| = 2
+        den = lcm(*(c.denominator for _, c in pp)) * 2 ** far
+        nums = [0] * (upto + 1 - lo)
+        for (beta, j), c in pp:
+            num = _scaled(c, den)
+            if beta == alpha:
+                nums[-j - lo] = num
+                continue
+            for m in range(upto + 1):
+                q, r = divmod((-1) ** m * comb(j + m - 1, m) * num, (alpha - beta) ** (j + m))
+                if r:
+                    raise EngineError(f"the series of {desc} at z = {alpha} is not integral over {den}")
+                nums[m - lo] += q
+        return lo, tuple(nums), den
+
+    return _grown(_SERIES, (desc, alpha), upto, build)
 
 
-register("tr.factor_terms", _factor_terms)
+def _mul(x: Series, y: Series, upto: int) -> Series:
+    """x · y through u^upto; x has to reach u^(upto - e0(y)) and y u^(upto - e0(x))."""
+    (lo1, nums1, den1), (lo2, nums2, den2) = x, y
+    nums = tuple(sum(map(mul, nums1[:i + 1], nums2[i::-1])) for i in range(upto + 1 - lo1 - lo2))
+    return lo1 + lo2, nums, den1 * den2
+
+
+def _kernel_product(a: XiIndex, alpha: int, upto: int) -> Series:
+    """ξ_a · R at z = α + u through at least u^upto: one product shared by every C[a, ·] and by P[a]."""
+    xi_a, kernel = ("xi",) + a, ("R",)
+
+    def build(upto: int) -> Series:
+        return _mul(_series(xi_a, alpha, upto - _factor_ord(kernel, alpha)),
+                    _series(kernel, alpha, upto - _factor_ord(xi_a, alpha)), upto)
+
+    return _grown(_KERNEL_PRODUCTS, (a, alpha), upto, build)
 
 
 def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor, int]:
@@ -245,26 +288,50 @@ def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor,
     the coefficient of the formal log z at α by live keys; it must cancel in
     every table.  Both are integer numerators over ``den``: the product of
     the factors' denominators times the lcm of the Mercator terms' 1/k.
+
+    The factors that watch no spectator and the kernel's R are multiplied as
+    dense series through u^{-1}, starting from the shared ξ·R
+    (:func:`_kernel_product`) when the first of them is a ξ.  The two-point
+    factors, regular at α, then multiply that singular part as tensors over
+    their live keys, and :func:`_residue_data` reads the result.
     """
-    descs = factors + (("R",),)
-    ords = [_factor_ord(d, alpha) for d in descs]
-    total = sum(ords)
-    prod: Dict[int, PfTensor] = {0: {(): 1}}
-    den = 1
-    for i, (d, o) in enumerate(zip(descs, ords)):
-        limit = -1 - sum(ords[i + 1:])  # the highest exponent the rest can still bring to u^{-1}
-        terms, factor_den = _factor_terms(d, alpha, -1 - (total - o))
-        den *= factor_den
-        nxt: Dict[int, PfTensor] = {}
-        for e2, t2 in terms.items():
-            for e1, t1 in prod.items():
-                if e1 + e2 > limit:
-                    continue
-                t = nxt.setdefault(e1 + e2, {})
-                for k1, c1 in t1.items():
-                    for k2, c2 in t2.items():
-                        t[k1 + k2] = t.get(k1 + k2, 0) + c1 * c2
-        prod = nxt
+    scalars = [d for d in factors if d[0] not in TWO_POINT]
+    shared = bool(scalars) and scalars[0][0] == "xi"
+    rest = scalars[1:] if shared else scalars
+    remaining = sum(_factor_ord(d, alpha) for d in rest)  # the pole order still to come
+    if shared:
+        acc = _kernel_product(scalars[0][1:], alpha, -1 - remaining)
+    else:
+        acc = _series(("R",), alpha, -1 - remaining)
+    total = acc[0] + remaining
+    for d in rest:
+        o = _factor_ord(d, alpha)
+        remaining -= o
+        acc = _mul(acc, _series(d, alpha, -1 - total + o), -1 - remaining)
+    lo, nums, den = acc
+    prod: Dict[int, PfTensor] = {e: {(): c} for e, c in enumerate(nums[:-lo], lo)}
+    for d in factors:
+        if d[0] in TWO_POINT:
+            nxt: Dict[int, PfTensor] = {}
+            for k in range(-total):  # the highest power of u that still meets u^{total}
+                coeff = two_point_coeff(d[0], alpha, k)
+                for e1, t1 in prod.items():
+                    if e1 + k < 0:
+                        t = nxt.setdefault(e1 + k, {})
+                        for k1, c1 in t1.items():
+                            for pk, c2 in coeff.items():
+                                t[k1 + (pk,)] = t.get(k1 + (pk,), 0) + c1 * c2
+            prod = nxt
+    data, tally, logs = _residue_data(prod, alpha, total)
+    return data, tally, den * logs
+
+
+def _residue_data(prod: Dict[int, PfTensor], alpha: int, total: int) -> Tuple[PfTensor, PfTensor, int]:
+    """``(data, tally, logs)`` of :func:`_pf_data` from the coefficients of u^{total}, …, u^{-1} by live key.
+
+    Both are integers over the coefficients' denominator times ``logs``,
+    the lcm of the Mercator terms' 1/k.
+    """
     logs = lcm(*range(1, -total))  # the Mercator terms below have 1/k for k < -total
     data: PfTensor = {}
     for j in range(1, 1 - total):
@@ -275,7 +342,7 @@ def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor,
                 zkey = ((0, 1),) + live
                 data[zkey] = data.get(zkey, 0) - m * c
     tally = {live: -logs * c for live, c in prod.get(-1, {}).items() if c}
-    return {key: c for key, c in data.items() if c}, tally, den * logs
+    return {key: c for key, c in data.items() if c}, tally, logs
 
 
 # -- decomposition over the basis -------------------------------------------------------
@@ -333,24 +400,24 @@ def principal_parts(f: RationalFunction) -> PfVector:
     return v
 
 
-def xi_decompose(v: PfVector) -> Dict[XiIndex, Fraction]:
-    """Write a principal-part vector exactly as Σ γ_{p,k} PP(ξ_{p,k}).
+def xi_decompose(v: Dict[PfKey, int]) -> Tuple[Dict[XiIndex, int], int]:
+    """Write a vector of integer principal parts exactly as Σ γ_{p,k} PP(ξ_{p,k}): ``(γ numerators, den)``.
 
     The highest pole order at ±1 fixes the top index.  From there down,
     γ_{0,k} and γ_{1,k} are read off the rows (±1, 2k + 2) of the running
     residual through :func:`_pivot`, and γ·PP(ξ) is subtracted from it.  The
     residual must end exactly empty, which certifies Σ γ·PP(ξ) = v in every
-    coordinate; a vector outside the span raises :class:`EngineError`.  For a
-    rational function f, pass ``principal_parts(f)``.
+    coordinate; a vector outside the span raises :class:`EngineError`.
 
-    The values may be ints or Fractions.  The residual is kept as integer
-    numerators over one running denominator, which each k multiplies by the
-    denominators of its pivot and of PP(ξ_{·,k}) (:func:`_pivot`); only the
-    returned γ are Fractions.
+    The residual and the γ found so far are integer numerators over one
+    running denominator, which each k multiplies by the denominators of its
+    pivot and of PP(ξ_{·,k}) (:func:`_pivot`); the γ are returned over it,
+    reduced by one gcd.  :func:`nbar.checks._xi_coords` takes a rational
+    function through :func:`principal_parts` and this into Fractions.
     """
-    den = lcm(*(c.denominator for c in v.values()))
-    res = {key: _scaled(c, den) for key, c in v.items() if c}
-    gammas: Dict[XiIndex, Fraction] = {}
+    res = {key: c for key, c in v.items() if c}
+    gammas: Dict[XiIndex, int] = {}
+    den = 1
     top = max((j for a, j in res if a), default=0)
     for k in reversed(range(top // 2)):
         rows = (res.get((1, 2 * k + 2), 0), res.get((-1, 2 * k + 2), 0))
@@ -359,39 +426,47 @@ def xi_decompose(v: PfVector) -> Dict[XiIndex, Fraction]:
         inverse, inv_den, parts, pp_den = _pivot(k)
         scale = inv_den * pp_den
         res = {key: c * scale for key, c in res.items()}
+        gammas = {key: c * scale for key, c in gammas.items()}
         for p, ((i0, i1), part) in enumerate(zip(inverse, parts)):
             gamma = i0 * rows[0] + i1 * rows[1]
             if gamma:
-                gammas[(p, k)] = Fraction(gamma, den * inv_den)
+                gammas[(p, k)] = gamma * pp_den
                 for pk, x in part:
                     res[pk] = res.get(pk, 0) - gamma * x
         den *= scale
     left = sorted(key for key, c in res.items() if c)
     if left:
         raise EngineError(f"principal parts {sorted(v)} are not in the span of ξ; {left} are left")
-    return gammas
+    return _reduced(gammas, den)
+
+
+def _decompose_slot(coeffs: PfTensor, s: int) -> Tuple[Dict[Tuple, int], int]:
+    """Slot s of an integer tensor taken into ξ coordinates: ``(numerators, den)``, den the slices' lcm.
+
+    Each slice along the slot is one certified :func:`xi_decompose`.
+    """
+    slices: Dict[Tuple, Dict[PfKey, int]] = {}
+    for key, c in coeffs.items():
+        if c:
+            slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
+    done = {rest: xi_decompose(vec) for rest, vec in slices.items()}
+    common = lcm(*(den for _, den in done.values()))
+    return {
+        rest[:s] + (xik,) + rest[s:]: c * (common // den)
+        for rest, (gammas, den) in done.items()
+        for xik, c in gammas.items()
+    }, common
 
 
 def _decompose_slots(coeffs: PfTensor, den: int) -> Table:
     """ξ coordinates, in every slot, of the tensor coeffs / den given in principal-part coordinates.
 
     ``coeffs`` holds integers.  The slots are decomposed one at a time,
-    spectators first and the root last; each slice is one certified
-    :func:`xi_decompose`.  A slot's γ are brought back to integers over their
-    lcm before the next slot, so the result is integers over one denominator.
+    spectators first and the root last (:func:`_decompose_slot`), so the
+    result is integers over one denominator.
     """
     for s in reversed(range(max(map(len, coeffs), default=0))):
-        slices: Dict[Tuple, PfVector] = {}
-        for key, c in coeffs.items():
-            if c:
-                slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
-        gammas = {
-            rest[:s] + (xik,) + rest[s:]: gamma
-            for rest, vec in slices.items()
-            for xik, gamma in xi_decompose(vec).items()
-        }
-        common = lcm(*(gamma.denominator for gamma in gammas.values()))
-        coeffs = {key: _scaled(gamma, common) for key, gamma in gammas.items()}
+        coeffs, common = _decompose_slot(coeffs, s)
         den *= common
     return _reduced(coeffs, den)
 
@@ -415,27 +490,39 @@ _TABLES: Dict[Tuple[Order, ...], Table] = register("tr.tables", {})
 def _table(*orders: Order) -> Table:
     """Σ_α Σ sign · (residue data of each order), certified in ξ coordinates; memoized across all (g, n).
 
-    The orders' integer data are brought to the lcm of their denominators.
-    The log tally at each branch point must cancel over the orders, exactly
-    in those integers, and every slot must decompose exactly; otherwise
+    The log tally at each branch point must cancel over the orders
+    (:func:`_summed`), and every slot must decompose exactly; otherwise
     :class:`EngineError` is raised.
     """
     hit = _TABLES.get(orders)
     if hit is None:
         parts = {alpha: [(sign, *_pf_data(factors, alpha)) for sign, factors in orders] for alpha in (1, -1)}
-        den = lcm(*(part[-1] for both in parts.values() for part in both))
-        acc: PfTensor = {}
-        for alpha, both in parts.items():
-            tally: PfTensor = {}
-            for sign, data, log_terms, part_den in both:
-                scale = sign * (den // part_den)
-                for target, part in ((acc, data), (tally, log_terms)):
-                    for key, c in part.items():
-                        target[key] = target.get(key, 0) + scale * c
-            if any(tally.values()):
-                raise EngineError(f"residual log coefficient at z = {alpha} in the table of {orders}")
-        hit = _TABLES[orders] = _decompose_slots(acc, den)
+        hit = _TABLES[orders] = _decompose_slots(*_summed(orders, parts))
     return hit
+
+
+Part = Tuple[int, PfTensor, PfTensor, int]  # (sign, data, tally, den) of one order at one branch point
+
+
+def _summed(orders: Tuple[Order, ...], parts: Dict[int, List[Part]]) -> Tuple[PfTensor, int]:
+    """Σ sign · data over every branch point α, as integers over the lcm of the parts' denominators.
+
+    ``parts`` holds ``(sign, data, tally, den)`` by α.  The log tally at each
+    α must cancel exactly in those integers; otherwise :class:`EngineError`
+    names the table of ``orders``.
+    """
+    den = lcm(*(part[-1] for both in parts.values() for part in both))
+    acc: PfTensor = {}
+    for alpha, both in parts.items():
+        tally: PfTensor = {}
+        for sign, data, log_terms, part_den in both:
+            scale = sign * (den // part_den)
+            for target, part in ((acc, data), (tally, log_terms)):
+                for key, c in part.items():
+                    target[key] = target.get(key, 0) + scale * c
+        if any(tally.values()):
+            raise EngineError(f"residual log coefficient at z = {alpha} in the table of {orders}")
+    return acc, den
 
 
 def _pair(a: XiIndex, b: XiIndex) -> Table:
@@ -443,9 +530,63 @@ def _pair(a: XiIndex, b: XiIndex) -> Table:
     return _table((-1, (("xi",) + min(a, b), ("xi",) + max(a, b))))
 
 
+@lru_cache(maxsize=None)
+def _two_point_diff(alpha: int, k: int) -> Tuple[Dict[XiIndex, int], int]:
+    """Δ^α_k = [u^k](ω_{0,2}(1/z, w) - ω_{0,2}(z, w)) at z = α + u, in ξ coordinates in w.
+
+    The difference of the two slots of :func:`two_point_coeff`, decomposed
+    once and certified by its empty residual.  Each slot alone is outside
+    the ξ span for k ≥ 1; their difference is what P[a] meets.
+    """
+    v = two_point_coeff("o2i", alpha, k)
+    for key, c in two_point_coeff("o2p", alpha, k).items():
+        v[key] = v.get(key, 0) - c
+    return xi_decompose(v)
+
+
+register("tr.two_point_diffs", _two_point_diff)
+
+
 def _two_point(a: XiIndex) -> Table:
-    """P[a]: ξ_a(z) with ω_{0,2}(1/z, w) minus ω_{0,2}(z, w) with ξ_a(1/z); slots (root, w)."""
-    return _table((1, (("xi",) + a, ("o2i",))), (-1, (("o2p",), ("xi",) + a)))
+    """P[a]: ξ_a(z) with ω_{0,2}(1/z, w) minus ω_{0,2}(z, w) with ξ_a(1/z); slots (root, w).
+
+    The residue data come from :func:`_join_data`, already in ξ coordinates
+    in w, so only the root slot is decomposed.  The log tally is checked on
+    them too: the decomposition is one-to-one, so zero in ξ coordinates is
+    zero in principal parts.  The table is kept under its two orders.
+    """
+    orders = ((1, (("xi",) + a, ("o2i",))), (-1, (("o2p",), ("xi",) + a)))
+    hit = _TABLES.get(orders)
+    if hit is None:
+        acc, den = _summed(orders, {alpha: [(1, *_join_data(a, alpha))] for alpha in (1, -1)})
+        nums, common = _decompose_slot(acc, 0)
+        hit = _TABLES[orders] = _reduced(nums, den * common)
+    return hit
+
+
+def _join_data(a: XiIndex, alpha: int) -> Tuple[PfTensor, PfTensor, int]:
+    """The residue data of both orders of P[a] at α, with the live slot w in ξ coordinates.
+
+    Both orders are ξ_a·R times a two-point slot, so their difference has
+    Σ_k (ξ_a R)_{-j-k} Δ^α_k as its coefficient of u^{-j}
+    (:func:`_kernel_product`, :func:`_two_point_diff`): integer combinations
+    of certified ξ coordinates in w, over one denominator.  Returns
+    ``(data, tally, den)`` as :func:`_pf_data` does, keyed by (root key, w).
+    """
+    lo, nums, den = _kernel_product(a, alpha, -1)
+    deltas = [_two_point_diff(alpha, k) for k in range(-lo)]
+    delta_den = lcm(*(d for _, d in deltas))
+    deltas = [[((w,), c * (delta_den // d)) for w, c in gammas.items()] for gammas, d in deltas]
+    prod: Dict[int, PfTensor] = {}
+    for j in range(1, 1 - lo):
+        coeff = prod[-j] = {}
+        for k, gammas in enumerate(deltas[:1 - j - lo]):
+            x = nums[-j - k - lo]
+            if x:
+                for w, c in gammas:
+                    coeff[w] = coeff.get(w, 0) + x * c
+    data, tally, logs = _residue_data(prod, alpha, lo)
+    return data, tally, den * delta_den * logs
 
 
 # -- the engine -------------------------------------------------------------------------

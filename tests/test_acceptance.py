@@ -105,16 +105,11 @@ def test_criterion_6_psi_intersection_numbers():
     assert psi_number(0, (1, 1, 0, 0, 0)) == 2
     assert psi_number(2, (4,)) == F(1, 1152)
     # every top-degree orbit of every cross-checked polynomial against the DVV recursion
-    orbits = 0
-    for g, n in MANDATORY_CROSS:
-        for d in nbar_poly(g, n).orbits.values():
-            for key in d:
-                if sum(key) == 3 * g - 3 + n:
-                    assert psi_number(g, key) == checks.witten_kontsevich(g, key), (g, n, key)
-                    orbits += 1
-    assert orbits > 0
+    outcomes = list(checks.top_coefficients(7, "comb"))
+    assert len(outcomes) == len(MANDATORY_CROSS)
+    assert all(o.ok for o in outcomes), [o.line for o in outcomes if not o.ok]
     print(
-        f"ACCEPTANCE 6 (intersection numbers from top coefficients, {orbits} top-degree orbits"
+        f"ACCEPTANCE 6 (intersection numbers from the top coefficients of {len(outcomes)} cases"
         " against Witten–Kontsevich): PASS"
     )
 

@@ -408,7 +408,7 @@ def test_clear_caches_empties_every_registered_memo():
     sizes = memo.sizes()
     for name in ("lattice.values", "lattice.sums", "lattice.polys", "lattice.splits", "lattice.euler",
                  "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_chain", "tr.xi_principal_parts",
-                 "tr.factor_terms", "checks.xi_parts", "quasipoly.tables",
+                 "tr.series", "tr.kernel_products", "tr.two_point_diffs", "checks.xi_parts", "quasipoly.tables",
                  *(f"quasipoly.{kind}_sums.{parity}" for kind in ("node", "coeff", "power")
                    for parity in ("odd", "even"))):
         assert sizes[name] > 0, name

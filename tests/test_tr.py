@@ -127,28 +127,36 @@ def test_kernel_rational_part():
     assert kernel_rational_part() == want
 
 
+def decompose(v):
+    """tr.xi_decompose of principal parts given as Fractions, its γ as Fractions."""
+    den = lcm(*(F(c).denominator for c in v.values()))
+    gammas, gamma_den = tr.xi_decompose({key: int(c * den) for key, c in v.items()})
+    return {xik: F(c, den * gamma_den) for xik, c in gammas.items()}
+
+
 def test_xi_decompose_round_trip():
     f = 3 * tr.xi(0, 0) - F(7, 2) * tr.xi(1, 2) + tr.xi(0, 1)
-    got = tr.xi_decompose(tr.principal_parts(f))
+    got = checks._xi_coords(f)
     assert got == {(0, 0): F(3), (1, 2): F(-7, 2), (0, 1): F(1)}
-    assert tr.xi_decompose(tr.principal_parts(RationalFunction(0))) == {}
+    assert checks._xi_coords(RationalFunction(0)) == {}
+    assert tr.xi_decompose({}) == ({}, 1)
 
 
 def test_xi_decompose_reads_index_off_highest_pole():
     # ξ_{0,3} has poles of order 8 at ±1, which alone fixes the top index 3
-    assert tr.xi_decompose(tr.principal_parts(tr.xi(0, 3))) == {(0, 3): F(1)}
+    assert checks._xi_coords(tr.xi(0, 3)) == {(0, 3): F(1)}
     # odd top order 3: no ξ has it, so the residual cannot be emptied
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose(tr.principal_parts(Z / (1 - Z * Z) ** 3))
+        checks._xi_coords(Z / (1 - Z * Z) ** 3)
 
 
 def test_xi_decompose_rejects_foreign_functions():
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose(tr.principal_parts(1 / (Z - 2)))
+        checks._xi_coords(1 / (Z - 2))
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose(tr.principal_parts(1 / (Z * Z)))
+        checks._xi_coords(1 / (Z * Z))
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose(tr.principal_parts(Z / (1 - Z * Z) ** 3))
+        checks._xi_coords(Z / (1 - Z * Z) ** 3)
 
 
 def test_principal_parts_reject_a_polynomial_part():
@@ -181,17 +189,24 @@ def test_constant_factor_vectors_match_reference_functions():
     assert tr.DIAGONAL_PP == tr.principal_parts(omega02_diagonal())
 
 
+def series_through(series, upto):
+    """An engine series (e0, nums, den) as {exponent: Fraction} through u^upto, without its zero terms."""
+    lo, nums, den = series
+    assert type(den) is int and all(type(c) is int for c in nums)
+    assert lo + len(nums) > upto, "the series does not reach the order asked for"
+    return {e: F(c, den) for e, c in enumerate(nums, lo) if c and e <= upto}
+
+
 def test_factor_series_match_laurent_expansions():
     factors = [(("xi", p, k), tr.xi(p, k)) for p in (0, 1) for k in range(0, 9)]
     factors += [(("R",), kernel_rational_part()), (("diag",), omega02_diagonal())]
     for desc, f in factors:
         for alpha in (1, -1):
             ser = f.laurent_at(alpha, 6)
-            want = {ser.ord + i: {(): c} for i, c in enumerate(ser.coeffs) if c}
-            terms, den = tr._factor_terms(desc, alpha, 6)
-            assert all(type(c) is int for t in terms.values() for c in t.values()), (desc, alpha)
-            assert {e: {key: F(c, den) for key, c in t.items()} for e, t in terms.items()} == want, (desc, alpha)
-            assert tr._factor_ord(desc, alpha) == ser.ord, (desc, alpha)
+            want = {ser.ord + i: c for i, c in enumerate(ser.coeffs) if c}
+            got = tr._series(desc, alpha, 6)
+            assert series_through(got, 6) == want, (desc, alpha)
+            assert tr._factor_ord(desc, alpha) == ser.ord == got[0], (desc, alpha)
 
 
 def test_two_point_coefficients_match_laurent_expansions():
@@ -213,13 +228,13 @@ def test_xi_decompose_accepts_and_certifies_vectors():
     f = F(2) * tr.xi(1, 2) - tr.xi(0, 0)
     v = tr.principal_parts(f)
     assert v == principal_parts_by_series(f)
-    assert tr.xi_decompose(v) == {(1, 2): F(2), (0, 0): F(-1)}
+    assert decompose(v) == {(1, 2): F(2), (0, 0): F(-1)}
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose({**v, (0, 2): F(1)})  # double pole at 0
+        decompose({**v, (0, 2): F(1)})  # double pole at 0
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose({(1, 2): F(1)})  # a pole at +1 alone is outside the span
+        decompose({(1, 2): F(1)})  # a pole at +1 alone is outside the span
     with pytest.raises(tr.EngineError):
-        tr.xi_decompose({**v, (-1, 5): F(1, 3)})
+        decompose({**v, (-1, 5): F(1, 3)})
 
 
 def test_xi_decompose_takes_integer_numerators():
@@ -228,7 +243,9 @@ def test_xi_decompose_takes_integer_numerators():
     den = lcm(*(c.denominator for c in v.values()))
     ints = {key: c.numerator * (den // c.denominator) for key, c in v.items()}
     want = {(0, 3): F(den), (1, 2): F(-7 * den, 2), (0, 0): F(3 * den, 5)}
-    assert tr.xi_decompose(ints) == tr.xi_decompose({key: F(c) for key, c in ints.items()}) == want
+    got = tr.xi_decompose(ints)
+    assert is_least(got)  # γ numerators over one denominator, reduced by one gcd
+    assert as_fractions(got) == decompose({key: F(c) for key, c in ints.items()}) == want
     for foreign in ({(1, 2): 1}, {(0, 2): 3}, {**ints, (-1, 5): 1}, {(1, 1): 1, (-1, 1): 2}):
         with pytest.raises(tr.EngineError):
             tr.xi_decompose(foreign)
@@ -252,6 +269,41 @@ def reference_factor_terms(desc, alpha, upto):
         for m in range(upto + 1):
             ser[m] = ser.get(m, 0) + (-1) ** m * comb(j + m - 1, m) * c / d ** (j + m)
     return {e: {(): c} for e, c in ser.items() if c}
+
+
+def flat(terms):
+    """reference_factor_terms of a factor that watches no spectator, as {exponent: Fraction}."""
+    return {e: t[()] for e, t in terms.items()}
+
+
+def test_grown_series_match_the_reference_at_each_order():
+    # a kept series asked at order 3 and then at 9 is regrown over its larger denominator, so every
+    # coefficient is rescaled; it reaches exactly the order asked for, and serves the order-3 reader too
+    clear_caches()
+    for desc in (("xi", 0, 2), ("xi", 1, 3), ("R",), ("diag",)):
+        for alpha in (1, -1):
+            short = tr._series(desc, alpha, 3)
+            assert series_through(short, 3) == flat(reference_factor_terms(desc, alpha, 3)), (desc, alpha)
+            grown = tr._series(desc, alpha, 9)
+            assert grown[2] > short[2] and grown[0] + len(grown[1]) == 10, (desc, alpha)
+            assert series_through(grown, 9) == flat(reference_factor_terms(desc, alpha, 9)), (desc, alpha)
+            assert tr._series(desc, alpha, 3) is grown
+
+
+def test_kernel_product_is_the_fraction_product():
+    clear_caches()
+    for a in ((0, 0), (1, 0), (0, 2), (1, 3)):
+        for alpha in (1, -1):
+            for upto in (-1, 5):  # the singular part P[a] reads, then grown as a C[a, b] asks
+                xi_a = flat(reference_factor_terms(("xi",) + a, alpha, upto + 2))  # R has a double pole
+                kernel = flat(reference_factor_terms(("R",), alpha, upto + 2 * a[1] + 2))
+                want = {}
+                for e1, c1 in xi_a.items():
+                    for e2, c2 in kernel.items():
+                        if e1 + e2 <= upto:
+                            want[e1 + e2] = want.get(e1 + e2, 0) + c1 * c2
+                got = tr._kernel_product(a, alpha, upto)
+                assert series_through(got, upto) == {e: c for e, c in want.items() if c}, (a, alpha, upto)
 
 
 def reference_pf_data(factors, alpha):
@@ -301,7 +353,7 @@ def reference_table(orders):
                 slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
         coeffs = {}
         for rest, vec in slices.items():
-            for xik, gamma in tr.xi_decompose(vec).items():
+            for xik, gamma in decompose(vec).items():
                 key = rest[:s] + (xik,) + rest[s:]
                 coeffs[key] = coeffs.get(key, 0) + gamma
     return coeffs
@@ -413,6 +465,52 @@ def test_one_two_point_order_alone_raises():
         assert tr._two_point((p, k))  # the sum is certified
 
 
+def test_two_point_differences_decompose_at_every_order_the_ladder_reaches():
+    # P[a] meets Δ^α_k for k ≤ 2k_a + 3, and the χ ≤ 7 ladder joins the roots a of every χ ≤ 6 tensor
+    clear_caches()
+    for g, n in checks.stable_cases(7):
+        tr._tensor(g, n)
+    reach = 2 * max(key[0][1] for g, n in checks.stable_cases(6) for key in tr._tensor(g, n)[0]) + 3
+    assert tr._two_point_diff.cache_info().currsize == 2 * (reach + 1)
+    for alpha in (1, -1):
+        for k in range(reach + 1):
+            want = {key: F(c) for key, c in tr.two_point_coeff("o2i", alpha, k).items()}
+            for key, c in tr.two_point_coeff("o2p", alpha, k).items():
+                want[key] = want.get(key, 0) - c
+            nums, den = tr._two_point_diff(alpha, k)
+            got = {}
+            for (p, kk), c in nums.items():
+                for key, x in tr.xi_principal_parts(p, kk):
+                    got[key] = got.get(key, 0) + F(c, den) * x
+            assert nums and {key: c for key, c in got.items() if c} == {key: c for key, c in want.items() if c}
+
+
+def test_each_two_point_slot_alone_is_outside_the_xi_span():
+    for alpha in (1, -1):
+        for k in range(1, 7):
+            for kind in tr.TWO_POINT:
+                with pytest.raises(tr.EngineError, match="not in the span"):
+                    tr.xi_decompose(tr.two_point_coeff(kind, alpha, k))
+
+
+def test_a_skewed_two_point_slot_fails_the_join_table(monkeypatch):
+    real = tr.two_point_coeff
+
+    def skewed(kind, alpha, k):
+        v = real(kind, alpha, k)
+        if kind == "o2i":
+            v[(0, 2)] = 1  # a double pole at w = 0, which no ξ has
+        return v
+
+    clear_caches()  # a difference decomposed before the patch would be reused
+    monkeypatch.setattr(tr, "two_point_coeff", skewed)
+    try:
+        with pytest.raises(tr.EngineError, match="not in the span"):
+            tr._two_point((0, 0))
+    finally:
+        clear_caches()
+
+
 def test_asymmetric_pair_table_fails_the_symmetry_certificate(monkeypatch):
     # the contraction is symmetric in the spectators by construction, but not
     # in the root and a spectator: qp_from_xi_tensor has to check that
@@ -466,6 +564,40 @@ def test_residue_engine_satisfies_dilaton_and_euler_through_chi_6():
         assert big.pin_even(2) - big.pin_even(0) == nbar_poly(g, n, "tr").scale(2 * g - 2 + n), (g, n)
     for g, n in ((0, 8), (1, 6), (2, 4)):
         assert nbar_poly(g, n, "tr").evaluate((0,) * n) == euler_char(g, n), (g, n)
+
+
+def test_a_skewed_two_point_difference_leaves_a_residual_log(monkeypatch):
+    # Δ^α_1 doubled stays in the ξ span, so only the log tally on the Δ combination can catch it:
+    # the u^{-1} coefficient gains (ξ_a R)_{-2} Δ^α_1
+    real = tr._two_point_diff
+
+    def skewed(alpha, k):
+        nums, den = real(alpha, k)
+        return ({w: 2 * c for w, c in nums.items()}, den) if k == 1 else (nums, den)
+
+    clear_caches()
+    monkeypatch.setattr(tr, "_two_point_diff", skewed)
+    try:
+        for a in ((0, 0), (1, 0), (0, 2)):
+            with pytest.raises(tr.EngineError, match="residual log"):
+                tr._two_point(a)
+    finally:
+        clear_caches()
+
+
+def test_top_coefficients_of_the_residue_engine_through_chi_8():
+    outcomes = list(checks.top_coefficients(8, "tr"))
+    assert len(outcomes) == len(checks.stable_cases(8))
+    assert all(o.ok for o in outcomes), [o.line for o in outcomes if not o.ok]
+
+
+def test_top_coefficients_report_a_differing_orbit(monkeypatch):
+    real = checks.witten_kontsevich
+    monkeypatch.setattr(checks, "witten_kontsevich", lambda g, a: real(g, a) + (g == 1))
+    (three, one_handle) = checks.top_coefficients(1, "tr")
+    assert three.ok and three.line == "top (0,3) tr: 2 top-degree orbits ok"
+    assert not one_handle.ok and one_handle.line.startswith("top (1,1) tr: FAIL 1 of 1 top-degree orbits differ")
+    assert one_handle.diffs == (((0, (1,)), F(1, 24), F(25, 24)),)  # (1,1) has only the even class
 
 
 def test_string_scalar_table():
