@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 a verification or table comparison failed,
 2 usage error (argparse), 3 invalid input (``error:``) or a failed exact
 certificate (``engine error:``) from any subcommand, 4 I/O error, a closed
-standard output included.
+standard output included.  Runaway work is refused with exit 3: ``eval``,
+``poly`` and ``psi`` past their χ bounds unless ``--force`` is given, and
+``euler`` past χ = ``EULER_BOUND`` (150), which has no ``--force``.
 
 ``main`` builds the parser once per process, on its first call, and is the one
 place that turns a ``ValueError``, ``EngineError`` included, into exit 3 and a
@@ -33,18 +35,23 @@ EXIT_IO = 4
 
 # One rule for both engines: on a cache miss `poly` refuses χ above its engine's bound, and `eval` with
 # an even Σ b_i refuses χ above the bound plus one, each unless --force is given.  Cold on a 2-vCPU x86
-# machine, the last χ inside `poly` took at most about 2.4 s of CPU for comb (χ = 7: (1,7)) and 6.0-7.4 s
-# for tr (χ = 9: (0,11), writing a 115 MB cache entry); one χ more took 3.8-9.6 s (comb: (0,10), (2,6),
-# (1,8)) and, for tr even with --no-cache, 0.5-5.7 s for (5,2), (4,4), (3,6) and (2,8), and 8.6-11.2 s
-# for the larger outputs ((1,10), (0,12)) when last measured, most of it rendering.  `eval` gets the
-# χ more: comb fits the cases one χ below the point for its values at b = 0, and at b = (2, 0, …) a
-# χ = 8 point took 1.4-1.8 s for (0,10), 4.6-4.9 s for (2,6) and 3.5-3.9 s for (1,8), while
-# `eval 0 11 2 0 … 0` (χ = 9) took 5.1-5.4 s; tr renders nothing, and at b = (2, 0, …) or (1, …, 1)
+# machine, the last χ inside `poly` took at most about 1.5 s of CPU for comb (χ = 7: (1,7)) and 6.0-7.4 s
+# for tr (χ = 9: (0,11), writing a 115 MB cache entry); one χ more took 2.5-5.0 s, and once 7.6 s (comb:
+# (0,10), (2,6), (1,8)) and, for tr even with --no-cache, 0.5-5.7 s for (5,2), (4,4), (3,6) and (2,8), and
+# 8.6-11.2 s for the larger outputs ((1,10), (0,12)) when last measured, most of it rendering.  `eval` gets
+# the χ more: comb fits the cases one χ below the point for its values at b = 0, and at b = (2, 0, …) a
+# χ = 8 point took 0.8 s for (0,10), 1.9-2.0 s for (2,6) and 1.7-2.2 s for (1,8), while
+# `eval 0 11 2 0 … 0` (χ = 9) took 2.2-3.0 s; tr renders nothing, and at b = (2, 0, …) or (1, …, 1)
 # it took 1.7-3.6 s at χ = 10 ((0,12), (1,10), (3,6)) and 2.7-8.8 s at χ = 11 ((0,13), (2,9), (3,7))
 POLY_BOUND = {"comb": 7, "tr": 9}
 # a comb eval also refuses a point with χ² · Σ b_i above this, unless --force is given: the
 # recursion's table grows with both, and (2,2) at b = (1500, 2) ran past 100 s
 EVAL_BOUND = 1600
+# `euler` refuses χ above this, with no --force: the recursion's table holds about (g + 1)(n + g) values,
+# each a sum of up to (g + 1) n Fraction products whose size grows with n.  Cold on a 2-vCPU x86
+# machine, (2,148) took 0.6-0.9 s of CPU, (1,150) 0.3-0.6 s and (0,152) 0.2-0.3 s; (2,198), at χ = 200,
+# took 1.4-1.5 s, and past n ≈ 1500 the value has more digits than Python prints by default
+EULER_BOUND = 150
 
 
 @functools.cache
@@ -265,6 +272,10 @@ def cmd_psi(args: argparse.Namespace) -> int:
 
 
 def cmd_euler(args: argparse.Namespace) -> int:
+    _check_stable(args.g, args.n)
+    chi = 2 * args.g - 2 + args.n
+    if chi > EULER_BOUND:
+        raise ValueError(f"chi = {chi} exceeds {EULER_BOUND}, past which a cold euler takes more than a second")
     print(euler_char(args.g, args.n))
     return EXIT_OK
 

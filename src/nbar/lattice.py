@@ -8,14 +8,16 @@ removes one positive boundary, the root, by join and cut sums that each
 query one table of running sums (:func:`_sum`).  Equal entries among the
 other, sorted, boundaries give equal terms, so the step runs over their
 runs of equal entries: a join once per distinct entry and a split once per
-run pattern (:func:`_stable_splits`), each weighted by its number of
-labelled copies.  Any positive entry may be the root: the value table
-roots each sorted point at its largest entry, and :func:`nbar_eval_asym`
-at the first argument, so where the first argument is not the largest
-their agreement checks that the step does not depend on its root.  On top
-of these sit the polynomial fit, the orbifold Euler characteristics
-reached at b = 0, the intersection numbers read off the top
-coefficients, and a scan for negative stored coefficients.
+run pattern, each weighted by its number of labelled copies.  The cut is
+symmetric in the two pieces of a split, so a split and its mirror are
+taken once, counted twice (:func:`_stable_splits`).  Any positive entry
+may be the root: the value table roots each sorted point at its largest
+entry, and :func:`nbar_eval_asym` at the first argument, so where the
+first argument is not the largest their agreement checks that the step
+does not depend on its root.  On top of these sit the polynomial fit,
+the orbifold Euler characteristics reached at b = 0, the intersection
+numbers read off the top coefficients, and a scan for negative stored
+coefficients.
 
 Inside the recursion a value is a reduced pair (numerator, denominator) of
 ints.  Outside the closed forms for (0,3) and (1,1), the value table holds
@@ -142,7 +144,10 @@ def _step(g: int, n: int, root: int, rest: Tuple[int, ...]) -> Pair:
     ``rest``.  Equal entries give equal terms, so both run over the runs of
     equal entries in ``rest``: a value v that appears r times is joined
     once with weight r, and a split is taken once per run pattern with
-    weight its number of labelled splits (:func:`_stable_splits`).
+    weight its number of labelled splits.  The cut's double sum
+    Σ_{p,q} (root - p - q)[p][q] N̄(p, I) N̄(q, J) is unchanged when the
+    pieces (g1, I, p) and (g2, J, q) swap, so a split and its mirror are
+    one entry with twice that weight (:func:`_stable_splits`).
     """
     acc: Dict[int, int] = {}
     runs: List[int] = []
@@ -195,23 +200,29 @@ def _sum(acc: Dict[int, int], w: int, den: int, g: int, n: int, spect: Tuple[int
 
 @lru_cache(maxsize=None)
 def _stable_splits(g: int, runs: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...], int, Tuple[int, ...], int], ...]:
-    """Ways (g1, slots_i, g2, slots_j, ways) to share genus g and a sorted rest between two stable pieces.
+    """Ways (g1, slots_i, g2, slots_j, weight) to share genus g and a sorted rest between two stable pieces.
 
     ``runs`` are the lengths of the rest's runs of equal entries, in order.
     Piece i takes the first t slots of each run and piece j the others; the
     ways = ∏ C(run, t) labelled splits that take t entries of each run have
     the same pieces, so one entry stands for all of them.  Each piece also
-    gets one new boundary, so piece i is (g1, |slots_i| + 1).
+    gets one new boundary, so piece i is (g1, |slots_i| + 1).  The cut's
+    summand is symmetric in its two pieces, so a split (g1, takes) and its
+    mirror (g - g1, runs - takes), which has as many ways, are one entry:
+    the lesser of the two as tuples, with weight 2 ways, or weight ways
+    when the split is its own mirror.
     """
     starts = [sum(runs[:k]) for k in range(len(runs))]
     splits = []
     for takes in product(*(range(r + 1) for r in runs)):
+        mirror = tuple(r - t for r, t in zip(runs, takes))
         slots_i = tuple(s for o, t in zip(starts, takes) for s in range(o, o + t))
         slots_j = tuple(s for o, t, r in zip(starts, takes, runs) for s in range(o + t, o + r))
         ways = prod(map(comb, runs, takes))
         for g1 in range(g + 1):
-            if is_stable(g1, len(slots_i) + 1) and is_stable(g - g1, len(slots_j) + 1):
-                splits.append((g1, slots_i, g - g1, slots_j, ways))
+            twin = (g - g1, mirror)
+            if (g1, takes) <= twin and is_stable(g1, len(slots_i) + 1) and is_stable(g - g1, len(slots_j) + 1):
+                splits.append((g1, slots_i, g - g1, slots_j, ways if (g1, takes) == twin else 2 * ways))
     return tuple(splits)
 
 
@@ -275,10 +286,17 @@ def euler_char(g: int, n: int) -> Fraction:
     """Orbifold Euler characteristic of the compactified moduli space, for stable (g, n).
 
     Computed by removing one puncture at a time down to the seeded one-point
-    values.  One-point values are only seeded for g ≤ 2, so higher genus
-    with n = 1 is out of reach of this recursion and raises.
+    values.  One-point values are only seeded for g ≤ 2, so every higher
+    genus is out of reach of this recursion and raises.  The value at (h, m)
+    needs (h, m - 1) and values of lower genus h' at up to m + 2 (h - h')
+    points, so the table is filled in that order, genus by genus, and each
+    call of :func:`_euler` finds its inputs memoized: the Python stack stays
+    one frame deep whatever n is.
     """
     _check_stable(g, n)
+    for h in range(g + 1):
+        for m in range(1, n + 2 * (g - h) + 1):
+            _euler(h, m)
     return _euler(g, n)
 
 
@@ -289,7 +307,7 @@ def _euler(g: int, n: int) -> Fraction:
     if seeded is not None:
         return seeded
     if n == 1:
-        raise ValueError(f"one-point Euler characteristic is only seeded for g <= 2, got g={g}")
+        raise ValueError(f"the recursion reaches ({g}, 1), but one-point Euler characteristics are only seeded for g <= 2")
     m = n - 1
     total = (2 - 2 * g - m) * _euler(g, m)
     if g >= 1:

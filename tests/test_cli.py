@@ -393,6 +393,12 @@ def test_euler_command(capsys):
     assert code == 3
 
 
+def test_euler_command_refuses_chi_past_its_bound(capsys):
+    code, out, err = run(capsys, ["euler", "0", str(cli.EULER_BOUND + 3)])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: chi = {cli.EULER_BOUND + 1} exceeds") and err.count("\n") == 1
+
+
 def test_euler_command_rejects_unstable_pairs(capsys):
     for g, n in [("0", "1"), ("0", "2")]:
         code, out, err = run(capsys, ["euler", g, n])

@@ -8,9 +8,11 @@ boundary to a zero one, so N̄_{0,4}(2,0,0,0) = 6/2 = 3.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,10 +160,13 @@ def test_recursion_steps_match_a_term_by_term_reference():
     # test: it roots at no single entry and writes every term out, so it checks the sums
     # independently of the step; the rooted reference checks every root.  The points have
     # repeated, zero and all-distinct entries; the last two have a run of three and two runs
-    # at once, so the step's run weights are checked at genus 0 and 1.
+    # at once, so the step's run weights are checked at genus 0 and 1.  A split that is its
+    # own mirror has weight ways, not 2 ways: (2, 3, (2, 2, 4)) rooted at 4 has one at genus 1
+    # on each side, one entry 2 on each, and (0, 5, (0, 0, 2, 2, 4)) has them at genus 0.
     points = [
         (0, 5, (0, 0, 2, 2, 4)), (1, 3, (2, 3, 3)), (2, 2, (4, 4)), (1, 4, (1, 1, 1, 3)), (2, 1, (6,)),
         (1, 4, (0, 2, 3, 5)), (2, 2, (3, 9)), (0, 6, (1, 1, 1, 3, 3, 5)), (1, 5, (2, 2, 2, 4, 4)),
+        (2, 3, (2, 2, 4)),
     ]
     for g, n, b in points:
         assert _reference_symmetric(g, n, b) == nbar_eval(g, n, b), b
@@ -192,18 +197,20 @@ def _stable_labelled_splits(g, m):
 
 def test_stable_splits_by_runs_expand_to_every_labelled_split_once():
     # An entry takes the first t slots of each run into piece i and the rest into piece j;
-    # choosing which t slots of each run instead gives its ways labelled splits.  Expanded,
-    # the entries of each run pattern must give every stable labelled split exactly once,
-    # and with every run of length 1 the entries are the labelled splits themselves.
+    # choosing which t slots of each run instead gives its ways labelled splits.  Its mirror
+    # swaps the pieces, and the entry stands for both with weight 2 ways, or with weight ways
+    # when it is its own mirror.  Expanded, with the mirror's labelled splits where the weight
+    # is 2 ways, the entries of each run pattern must give every stable labelled split exactly
+    # once, and with every run of length 1 the entries are labelled splits themselves.
     for g in range(4):
         for m in range(7):
             labelled = _stable_labelled_splits(g, m)
             ones = lattice._stable_splits(g, (1,) * m)
-            assert sorted(entry[:4] for entry in ones) == labelled and {entry[4] for entry in ones} <= {1}
+            assert {entry[:4] for entry in ones} <= set(labelled) and {entry[4] for entry in ones} <= {1, 2}
             for runs in _compositions(m):
                 starts = [sum(runs[:k]) for k in range(len(runs))]
                 expanded = []
-                for g1, slots_i, g2, slots_j, ways in lattice._stable_splits(g, runs):
+                for g1, slots_i, g2, slots_j, weight in lattice._stable_splits(g, runs):
                     takes = [sum(start <= s < start + r for s in slots_i) for start, r in zip(starts, runs)]
                     firsts = tuple(s for start, t in zip(starts, takes) for s in range(start, start + t))
                     others = tuple(s for start, t, r in zip(starts, takes, runs) for s in range(start + t, start + r))
@@ -211,10 +218,14 @@ def test_stable_splits_by_runs_expand_to_every_labelled_split_once():
                     choices = list(itertools.product(*(
                         itertools.combinations(range(start, start + r), t) for start, t, r in zip(starts, takes, runs)
                     )))
-                    assert len(choices) == ways, (g, runs)
+                    self_mirrored = (g1, takes) == (g2, [r - t for r, t in zip(runs, takes)])
+                    assert weight == (1 if self_mirrored else 2) * len(choices), (g, runs)
                     for choice in choices:
-                        inside = set(itertools.chain(*choice))
-                        expanded.append((g1, tuple(sorted(inside)), g2, tuple(t for t in range(m) if t not in inside)))
+                        inside = tuple(sorted(itertools.chain(*choice)))
+                        outside = tuple(t for t in range(m) if t not in inside)
+                        expanded.append((g1, inside, g2, outside))
+                        if not self_mirrored:
+                            expanded.append((g2, outside, g1, inside))
                 assert sorted(expanded) == labelled, (g, runs)
 
 
@@ -338,6 +349,19 @@ def test_euler_unreachable_cases():
         euler_char(3, 2)
     with pytest.raises(ValueError):
         euler_char(0, 0)
+
+
+def test_euler_fills_its_table_without_deep_recursion():
+    # the table is filled genus by genus in increasing n, so the stack does not grow with n
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        shallow = euler_char(0, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    clear_caches()
+    assert shallow == euler_char(0, 300)
 
 
 def test_euler_rejects_unstable_pairs():
