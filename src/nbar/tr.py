@@ -13,18 +13,22 @@ denominator.  One dense series is kept per factor and branch point, regrown
 to exactly the highest order asked of it, and so is the product ξ_a·R with
 the kernel's rational part, which every pair table C[a, ·] and the
 two-point table P[a] share.  The residues against the kernel are then plain
-integer arithmetic: an order's residue data is the product of its series
-over the product of their denominators, and a table brings its orders to
-one lcm, decomposes integer slices and reduces its numerators by one gcd
-when it is finished.  A factor that depends on a live spectator has
-principal-part vectors in that variable as coefficients (the two-point
-factors have closed forms).  P[a] meets the two slots of ω_{0,2} only
-through their difference Δ^α_k = [u^k](ω_{0,2}(1/z, w) - ω_{0,2}(z, w)) at
-z = α + u, which lies in the ξ span in w although neither slot does for
-k ≥ 1.  Each Δ^α_k is decomposed once, so P[a]'s w slot is an integer
-combination of certified ξ coordinates and only its root slot is
-back-substituted.  A ξ factor in a slot substituted by z ↦ 1/z is just a
-sign, as the basis forms are anti-invariant: ξ(1/z) d(1/z) = -ξ(z) dz.
+integer arithmetic.  At each branch point a table is one product: the
+singular part of the series of its factors that watch no spectator, the
+kernel's R included, times the u^k coefficients of its live factors, which
+are tensors over the live spectators' keys.  So C[a, b] is ξ_a·R·ξ_b times
+the constant -1 of ξ_b's slot, P[a] is ξ_a·R times Δ^α_k (below), ω_{1,1}
+is R·diag times 1, and ω_{0,3} is R times o2p ⊗ o2i + o2i ⊗ o2p, the
+product of the two-point slots, whose coefficients have closed forms.  A
+table brings the residue data of its two branch points to one lcm,
+decomposes integer slices and reduces its numerators by one gcd when it is
+finished.  P[a] meets the two slots of ω_{0,2} only through their
+difference Δ^α_k = [u^k](ω_{0,2}(1/z, w) - ω_{0,2}(z, w)) at z = α + u,
+which lies in the ξ span in w although neither slot does for k ≥ 1.  Each
+Δ^α_k is decomposed once, so P[a]'s w slot is an integer combination of
+certified ξ coordinates and only its root slot is back-substituted.  A ξ
+factor in a slot substituted by z ↦ 1/z is just a sign, as the basis forms
+are anti-invariant: ξ(1/z) d(1/z) = -ξ(z) dz.
 
 Each residue term lies in the ξ span by itself, so it is computed once, as a
 table of structure constants in ξ coordinates, and reused for every (g, n);
@@ -36,10 +40,10 @@ exactly empty residual in every slot (Σ γ·PP(ξ) = v).  Anything else raises
 construction and keeps one coefficient per root and sorted spectators; the
 symmetry between the root and a spectator is not built in, and
 :func:`qp_from_xi_tensor` checks it.  So a returned tensor is correct, not plausible.
-The certificates are the same in integers: the log tally cancels exactly
-over the table's common denominator (for P[a] in the ξ coordinates of the
-Δ combination, which is zero exactly when its principal parts are, as the
-decomposition is one-to-one), and the residual is emptied exactly.
+The certificates are the same in integers: the log tally at each branch
+point is exactly empty (for P[a] in the ξ coordinates of the Δ combination,
+which is zero exactly when its principal parts are, as the decomposition is
+one-to-one), and the residual is emptied exactly.
 
 The contraction is integer too.  Tables and correlators are integer
 numerators over one denominator, each block of the contraction sums integers
@@ -177,7 +181,6 @@ def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
 # -- factor series ------------------------------------------------------------------
 
 Desc = Tuple
-TWO_POINT = ("o2p", "o2i")  # the factors that carry a live spectator
 # principal parts of the kernel's factor z³/(1 - z²)² and of the diagonal factor
 # -(1/(z² - 1)² + 1/z²), the two-point slot on the pair (z, 1/z) as a form in z
 KERNEL_PP: PfVector = {(1, 2): Fraction(1, 4), (1, 1): HALF, (-1, 2): Fraction(-1, 4), (-1, 1): HALF}
@@ -193,8 +196,6 @@ def _factor_pp(desc: Desc) -> Iterable[Tuple[PfKey, Fraction]]:
 
 
 def _factor_ord(desc: Desc, alpha: int) -> int:
-    if desc[0] in TWO_POINT:
-        return 0  # regular and non-zero at z = ±1 for a generic spectator
     return -max(j for (a, j), _ in _factor_pp(desc) if a == alpha)
 
 
@@ -209,6 +210,8 @@ def _scaled(x: Scalar, den: int) -> int:
 # one factor, or a product of factors, at z = α + u as (e0, nums, den): the coefficient of u^e is
 # nums[e - e0] / den for e0 ≤ e < e0 + len(nums), e0 being the order of the pole at α
 Series = Tuple[int, Tuple[int, ...], int]
+# the live factors at z = α + u as (coeffs, den): the coefficient of u^k is coeffs[k] / den by live key
+Live = Tuple[List[PfTensor], int]
 
 _SERIES: Dict[Tuple[Desc, int], Series] = register("tr.series", {})
 _KERNEL_PRODUCTS: Dict[Tuple[XiIndex, int], Series] = register("tr.kernel_products", {})
@@ -278,71 +281,45 @@ def _kernel_product(a: XiIndex, alpha: int, upto: int) -> Series:
     return _grown(_KERNEL_PRODUCTS, (a, alpha), upto, build)
 
 
-def _pf_data(factors: Tuple[Desc, ...], alpha: int) -> Tuple[PfTensor, PfTensor, int]:
-    """Residue data of one factor order at one branch point, in integers over one denominator.
+def _singular(x: Series, desc: Desc, alpha: int) -> Series:
+    """x times the factor ``desc`` at z = α + u, through u^{-1}; x has to reach u^{-1 - e0(desc)}."""
+    return _mul(x, _series(desc, alpha, -1 - x[0]), -1)
 
-    Returns ``(data, tally, den)``.  ``data`` is the contribution to the root
-    function: its keys are the root's principal-part key — (α, j), or (0, 1)
-    for the 1/z term that the Mercator tail of log z feeds — followed by the
-    live spectators' keys, in the order of their factors.  ``tally`` holds
-    the coefficient of the formal log z at α by live keys; it must cancel in
-    every table.  Both are integer numerators over ``den``: the product of
-    the factors' denominators times the lcm of the Mercator terms' 1/k.
 
-    The factors that watch no spectator and the kernel's R are multiplied as
-    dense series through u^{-1}, starting from the shared ξ·R
-    (:func:`_kernel_product`) when the first of them is a ξ.  The two-point
-    factors, regular at α, then multiply that singular part as tensors over
-    their live keys, and :func:`_residue_data` reads the result.
+def _residue_data(first: Series, live: Live, alpha: int) -> Tuple[PfTensor, PfTensor, int]:
+    """The residue data at one branch point of ``first`` times ``live``, in integers over one denominator.
+
+    ``first`` is the product of the factors that watch no spectator, the
+    kernel's R included, through u^{-1}; ``live`` is the live factors, regular
+    at α, through u^{-1 - e0(first)}.  Returns ``(data, tally, den)``.
+    ``data`` is the contribution to the root function: its keys are the
+    root's principal-part key — (α, j), or (0, 1) for the 1/z term that the
+    Mercator tail of log z feeds — followed by the live key.  ``tally`` holds
+    the coefficient of the formal log z at α by live key; it must cancel
+    (:func:`_table`).  Both are integer numerators over ``den``: the product
+    of the two denominators times the lcm of the Mercator terms' 1/k.
     """
-    scalars = [d for d in factors if d[0] not in TWO_POINT]
-    shared = bool(scalars) and scalars[0][0] == "xi"
-    rest = scalars[1:] if shared else scalars
-    remaining = sum(_factor_ord(d, alpha) for d in rest)  # the pole order still to come
-    if shared:
-        acc = _kernel_product(scalars[0][1:], alpha, -1 - remaining)
-    else:
-        acc = _series(("R",), alpha, -1 - remaining)
-    total = acc[0] + remaining
-    for d in rest:
-        o = _factor_ord(d, alpha)
-        remaining -= o
-        acc = _mul(acc, _series(d, alpha, -1 - total + o), -1 - remaining)
-    lo, nums, den = acc
-    prod: Dict[int, PfTensor] = {e: {(): c} for e, c in enumerate(nums[:-lo], lo)}
-    for d in factors:
-        if d[0] in TWO_POINT:
-            nxt: Dict[int, PfTensor] = {}
-            for k in range(-total):  # the highest power of u that still meets u^{total}
-                coeff = two_point_coeff(d[0], alpha, k)
-                for e1, t1 in prod.items():
-                    if e1 + k < 0:
-                        t = nxt.setdefault(e1 + k, {})
-                        for k1, c1 in t1.items():
-                            for pk, c2 in coeff.items():
-                                t[k1 + (pk,)] = t.get(k1 + (pk,), 0) + c1 * c2
-            prod = nxt
-    data, tally, logs = _residue_data(prod, alpha, total)
-    return data, tally, den * logs
-
-
-def _residue_data(prod: Dict[int, PfTensor], alpha: int, total: int) -> Tuple[PfTensor, PfTensor, int]:
-    """``(data, tally, logs)`` of :func:`_pf_data` from the coefficients of u^{total}, …, u^{-1} by live key.
-
-    Both are integers over the coefficients' denominator times ``logs``,
-    the lcm of the Mercator terms' 1/k.
-    """
-    logs = lcm(*range(1, -total))  # the Mercator terms below have 1/k for k < -total
+    lo, nums, den = first
+    coeffs, live_den = live
+    logs = lcm(*range(1, -lo))  # the Mercator terms below have 1/k for k < -lo
     data: PfTensor = {}
-    for j in range(1, 1 - total):
+    tally: PfTensor = {}
+    for j in range(1, 1 - lo):
+        prod: PfTensor = {}  # the coefficient of u^{-j}
+        for k, coeff in enumerate(coeffs[:1 - j - lo]):
+            x = nums[-j - k - lo]
+            if x:
+                for key, c in coeff.items():
+                    prod[key] = prod.get(key, 0) + x * c
         m = _scaled(mercator(alpha, j - 1), logs) if j > 1 else 0
-        for live, c in prod.get(-j, {}).items():
-            data[((alpha, j),) + live] = -logs * c
+        for key, c in prod.items():
+            data[((alpha, j),) + key] = -logs * c
             if m:
-                zkey = ((0, 1),) + live
+                zkey = ((0, 1),) + key
                 data[zkey] = data.get(zkey, 0) - m * c
-    tally = {live: -logs * c for live, c in prod.get(-1, {}).items() if c}
-    return {key: c for key, c in data.items() if c}, tally, logs
+            if j == 1 and c:
+                tally[key] = -logs * c
+    return data, tally, den * live_den * logs
 
 
 # -- decomposition over the basis -------------------------------------------------------
@@ -458,19 +435,6 @@ def _decompose_slot(coeffs: PfTensor, s: int) -> Tuple[Dict[Tuple, int], int]:
     }, common
 
 
-def _decompose_slots(coeffs: PfTensor, den: int) -> Table:
-    """ξ coordinates, in every slot, of the tensor coeffs / den given in principal-part coordinates.
-
-    ``coeffs`` holds integers.  The slots are decomposed one at a time,
-    spectators first and the root last (:func:`_decompose_slot`), so the
-    result is integers over one denominator.
-    """
-    for s in reversed(range(max(map(len, coeffs), default=0))):
-        coeffs, common = _decompose_slot(coeffs, s)
-        den *= common
-    return _reduced(coeffs, den)
-
-
 def _reduced(nums: Dict[XiKey, int], den: int) -> Table:
     """nums / den without its zero entries, over its least denominator: one gcd divides out."""
     nums = {key: c for key, c in nums.items() if c}
@@ -480,54 +444,62 @@ def _reduced(nums: Dict[XiKey, int], den: int) -> Table:
 
 # -- the tables --------------------------------------------------------------------------
 
-Order = Tuple[int, Tuple[Desc, ...]]  # a sign and one order of factors
 # ξ coordinates (the root's index, then each live spectator's) as integer numerators over one denominator
 Table = Tuple[Dict[XiKey, int], int]
 
-_TABLES: Dict[Tuple[Order, ...], Table] = register("tr.tables", {})
+# keyed by the signed factor orders whose residues a table sums
+_TABLES: Dict[Tuple, Table] = register("tr.tables", {})
+# the live factor of a table that has none: 1, or -1 for the sign of ξ_b's slot in C[a, b]
+ONE: Live = ([{(): 1}], 1)
+MINUS_ONE: Live = ([{(): -1}], 1)
 
 
-def _table(*orders: Order) -> Table:
-    """Σ_α Σ sign · (residue data of each order), certified in ξ coordinates; memoized across all (g, n).
+def _table(orders: Tuple, parts: List[Tuple[PfTensor, PfTensor, int]], slots: int = 1) -> Table:
+    """Σ_α of the residue data ``parts`` at α = +1, -1, certified in ξ coordinates and kept under ``orders``.
 
-    The log tally at each branch point must cancel over the orders
-    (:func:`_summed`), and every slot must decompose exactly; otherwise
-    :class:`EngineError` is raised.
+    The log tally at each branch point must be empty, and each of the first
+    ``slots`` slots, those in principal-part coordinates, must decompose
+    exactly (:func:`_decompose_slot`), spectators first and the root last;
+    otherwise :class:`EngineError` is raised.  A table is memoized across all
+    (g, n), and its caller looks it up first.
     """
-    hit = _TABLES.get(orders)
-    if hit is None:
-        parts = {alpha: [(sign, *_pf_data(factors, alpha)) for sign, factors in orders] for alpha in (1, -1)}
-        hit = _TABLES[orders] = _decompose_slots(*_summed(orders, parts))
-    return hit
-
-
-Part = Tuple[int, PfTensor, PfTensor, int]  # (sign, data, tally, den) of one order at one branch point
-
-
-def _summed(orders: Tuple[Order, ...], parts: Dict[int, List[Part]]) -> Tuple[PfTensor, int]:
-    """Σ sign · data over every branch point α, as integers over the lcm of the parts' denominators.
-
-    ``parts`` holds ``(sign, data, tally, den)`` by α.  The log tally at each
-    α must cancel exactly in those integers; otherwise :class:`EngineError`
-    names the table of ``orders``.
-    """
-    den = lcm(*(part[-1] for both in parts.values() for part in both))
-    acc: PfTensor = {}
-    for alpha, both in parts.items():
-        tally: PfTensor = {}
-        for sign, data, log_terms, part_den in both:
-            scale = sign * (den // part_den)
-            for target, part in ((acc, data), (tally, log_terms)):
-                for key, c in part.items():
-                    target[key] = target.get(key, 0) + scale * c
-        if any(tally.values()):
+    for alpha, (_, tally, _) in zip((1, -1), parts):
+        if tally:
             raise EngineError(f"residual log coefficient at z = {alpha} in the table of {orders}")
-    return acc, den
+    nums, den = _lcm_sum((data, d) for data, _, d in parts)
+    for s in reversed(range(slots)):
+        nums, common = _decompose_slot(nums, s)
+        den *= common
+    table = _TABLES[orders] = _reduced(nums, den)
+    return table
+
+
+def _lcm_sum(parts: Iterable[Tuple[Dict, int]]) -> Tuple[Dict, int]:
+    """Σ nums / den over ``parts``, as integer numerators over the lcm of their denominators."""
+    parts = list(parts)
+    common = lcm(*(den for _, den in parts))
+    total: Dict = {}
+    for nums, den in parts:
+        scale = common // den
+        for key, c in nums.items():
+            total[key] = total.get(key, 0) + scale * c
+    return total, common
 
 
 def _pair(a: XiIndex, b: XiIndex) -> Table:
-    """C[a, b] = -Σ_α Res K ξ_a(z) ξ_b(z): two correlators met in z and 1/z, the sign from ξ_b's slot."""
-    return _table((-1, (("xi",) + min(a, b), ("xi",) + max(a, b))))
+    """C[a, b] = -Σ_α Res K ξ_a(z) ξ_b(z): two correlators met in z and 1/z, the sign from ξ_b's slot.
+
+    Its residues are those of ξ_a·R (:func:`_kernel_product`) times ξ_b, for a ≤ b.
+    """
+    xi_a, xi_b = ("xi",) + min(a, b), ("xi",) + max(a, b)
+    orders = ((-1, (xi_a, xi_b)),)
+    hit = _TABLES.get(orders)
+    if hit is None:
+        hit = _table(orders, [
+            _residue_data(_singular(_kernel_product(xi_a[1:], alpha, -1 - _factor_ord(xi_b, alpha)), xi_b, alpha),
+                          MINUS_ONE, alpha)
+            for alpha in (1, -1)])
+    return hit
 
 
 @lru_cache(maxsize=None)
@@ -550,43 +522,44 @@ register("tr.two_point_diffs", _two_point_diff)
 def _two_point(a: XiIndex) -> Table:
     """P[a]: ξ_a(z) with ω_{0,2}(1/z, w) minus ω_{0,2}(z, w) with ξ_a(1/z); slots (root, w).
 
-    The residue data come from :func:`_join_data`, already in ξ coordinates
-    in w, so only the root slot is decomposed.  The log tally is checked on
-    them too: the decomposition is one-to-one, so zero in ξ coordinates is
-    zero in principal parts.  The table is kept under its two orders.
+    Both orders are ξ_a·R times a two-point slot, so their residues are
+    those of ξ_a·R (:func:`_kernel_product`) times Δ^α_k
+    (:func:`_two_point_diff`): integer combinations of certified ξ
+    coordinates in w, over one denominator.  So only the root slot is
+    decomposed.  The log tally is checked on the ξ coordinates too: the
+    decomposition is one-to-one, so zero in ξ coordinates is zero in
+    principal parts.  The table is kept under its two orders.
     """
-    orders = ((1, (("xi",) + a, ("o2i",))), (-1, (("o2p",), ("xi",) + a)))
+    xi_a = ("xi",) + a
+    orders = ((1, (xi_a, ("o2i",))), (-1, (("o2p",), xi_a)))
     hit = _TABLES.get(orders)
     if hit is None:
-        acc, den = _summed(orders, {alpha: [(1, *_join_data(a, alpha))] for alpha in (1, -1)})
-        nums, common = _decompose_slot(acc, 0)
-        hit = _TABLES[orders] = _reduced(nums, den * common)
+        parts = []
+        for alpha in (1, -1):
+            first = _kernel_product(a, alpha, -1)
+            deltas, den = _over_lcm({k: _two_point_diff(alpha, k) for k in range(-first[0])})
+            live = [{(w,): c for w, c in deltas[k].items()} for k in range(-first[0])]
+            parts.append(_residue_data(first, (live, den), alpha))
+        hit = _table(orders, parts)
     return hit
 
 
-def _join_data(a: XiIndex, alpha: int) -> Tuple[PfTensor, PfTensor, int]:
-    """The residue data of both orders of P[a] at α, with the live slot w in ξ coordinates.
+def _three_point(alpha: int, reach: int) -> Live:
+    """ω_{0,2}(z, w₁) ω_{0,2}(1/z, w₂) + ω_{0,2}(1/z, w₁) ω_{0,2}(z, w₂) at z = α + u, below u^reach.
 
-    Both orders are ξ_a·R times a two-point slot, so their difference has
-    Σ_k (ξ_a R)_{-j-k} Δ^α_k as its coefficient of u^{-j}
-    (:func:`_kernel_product`, :func:`_two_point_diff`): integer combinations
-    of certified ξ coordinates in w, over one denominator.  Returns
-    ``(data, tally, den)`` as :func:`_pf_data` does, keyed by (root key, w).
+    The coefficients of the two slots (:func:`two_point_coeff`) multiplied
+    as tensors over the live keys (w₁, w₂), in integers.
     """
-    lo, nums, den = _kernel_product(a, alpha, -1)
-    deltas = [_two_point_diff(alpha, k) for k in range(-lo)]
-    delta_den = lcm(*(d for _, d in deltas))
-    deltas = [[((w,), c * (delta_den // d)) for w, c in gammas.items()] for gammas, d in deltas]
-    prod: Dict[int, PfTensor] = {}
-    for j in range(1, 1 - lo):
-        coeff = prod[-j] = {}
-        for k, gammas in enumerate(deltas[:1 - j - lo]):
-            x = nums[-j - k - lo]
-            if x:
-                for w, c in gammas:
-                    coeff[w] = coeff.get(w, 0) + x * c
-    data, tally, logs = _residue_data(prod, alpha, lo)
-    return data, tally, den * delta_den * logs
+    slots = {kind: [two_point_coeff(kind, alpha, k) for k in range(reach)] for kind in ("o2p", "o2i")}
+    coeffs: List[PfTensor] = [{} for _ in range(reach)]
+    for kind1, kind2 in (("o2p", "o2i"), ("o2i", "o2p")):
+        for i, x in enumerate(slots[kind1]):
+            for j, y in enumerate(slots[kind2][:reach - i]):
+                t = coeffs[i + j]
+                for p1, c1 in x.items():
+                    for p2, c2 in y.items():
+                        t[p1, p2] = t.get((p1, p2), 0) + c1 * c2
+    return coeffs, 1
 
 
 # -- the engine -------------------------------------------------------------------------
@@ -615,9 +588,16 @@ def _tensor(g: int, n: int) -> Table:
     hit = _TENSORS.get((g, n))
     if hit is None:
         if (g, n) == (1, 1):
-            hit = _table((1, (("diag",),)))
+            diag = ("diag",)
+            hit = _table(((1, (diag,)),), [
+                _residue_data(_singular(_series(("R",), alpha, -1 - _factor_ord(diag, alpha)), diag, alpha), ONE, alpha)
+                for alpha in (1, -1)])
         elif (g, n) == (0, 3):
-            nums, den = _table((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",))))
+            parts = []
+            for alpha in (1, -1):
+                first = _series(("R",), alpha, -1)
+                parts.append(_residue_data(first, _three_point(alpha, -first[0]), alpha))
+            nums, den = _table(((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",)))), parts, 3)
             hit = _reduced({key: c for key, c in nums.items() if key[1] <= key[2]}, den)
         else:
             hit = _contract(g, n)
@@ -725,13 +705,7 @@ def _contract(g: int, n: int) -> Table:
                 _add_cut(buckets, _split_weights(nums1, nums2, 1 if (g1, m) == twin else 2), den1 * den2)
     if n > 1:
         _add_join(buckets, *_tensor(g, n - 1))
-    common = lcm(*buckets)
-    total: Dict[XiKey, int] = {}
-    for den, out in buckets.items():
-        scale = common // den
-        for key, c in out.items():
-            total[key] = total.get(key, 0) + scale * c
-    return _reduced(total, common)
+    return _reduced(*_lcm_sum((out, den) for den, out in buckets.items()))
 
 
 def tr_correlator(g: int, n: int) -> QuasiPolynomial:

@@ -264,6 +264,22 @@ def test_a_failed_cache_write_warns_and_still_prints(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("warning: cache write failed: ")
 
 
+def test_a_failed_replace_leaves_no_temporary_file_and_keeps_the_old_entry(tmp_path, monkeypatch):
+    old = nbar_poly(1, 1)
+    cache_put(tmp_path, old, "comb")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cache_mod.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        cache_put(tmp_path, old.scale(2), "comb")
+    monkeypatch.undo()
+    assert not list(tmp_path.glob(".tmp-*"))
+    hit = cache_get(tmp_path, 1, 1, "comb")
+    assert hit is not None and hit[0] == old
+
+
 @pytest.mark.parametrize("engine, g, n", [("comb", 0, 10), ("comb", 1, 8), ("tr", 0, 12), ("tr", 5, 2)])
 def test_poly_refuses_a_runaway_case_unless_forced(capsys, tmp_path, monkeypatch, engine, g, n):
     def runaway(*args, **kwargs):
@@ -620,6 +636,21 @@ def test_closed_stdout_exits_four_without_a_traceback():
     assert done.returncode == 4
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
     assert len(done.stderr.splitlines()) <= 1
+
+
+def test_a_reader_leaving_mid_output_exits_four_with_one_error_line():
+    # as in `nbar poly 0 8 --format csv | head -1`: the reader takes one line of about 160 kB and closes
+    # the pipe.  stdout is left block-buffered, its default: with PYTHONUNBUFFERED set, the text layer
+    # drops the short write to a pipe that has lost its reader, and no error is seen
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(nbar.__file__).parents[1])
+    argv = [sys.executable, "-m", "nbar", "poly", "0", "8", "--engine", "tr", "--no-cache", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"odd_count,e1,e2,e3,e4,e5,e6,e7,e8,coeff\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 4
+    assert err.splitlines() == ["error: standard output is closed"]
 
 
 def test_readme_examples(capsys, tmp_path, monkeypatch):

@@ -251,11 +251,18 @@ def test_xi_decompose_takes_integer_numerators():
             tr.xi_decompose(foreign)
 
 
-# The residue data of a table built term by term in Fractions: the reference for the
-# engine's integer numerators over one denominator per table.
+# The residue data of a table built term by term in Fractions, one signed order of factors
+# at a time: the reference for the engine's integer numerators over one denominator per table.
+
+TWO_POINT = ("o2p", "o2i")  # the factors that carry a live spectator, regular at z = ±1
+
+
+def reference_factor_ord(desc, alpha):
+    return 0 if desc[0] in TWO_POINT else tr._factor_ord(desc, alpha)
+
 
 def reference_factor_terms(desc, alpha, upto):
-    if desc[0] in tr.TWO_POINT:
+    if desc[0] in TWO_POINT:
         return {
             k: {(pk,): F(c) for pk, c in tr.two_point_coeff(desc[0], alpha, k).items()}
             for k in range(upto + 1)
@@ -308,7 +315,7 @@ def test_kernel_product_is_the_fraction_product():
 
 def reference_pf_data(factors, alpha):
     descs = factors + (("R",),)
-    ords = [tr._factor_ord(d, alpha) for d in descs]
+    ords = [reference_factor_ord(d, alpha) for d in descs]
     total = sum(ords)
     prod = {0: {(): F(1)}}
     for i, (d, o) in enumerate(zip(descs, ords)):
@@ -381,14 +388,25 @@ def test_integer_tables_match_the_fraction_reference():
         assert as_fractions(table) == reference_table(orders), orders
 
 
-def test_table_brings_orders_with_different_denominators_to_one():
-    # each order alone is a certified table; their sum has data over different denominators
-    diag, pair = (1, (("diag",),)), (-1, (("xi", 0, 0), ("xi", 1, 2)))
-    assert tr._pf_data(diag[1], 1)[2] != tr._pf_data(pair[1], 1)[2]
-    want = as_fractions(tr._table(diag))
-    for key, c in as_fractions(tr._table(pair)).items():
-        want[key] = want.get(key, 0) + c
-    assert as_fractions(tr._table(diag, pair)) == {key: c for key, c in want.items() if c}
+def test_table_brings_branch_points_with_different_denominators_to_one(monkeypatch):
+    # z -> -z gives both branch points of a table one denominator, so the part at z = -1 is put over
+    # 7 times its own: the table must still come out over one least denominator, equal to the reference
+    real, seen = tr._table, {}
+
+    def spy(orders, parts, *rest):
+        seen[orders] = parts
+        return real(orders, parts, *rest)
+
+    clear_caches()
+    monkeypatch.setattr(tr, "_table", spy)
+    tr._pair((0, 0), (1, 2))
+    tr._two_point((1, 1))
+    tr._tensor(1, 1)
+    assert len(seen) == 3
+    for orders, (plus, (data, tally, den)) in seen.items():
+        minus = ({key: 7 * c for key, c in data.items()}, tally, 7 * den)
+        got = real(orders, [plus, minus])
+        assert is_least(got) and as_fractions(got) == reference_table(orders), orders
 
 
 @lru_cache(maxsize=None)
@@ -443,25 +461,35 @@ def test_integer_contraction_matches_the_fraction_reference():
 
 
 def test_residual_log_coefficient_raises(monkeypatch):
-    real = tr._pf_data
+    real = tr._residue_data
 
-    def skewed(factors, alpha):
-        data, tally, den = real(factors, alpha)
+    def skewed(first, live, alpha):
+        data, tally, den = real(first, live, alpha)
         return data, {**tally, (): 1}, den
 
     clear_caches()  # a table built before the patch would be reused, never reaching the skewed data
-    monkeypatch.setattr(tr, "_pf_data", skewed)
-    with pytest.raises(tr.EngineError, match="residual log"):
-        tr.tr_tensor(1, 1)
+    monkeypatch.setattr(tr, "_residue_data", skewed)
+    try:
+        with pytest.raises(tr.EngineError, match="residual log"):
+            tr.tr_tensor(1, 1)
+        with pytest.raises(tr.EngineError, match="residual log"):
+            tr._two_point((0, 0))
+    finally:
+        clear_caches()
 
 
-def test_one_two_point_order_alone_raises():
+def test_one_two_point_order_alone_leaves_a_log():
     # only the sum of the two orders of ω_{0,2}(·, w) and ξ_a has its log terms cancel
     for p, k in ((0, 0), (1, 0), (0, 2)):
-        with pytest.raises(tr.EngineError, match="residual log"):
-            tr._table((1, (("xi", p, k), ("o2i",))))
-        with pytest.raises(tr.EngineError, match="residual log"):
-            tr._table((-1, (("o2p",), ("xi", p, k))))
+        orders = ((1, (("xi", p, k), ("o2i",))), (-1, (("o2p",), ("xi", p, k))))
+        for alpha in (1, -1):
+            total = {}
+            for sign, factors in orders:
+                _, tally = reference_pf_data(factors, alpha)
+                assert any(tally.values()), (factors, alpha)
+                for key, c in tally.items():
+                    total[key] = total.get(key, 0) + sign * c
+            assert not any(total.values()), (p, k, alpha)
         assert tr._two_point((p, k))  # the sum is certified
 
 
@@ -488,7 +516,7 @@ def test_two_point_differences_decompose_at_every_order_the_ladder_reaches():
 def test_each_two_point_slot_alone_is_outside_the_xi_span():
     for alpha in (1, -1):
         for k in range(1, 7):
-            for kind in tr.TWO_POINT:
+            for kind in TWO_POINT:
                 with pytest.raises(tr.EngineError, match="not in the span"):
                     tr.xi_decompose(tr.two_point_coeff(kind, alpha, k))
 
