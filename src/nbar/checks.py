@@ -9,9 +9,11 @@ for a table row the coefficients that differ.  The tests assert on the
 same records.
 
 Every identity is an equality of tensors in the residue engine's own ξ
-coordinates, tested exactly, never by sampling.  A rational function enters
-them through one bridge, :func:`_xi_coords`: its certified principal parts
-at -1, 0 and +1, then their certified ξ decomposition.  Each residue is read
+coordinates, tested exactly, never by sampling.  The reference functions
+live here, not in the engine: :func:`xi`, the basis as rational functions,
+and :func:`principal_parts`.  A rational function enters the identities
+through one bridge, :func:`_xi_coords`: its certified principal parts at
+-1, 0 and +1, then their certified ξ decomposition.  Each residue is read
 off the principal parts.
 """
 
@@ -29,8 +31,8 @@ from . import golden
 from .exact import Poly, RationalFunction, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly, positivity_report, psi_scale
 from .memo import register
-from .quasipoly import XiIndex, XiTensor, _arrangements
-from .tr import HALF, EngineError, PfKey, principal_parts, tr_correlator, tr_tensor, xi, xi_decompose
+from .quasipoly import EngineError, XiIndex, XiTensor, _arrangements
+from .tr import HALF, PfKey, PfVector, tr_tensor, xi_decompose
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def euler(max_chi: int) -> Iterator[Outcome]:
         except ValueError as exc:
             yield Outcome(f"euler ({g},{n}): unavailable ({exc})", False)
             continue
-        zero = nbar_poly(g, n).evaluate((0,) * n)
+        zero = nbar_poly(g, n).coefficient(0, (0,) * n)
         status = "ok" if chi == zero else f"FAIL (count polynomial gives {zero})"
         yield Outcome(f"euler ({g},{n}): {chi} {status}", chi == zero)
 
@@ -112,7 +114,7 @@ def dilaton() -> Iterator[Outcome]:
 def engines(max_chi: int) -> Iterator[Outcome]:
     """Residue engine against the recursion through max_chi, and the recursion at two roots of each asymmetric point."""
     for g, n in stable_cases(max_chi):
-        yield _check(f"engines ({g},{n}) residue vs recursion", tr_correlator(g, n) == nbar_poly(g, n))
+        yield _check(f"engines ({g},{n}) residue vs recursion", nbar_poly(g, n, "tr") == nbar_poly(g, n))
     for g, n, bs in ASYMMETRIC_POINTS:
         yield _check(f"engines ({g},{n}) asymmetric at b={bs}", nbar_eval_asym(g, n, bs) == nbar_eval(g, n, bs))
 
@@ -199,6 +201,57 @@ def _with_diffs(head: str, diffs, source: str) -> str:
 def _expanded(g: int, n: int) -> XiTensor:
     """The (g, n) correlator with every ordering of each key's spectators: one key per slot order."""
     return {key[:1] + rest: c for key, c in tr_tensor(g, n).items() for rest in _arrangements(key[1:])}
+
+
+@lru_cache(maxsize=None)
+def xi(parity: int, k: int) -> RationalFunction:
+    """Basis function with series Σ [b] b^{2k} z^{b-1} over b ≡ parity (mod 2).
+
+    Obtained from the parity components of z/(1 - z²) by applying the
+    operator z d/dz twice per power of b² and one plain derivative for the
+    weight [b]; the even k = 0 member picks up an extra 1/z from the b = 0
+    term.  All members have poles confined to {-1, 0, +1}, the pole at 0
+    being simple and only present for (parity, k) = (0, 0).
+    """
+    if parity not in (0, 1) or k < 0:
+        raise ValueError(f"invalid basis index ({parity}, {k})")
+    z = RationalFunction.var()
+    f = (z * z if parity == 0 else z) / RationalFunction(Poly([1, 0, -1]))
+    for _ in range(2 * k):
+        f = z * f.derivative()
+    f = f.derivative()
+    if parity == 0 and k == 0:
+        f = f + RationalFunction(Poly([1]), Poly([0, 1]))
+    return f
+
+
+register("checks.xi", xi)
+
+
+def principal_parts(f: RationalFunction) -> PfVector:
+    """The principal parts of f at -1, 0 and +1, certified by one cross-multiplication.
+
+    With D = ∏ (z - α)^{top_α}, top_α the pole order of f at α, the parts sum
+    to N/D.  Raises :class:`EngineError` unless f.num · D == N · f.den, that
+    is, unless f is proper with no poles elsewhere.  On those functions the
+    map is linear and one-to-one, so it is an exact coordinate system.
+    """
+    v: PfVector = {}
+    num, den = Poly(), Poly([1])
+    for a in (1, -1, 0):
+        ser = f.laurent_at(a, -1)
+        top = max(0, -ser.ord)
+        lin = Poly([-a, 1])
+        part = Poly()
+        for j in range(1, top + 1):
+            c = ser.coeff(-j)
+            if c:
+                v[(a, j)] = Fraction(c)
+                part = part + lin ** (top - j) * c
+        num, den = num * lin ** top + part * den, den * lin ** top
+    if f.num * den != num * f.den:
+        raise EngineError(f"{f} is not the sum of its principal parts at -1, 0, +1")
+    return v
 
 
 def _xi_coords(f: RationalFunction) -> Dict[XiIndex, Fraction]:

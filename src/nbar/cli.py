@@ -159,7 +159,16 @@ def render_poly(qp: QuasiPolynomial, fmt: str) -> str:
 
 def _emit(text: str, out: Optional[Path]) -> int:
     if out is None:
-        sys.stdout.write(text)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+            return EXIT_OK
+        # unbuffered (PYTHONUNBUFFERED), the text layer writes straight to the file and drops a short
+        # write to a pipe whose reader left; writing the bytes until all are taken raises it instead
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[buffer.write(data):]
         return EXIT_OK
     try:
         out.write_text(text, encoding="utf-8")
@@ -172,27 +181,30 @@ def _emit(text: str, out: Optional[Path]) -> int:
 # -- subcommands ------------------------------------------------------------------------
 
 
+def _refuse_past(chi: int, bound: int, force: bool, cost: str) -> None:
+    """Raise unless chi is within bound or ``--force`` is given; ``cost`` says what lies past the bound."""
+    if chi > bound and not force:
+        raise ValueError(f"chi = {chi} exceeds {bound}, past which {cost}; pass --force")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     b = _check_nonzero_point(args.g, args.n, args.b)
     chi = 2 * args.g - 2 + args.n
-    limit = POLY_BOUND[args.engine] + 1
     if sum(b) % 2:
         value = Fraction(0)
-    elif chi > limit and not args.force:
-        raise ValueError(
-            f"chi = {chi} exceeds {limit}, past which a cold eval --engine {args.engine} "
-            "can take ten seconds or more; pass --force"
-        )
-    elif args.engine == "comb" and chi * chi * sum(b) > EVAL_BOUND and not args.force:
-        raise ValueError(
-            f"chi^2 * sum(b) = {chi}^2 * {sum(b)} exceeds {EVAL_BOUND}, past which the comb "
-            "recursion can run for minutes; --engine tr evaluates any point from the polynomial, "
-            "or pass --force"
-        )
-    elif args.engine == "comb":
-        value = nbar_eval(args.g, args.n, b)
     else:
-        value = nbar_poly(args.g, args.n, engine="tr").evaluate(b)
+        _refuse_past(chi, POLY_BOUND[args.engine] + 1, args.force,
+                     f"a cold eval --engine {args.engine} can take ten seconds or more")
+        if args.engine == "comb" and chi * chi * sum(b) > EVAL_BOUND and not args.force:
+            raise ValueError(
+                f"chi^2 * sum(b) = {chi}^2 * {sum(b)} exceeds {EVAL_BOUND}, past which the comb "
+                "recursion can run for minutes; --engine tr evaluates any point from the polynomial, "
+                "or pass --force"
+            )
+        if args.engine == "comb":
+            value = nbar_eval(args.g, args.n, b)
+        else:
+            value = nbar_poly(args.g, args.n, engine="tr").evaluate(b)
     if args.format == "json":
         print(json.dumps({
             "g": args.g, "n": args.n, "b": list(args.b),
@@ -212,12 +224,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
         # digest check and the certifying parse is what render_poly would print for JSON
         qp, text = hit
         return _emit(text if args.format == "json" else render_poly(qp, args.format), args.out)
-    chi = 2 * args.g - 2 + args.n
-    if chi > POLY_BOUND[args.engine] and not args.force:
-        raise ValueError(
-            f"chi = {chi} exceeds {POLY_BOUND[args.engine]}, past which a cold --engine {args.engine} "
-            "polynomial takes tens of seconds or more; pass --force"
-        )
+    _refuse_past(2 * args.g - 2 + args.n, POLY_BOUND[args.engine], args.force,
+                 f"a cold --engine {args.engine} polynomial takes tens of seconds or more")
     qp = nbar_poly(args.g, args.n, engine=args.engine)
     if not args.no_cache:
         try:
@@ -261,12 +269,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_psi(args: argparse.Namespace) -> int:
     # psi reads the comb polynomial of (g, n), so it refuses past that engine's poly bound
-    chi = 2 * args.g - 2 + len(args.alphas)
-    if chi > POLY_BOUND["comb"] and not args.force:
-        raise ValueError(
-            f"chi = {chi} exceeds {POLY_BOUND['comb']}, past which the comb polynomial that psi reads "
-            "takes tens of seconds or more; pass --force"
-        )
+    _refuse_past(2 * args.g - 2 + len(args.alphas), POLY_BOUND["comb"], args.force,
+                 "the comb polynomial that psi reads takes tens of seconds or more")
     print(psi_number(args.g, args.alphas))
     return EXIT_OK
 

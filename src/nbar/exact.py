@@ -6,7 +6,7 @@ Everything in this module is exact.  Coefficients are ``int``/
 
 :meth:`RationalFunction.laurent_at` expands a function around a point as a
 truncated Laurent series with precision tracking (:class:`LaurentSeries`);
-:func:`nbar.tr.principal_parts` reads its exact coordinates off those
+:func:`nbar.checks.principal_parts` reads its exact coordinates off those
 expansions.  The module also provides the Mercator coefficients of log z at
 z = ±1 (:func:`mercator`) and a small exact linear solver, which now serves
 only the residue engine's 2 × 2 pivots (:func:`nbar.tr._pivot`); the fit

@@ -39,18 +39,9 @@ from math import comb, factorial, gcd, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .memo import clear_all, register
-from .quasipoly import EngineError, QuasiPolynomial, _close, _reduced, qp_fit
+from .quasipoly import EngineError, QuasiPolynomial, _check_stable, _close, _reduced, is_stable, qp_fit
 
 HALF = Fraction(1, 2)
-
-
-def is_stable(g: int, n: int) -> bool:
-    return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
-
-
-def _check_stable(g: int, n: int) -> None:
-    if not is_stable(g, n):
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
 
 
 def _check_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
@@ -110,9 +101,7 @@ def nbar_eval_asym(g: int, n: int, b: Sequence[int]) -> Fraction:
     b = _check_point(g, n, b)
     if b[0] <= 0:
         raise ValueError("the asymmetric recursion needs a positive first argument")
-    if sum(b) % 2:
-        return Fraction(0)
-    if (g, n) in ((0, 3), (1, 1)):
+    if sum(b) % 2 or (g, n) in ((0, 3), (1, 1)):
         return Fraction(*_pair(g, n, b))
     return Fraction(*_step(g, n, b[0], tuple(sorted(b[1:]))))
 
@@ -230,8 +219,8 @@ register("lattice.splits", _stable_splits)
 
 
 def _zero_value(g: int, n: int) -> Pair:
-    """Value of the polynomial continuation at b = 0 (all arguments even)."""
-    value = nbar_poly(g, n).evaluate((0,) * n)
+    """Value of the polynomial continuation at b = 0: its constant coefficient, in the all-even class."""
+    value = nbar_poly(g, n).coefficient(0, (0,) * n)
     return value.numerator, value.denominator
 
 
@@ -254,7 +243,7 @@ def nbar_poly(g: int, n: int, engine: str = "comb") -> QuasiPolynomial:
     if engine == "comb":
         qp = qp_fit(lambda b: Fraction(*_pair(g, n, b)), g, n)
     elif engine == "tr":
-        from . import tr
+        from . import tr  # imported here so that a comb-only run never loads the engine
 
         qp = tr.tr_correlator(g, n)
     else:

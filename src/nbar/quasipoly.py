@@ -49,6 +49,15 @@ class EngineError(ValueError):
     """
 
 
+def is_stable(g: int, n: int) -> bool:
+    return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
+
+
+def _check_stable(g: int, n: int) -> None:
+    if not is_stable(g, n):
+        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+
+
 class QuasiPolynomial:
     """A parity-split polynomial in b_1², …, b_n² with exact coefficients, one per block orbit."""
 

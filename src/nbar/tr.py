@@ -53,11 +53,11 @@ is complete.  :func:`xi_decompose` takes and returns integer numerators
 too.  Fractions are built only where a result leaves the module:
 :func:`tr_tensor` and the polynomial of :func:`tr_correlator`.
 
-:class:`RationalFunction` is left to the reference functions (:func:`xi`,
-:func:`principal_parts`).  The checks in :mod:`nbar.checks` take a reference
-function into ξ coordinates with :func:`principal_parts` and
-:func:`xi_decompose`, and compare every identity with this engine's tensors
-in those coordinates.
+The module builds no rational function.  The reference functions, ξ as a
+:class:`~nbar.exact.RationalFunction` and the principal parts of any such
+function, live in :mod:`nbar.checks`, which takes them into ξ coordinates
+with :func:`xi_decompose` and compares every identity with this engine's
+tensors in those coordinates.
 
 The two-point input of the recursion is the modified form
 dz₁ dz₂ / (z₁ - z₂)² + dz₁ dz₂ / (z₁ z₂); substitutions z ↦ 1/z always act
@@ -74,10 +74,10 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from .exact import Poly, RationalFunction, Scalar, linsolve, mercator
-from .lattice import _check_stable, is_stable
+from .exact import Scalar, linsolve, mercator
 from .memo import register
-from .quasipoly import EngineError, QuasiPolynomial, XiIndex, XiKey, XiTensor, _removals, qp_from_xi_tensor
+from .quasipoly import (EngineError, QuasiPolynomial, XiIndex, XiKey, XiTensor, _check_stable, _removals, is_stable,
+                        qp_from_xi_tensor)
 
 HALF = Fraction(1, 2)
 
@@ -86,30 +86,6 @@ PfVector = Dict[PfKey, Scalar]
 
 
 # -- the basis -------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def xi(parity: int, k: int) -> RationalFunction:
-    """Basis function with series Σ [b] b^{2k} z^{b-1} over b ≡ parity (mod 2).
-
-    Obtained from the parity components of z/(1 - z²) by applying the
-    operator z d/dz twice per power of b² and one plain derivative for the
-    weight [b]; the even k = 0 member picks up an extra 1/z from the b = 0
-    term.  All members have poles confined to {-1, 0, +1}, the pole at 0
-    being simple and only present for (parity, k) = (0, 0).
-    """
-    if parity not in (0, 1) or k < 0:
-        raise ValueError(f"invalid basis index ({parity}, {k})")
-    z = RationalFunction.var()
-    one_minus_z2 = RationalFunction(Poly([1, 0, -1]))
-    seed = (z * z if parity == 0 else z) / one_minus_z2
-    f = seed
-    for _ in range(2 * k):
-        f = z * f.derivative()
-    f = f.derivative()
-    if parity == 0 and k == 0:
-        f = f + RationalFunction(Poly([1]), Poly([0, 1]))
-    return f
 
 
 def _d_dz(v: PfVector) -> PfVector:
@@ -142,7 +118,7 @@ def _xi_chain(parity: int, m: int) -> Tuple[Tuple[PfKey, int], ...]:
 
 @lru_cache(maxsize=None)
 def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[PfKey, Fraction], ...]:
-    """Principal parts of ξ_{parity,k}, built by the operators of :func:`xi` in coordinates.
+    """Principal parts of ξ_{parity,k}, built by the operators of :func:`nbar.checks.xi` in coordinates.
 
     The plain derivative of the chain at 2k (:func:`_xi_chain`), halved, plus
     the 1/z of the even k = 0 member.
@@ -155,7 +131,6 @@ def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[PfKey, Fraction], ...
     return tuple(sorted((key, Fraction(c, 2)) for key, c in v.items() if c))
 
 
-register("tr.xi", xi)
 register("tr.xi_chain", _xi_chain)
 register("tr.xi_principal_parts", xi_principal_parts)
 
@@ -351,32 +326,6 @@ def _pivot(k: int) -> Pivot:
 register("tr.pivots", _pivot)
 
 
-def principal_parts(f: RationalFunction) -> PfVector:
-    """The principal parts of f at -1, 0 and +1, certified by one cross-multiplication.
-
-    With D = ∏ (z - α)^{top_α}, top_α the pole order of f at α, the parts sum
-    to N/D.  Raises :class:`EngineError` unless f.num · D == N · f.den, that
-    is, unless f is proper with no poles elsewhere.  On those functions the
-    map is linear and one-to-one, so it is an exact coordinate system.
-    """
-    v: PfVector = {}
-    num, den = Poly(), Poly([1])
-    for a in (1, -1, 0):
-        ser = f.laurent_at(a, -1)
-        top = max(0, -ser.ord)
-        lin = Poly([-a, 1])
-        part = Poly()
-        for j in range(1, top + 1):
-            c = ser.coeff(-j)
-            if c:
-                v[(a, j)] = Fraction(c)
-                part = part + lin ** (top - j) * c
-        num, den = num * lin ** top + part * den, den * lin ** top
-    if f.num * den != num * f.den:
-        raise EngineError(f"{f} is not the sum of its principal parts at -1, 0, +1")
-    return v
-
-
 def xi_decompose(v: Dict[PfKey, int]) -> Tuple[Dict[XiIndex, int], int]:
     """Write a vector of integer principal parts exactly as Σ γ_{p,k} PP(ξ_{p,k}): ``(γ numerators, den)``.
 
@@ -390,7 +339,7 @@ def xi_decompose(v: Dict[PfKey, int]) -> Tuple[Dict[XiIndex, int], int]:
     running denominator, which each k multiplies by the denominators of its
     pivot and of PP(ξ_{·,k}) (:func:`_pivot`); the γ are returned over it,
     reduced by one gcd.  :func:`nbar.checks._xi_coords` takes a rational
-    function through :func:`principal_parts` and this into Fractions.
+    function through :func:`nbar.checks.principal_parts` and this into Fractions.
     """
     res = {key: c for key, c in v.items() if c}
     gammas: Dict[XiIndex, int] = {}
@@ -606,7 +555,6 @@ def _tensor(g: int, n: int) -> Table:
 
 
 Weights = Dict[Tuple[XiIndex, XiIndex, Tuple[XiIndex, ...]], int]  # (a ≤ b, sorted spectators) → weight of C[a, b]
-Buckets = Dict[int, Dict[XiKey, int]]  # numerators of a correlator, by denominator
 
 
 def _over_lcm(tables: Dict[object, Table]) -> Tuple[Dict[object, Dict[XiKey, int]], int]:
@@ -658,27 +606,29 @@ def _split_weights(nums1: Dict[XiKey, int], nums2: Dict[XiKey, int], copies: int
     return weights
 
 
-def _add_cut(buckets: Buckets, weights: Weights, den: int) -> None:
-    """Each weight / den times C[a, b], on its spectators, into the bucket of den times the tables' lcm."""
+def _cut(weights: Weights, den: int) -> Table:
+    """Each weight / den times C[a, b], on its spectators, over den times the tables' lcm."""
     tables, table_den = _over_lcm({ab: _pair(*ab) for ab in {(a, b) for a, b, _ in weights}})
-    out = buckets.setdefault(den * table_den, {})
+    out: Dict[XiKey, int] = {}
     for (a, b, rest), w in weights.items():
         if w:
             for root, x in tables[a, b].items():
                 key = root + rest
                 out[key] = out.get(key, 0) + w * x
+    return out, den * table_den
 
 
-def _add_join(buckets: Buckets, nums: Dict[XiKey, int], den: int) -> None:
+def _join(nums: Dict[XiKey, int], den: int) -> Table:
     """P[a] met by each entry (a, S) / den of ω_{g,n-1}, its live slot w sorted into S, once per spectator equal to w."""
     tables, table_den = _over_lcm({a: _two_point(a) for a in {key[0] for key in nums}})
-    out = buckets.setdefault(den * table_den, {})
+    out: Dict[XiKey, int] = {}
     for key, c in nums.items():
         rest = key[1:]
         for (root, w), x in tables[key[0]].items():
             lo, hi = bisect_left(rest, w), bisect_right(rest, w)
             full = (root,) + rest[:hi] + (w,) + rest[hi:]
             out[full] = out.get(full, 0) + (hi - lo + 1) * c * x
+    return out, den * table_den
 
 
 def _contract(g: int, n: int) -> Table:
@@ -689,23 +639,23 @@ def _contract(g: int, n: int) -> Table:
     the join.  A cut block first sums one weight per ({a, b}, sorted
     spectators), as C[a, b] = C[b, a], and a split and its twin
     (g - g1, n - 1 - m) give the same weights, so only one of the two runs,
-    counted twice.  A block brings its tables to their lcm and adds integers
-    into a bucket keyed by its tensors' denominator times that lcm.  The
-    buckets are brought to their lcm and reduced by one gcd.
+    counted twice.  A block brings its tables to their lcm and returns integer
+    numerators over its tensors' denominator times that lcm.  The blocks are
+    brought to their lcm and reduced by one gcd.
     """
-    buckets: Buckets = {}
+    blocks: List[Table] = []
     if g >= 1:
         nums, den = _tensor(g - 1, n + 1)
-        _add_cut(buckets, _genus_weights(nums), den)
+        blocks.append(_cut(_genus_weights(nums), den))
     for g1 in range(g + 1):
         for m in range(n):
             twin = (g - g1, n - 1 - m)
             if (g1, m) <= twin and is_stable(g1, m + 1) and is_stable(g - g1, n - m):
                 (nums1, den1), (nums2, den2) = _tensor(g1, m + 1), _tensor(g - g1, n - m)
-                _add_cut(buckets, _split_weights(nums1, nums2, 1 if (g1, m) == twin else 2), den1 * den2)
+                blocks.append(_cut(_split_weights(nums1, nums2, 1 if (g1, m) == twin else 2), den1 * den2))
     if n > 1:
-        _add_join(buckets, *_tensor(g, n - 1))
-    return _reduced(*_lcm_sum((out, den) for den, out in buckets.items()))
+        blocks.append(_join(*_tensor(g, n - 1)))
+    return _reduced(*_lcm_sum(blocks))
 
 
 def tr_correlator(g: int, n: int) -> QuasiPolynomial:

@@ -139,7 +139,7 @@ def test_criterion_7_property_suites():
     # branch-point residues of ξ log z matching the residue at the origin
     for parity in (0, 1):
         for k in range(0, 6):
-            f = tr.xi(parity, k)
+            f = checks.xi(parity, k)
             assert checks.is_form_antiinvariant(f)
             assert checks.poles_confined(f)
     outcomes = list(checks.residues())

@@ -506,7 +506,6 @@ def test_verify_refuses_an_euler_range_past_the_comb_bound_before_fitting(capsys
         raise AssertionError("the range check must refuse before any polynomial is fitted")
 
     monkeypatch.setattr(checks, "nbar_poly", runaway)
-    monkeypatch.setattr(checks, "tr_correlator", runaway)
     for topic in ("euler", "engines"):
         for bad in ("8", "9"):
             code, out, err = run(capsys, ["verify", topic, "--max-chi", bad])
@@ -599,7 +598,7 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch, tmp_p
 
 @pytest.mark.parametrize("argv", [["table"], ["verify", "engines"]])
 def test_invalid_input_from_any_subcommand_exits_three(capsys, monkeypatch, argv):
-    def rejected(g, n):
+    def rejected(g, n, engine="comb"):
         raise ValueError(f"({g}, {n}) rejected")
 
     monkeypatch.setattr(checks, "nbar_poly", rejected)
@@ -638,11 +637,14 @@ def test_closed_stdout_exits_four_without_a_traceback():
     assert len(done.stderr.splitlines()) <= 1
 
 
-def test_a_reader_leaving_mid_output_exits_four_with_one_error_line():
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_leaving_mid_output_exits_four_with_one_error_line(unbuffered):
     # as in `nbar poly 0 8 --format csv | head -1`: the reader takes one line of about 160 kB and closes
-    # the pipe.  stdout is left block-buffered, its default: with PYTHONUNBUFFERED set, the text layer
-    # drops the short write to a pipe that has lost its reader, and no error is seen
+    # the pipe.  Unbuffered, the text layer writes straight to the pipe and would drop the short write
+    # it gets when the reader leaves, so both modes are run
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     env["PYTHONPATH"] = str(Path(nbar.__file__).parents[1])
     argv = [sys.executable, "-m", "nbar", "poly", "0", "8", "--engine", "tr", "--no-cache", "--format", "csv"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:

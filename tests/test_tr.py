@@ -17,7 +17,7 @@ import pytest
 from nbar.exact import Poly, RationalFunction, mercator
 from nbar import checks, tr
 from nbar.lattice import clear_caches, euler_char, is_stable, nbar_poly
-from nbar.quasipoly import qp_to_json, qp_to_xi_tensor
+from nbar.quasipoly import QuasiPolynomial, qp_to_json, qp_to_xi_tensor
 
 F = Fraction
 Z = RationalFunction.var()
@@ -56,23 +56,23 @@ def series_window(f: RationalFunction, lo: int, hi: int):
 
 def test_xi_series_even_weightless():
     # Σ [b] z^{b-1}, b even: 1/z + 2z + 4z³ + 6z⁵ + ...
-    assert series_window(tr.xi(0, 0), -1, 6) == [1, 0, 2, 0, 4, 0, 6, 0]
+    assert series_window(checks.xi(0, 0), -1, 6) == [1, 0, 2, 0, 4, 0, 6, 0]
 
 
 def test_xi_series_odd_weightless():
     # Σ b z^{b-1}, b odd: 1 + 3z² + 5z⁴ + ...
-    assert series_window(tr.xi(1, 0), 0, 4) == [1, 0, 3, 0, 5]
+    assert series_window(checks.xi(1, 0), 0, 4) == [1, 0, 3, 0, 5]
 
 
 def test_xi_series_even_weighted():
     # Σ b³ z^{b-1}, b even: 8z + 64z³ + 216z⁵
-    assert series_window(tr.xi(0, 1), 1, 5) == [8, 0, 64, 0, 216]
+    assert series_window(checks.xi(0, 1), 1, 5) == [8, 0, 64, 0, 216]
 
 
 def test_xi_series_general_law():
     for parity in (0, 1):
         for k in range(0, 3):
-            s = tr.xi(parity, k).laurent_at(0, 8)
+            s = checks.xi(parity, k).laurent_at(0, 8)
             for b in range(0, 10):
                 want = 0
                 if b % 2 == parity:
@@ -82,10 +82,10 @@ def test_xi_series_general_law():
 
 
 def test_xi_sum_and_difference_closed_forms():
-    total = tr.xi(0, 0) + tr.xi(1, 0)
+    total = checks.xi(0, 0) + checks.xi(1, 0)
     want_sum = RationalFunction(Poly([1, -1, 1]), Poly([0, 1]) * Poly([-1, 1]) ** 2)
     assert total == want_sum
-    diff = tr.xi(0, 0) - tr.xi(1, 0)
+    diff = checks.xi(0, 0) - checks.xi(1, 0)
     want_diff = RationalFunction(Poly([1, 1, 1]), Poly([0, 1]) * Poly([1, 1]) ** 2)
     assert diff == want_diff
 
@@ -99,9 +99,9 @@ def test_poles_confined_rejects_foreign_poles():
 
 def test_xi_invalid_index():
     with pytest.raises(ValueError):
-        tr.xi(2, 0)
+        checks.xi(2, 0)
     with pytest.raises(ValueError):
-        tr.xi(0, -1)
+        checks.xi(0, -1)
     with pytest.raises(ValueError, match=r"invalid basis index \(2, 0\)"):
         tr.xi_principal_parts(2, 0)
     with pytest.raises(ValueError, match=r"invalid basis index \(0, -1\)"):
@@ -135,7 +135,7 @@ def decompose(v):
 
 
 def test_xi_decompose_round_trip():
-    f = 3 * tr.xi(0, 0) - F(7, 2) * tr.xi(1, 2) + tr.xi(0, 1)
+    f = 3 * checks.xi(0, 0) - F(7, 2) * checks.xi(1, 2) + checks.xi(0, 1)
     got = checks._xi_coords(f)
     assert got == {(0, 0): F(3), (1, 2): F(-7, 2), (0, 1): F(1)}
     assert checks._xi_coords(RationalFunction(0)) == {}
@@ -144,7 +144,7 @@ def test_xi_decompose_round_trip():
 
 def test_xi_decompose_reads_index_off_highest_pole():
     # ξ_{0,3} has poles of order 8 at ±1, which alone fixes the top index 3
-    assert checks._xi_coords(tr.xi(0, 3)) == {(0, 3): F(1)}
+    assert checks._xi_coords(checks.xi(0, 3)) == {(0, 3): F(1)}
     # odd top order 3: no ξ has it, so the residual cannot be emptied
     with pytest.raises(tr.EngineError):
         checks._xi_coords(Z / (1 - Z * Z) ** 3)
@@ -163,7 +163,7 @@ def test_principal_parts_reject_a_polynomial_part():
     # z²/(z - 1) = z + 1 + 1/(z - 1): its principal parts alone do not rebuild it
     for f in (Z, Z * Z / (Z - 1)):
         with pytest.raises(tr.EngineError):
-            tr.principal_parts(f)
+            checks.principal_parts(f)
 
 
 def principal_parts_by_series(f: RationalFunction):
@@ -180,13 +180,13 @@ def principal_parts_by_series(f: RationalFunction):
 def test_xi_principal_parts_match_laurent_expansions():
     for parity in (0, 1):
         for k in range(0, 9):
-            want = principal_parts_by_series(tr.xi(parity, k))
+            want = principal_parts_by_series(checks.xi(parity, k))
             assert dict(tr.xi_principal_parts(parity, k)) == want, (parity, k)
 
 
 def test_constant_factor_vectors_match_reference_functions():
-    assert tr.KERNEL_PP == tr.principal_parts(kernel_rational_part())
-    assert tr.DIAGONAL_PP == tr.principal_parts(omega02_diagonal())
+    assert tr.KERNEL_PP == checks.principal_parts(kernel_rational_part())
+    assert tr.DIAGONAL_PP == checks.principal_parts(omega02_diagonal())
 
 
 def series_through(series, upto):
@@ -198,7 +198,7 @@ def series_through(series, upto):
 
 
 def test_factor_series_match_laurent_expansions():
-    factors = [(("xi", p, k), tr.xi(p, k)) for p in (0, 1) for k in range(0, 9)]
+    factors = [(("xi", p, k), checks.xi(p, k)) for p in (0, 1) for k in range(0, 9)]
     factors += [(("R",), kernel_rational_part()), (("diag",), omega02_diagonal())]
     for desc, f in factors:
         for alpha in (1, -1):
@@ -207,6 +207,19 @@ def test_factor_series_match_laurent_expansions():
             got = tr._series(desc, alpha, 6)
             assert series_through(got, 6) == want, (desc, alpha)
             assert tr._factor_ord(desc, alpha) == ser.ord == got[0], (desc, alpha)
+
+
+def test_a_series_not_integral_over_its_denominator_raises(monkeypatch):
+    # a pole at z = 3 adds powers of 1/(-1 - 3) at z = -1, which outrun the powers of 2 that the
+    # denominator holds for the poles at ±1
+    real = tr._factor_pp
+    clear_caches()
+    monkeypatch.setattr(tr, "_factor_pp", lambda desc: [*real(desc), ((3, 1), F(1))])
+    try:
+        with pytest.raises(tr.EngineError, match="not integral"):
+            tr._series(("R",), -1, 6)
+    finally:
+        clear_caches()
 
 
 def test_two_point_coefficients_match_laurent_expansions():
@@ -225,8 +238,8 @@ def test_two_point_coefficients_match_laurent_expansions():
 
 
 def test_xi_decompose_accepts_and_certifies_vectors():
-    f = F(2) * tr.xi(1, 2) - tr.xi(0, 0)
-    v = tr.principal_parts(f)
+    f = F(2) * checks.xi(1, 2) - checks.xi(0, 0)
+    v = checks.principal_parts(f)
     assert v == principal_parts_by_series(f)
     assert decompose(v) == {(1, 2): F(2), (0, 0): F(-1)}
     with pytest.raises(tr.EngineError):
@@ -238,8 +251,8 @@ def test_xi_decompose_accepts_and_certifies_vectors():
 
 
 def test_xi_decompose_takes_integer_numerators():
-    f = tr.xi(0, 3) - F(7, 2) * tr.xi(1, 2) + F(3, 5) * tr.xi(0, 0)
-    v = tr.principal_parts(f)
+    f = checks.xi(0, 3) - F(7, 2) * checks.xi(1, 2) + F(3, 5) * checks.xi(0, 0)
+    v = checks.principal_parts(f)
     den = lcm(*(c.denominator for c in v.values()))
     ints = {key: c.numerator * (den // c.denominator) for key, c in v.items()}
     want = {(0, 3): F(den), (1, 2): F(-7 * den, 2), (0, 0): F(3 * den, 5)}
@@ -562,7 +575,7 @@ def test_one_handle_tensor():
 
 
 def test_one_handle_closed_form():
-    got = sum((c * tr.xi(*key[0]) for key, c in tr.tr_tensor(1, 1).items()), RationalFunction(0))
+    got = sum((c * checks.xi(*key[0]) for key, c in tr.tr_tensor(1, 1).items()), RationalFunction(0))
     assert got == checks.ONE_HANDLE
     assert checks.is_form_antiinvariant(got)
     assert checks.poles_confined(got)
@@ -592,6 +605,11 @@ def test_residue_engine_satisfies_dilaton_and_euler_through_chi_6():
         assert big.pin_even(2) - big.pin_even(0) == nbar_poly(g, n, "tr").scale(2 * g - 2 + n), (g, n)
     for g, n in ((0, 8), (1, 6), (2, 4)):
         assert nbar_poly(g, n, "tr").evaluate((0,) * n) == euler_char(g, n), (g, n)
+    # the value at b = 0 is the constant coefficient, which is what checks.euler and the comb value table read
+    for g, n in checks.stable_cases(5):
+        for engine in ("comb", "tr"):
+            qp = nbar_poly(g, n, engine)
+            assert qp.coefficient(0, (0,) * n) == qp.evaluate((0,) * n), (g, n, engine)
 
 
 def test_a_skewed_two_point_difference_leaves_a_residual_log(monkeypatch):
@@ -626,6 +644,20 @@ def test_top_coefficients_report_a_differing_orbit(monkeypatch):
     assert three.ok and three.line == "top (0,3) tr: 2 top-degree orbits ok"
     assert not one_handle.ok and one_handle.line.startswith("top (1,1) tr: FAIL 1 of 1 top-degree orbits differ")
     assert one_handle.diffs == (((0, (1,)), F(1, 24), F(25, 24)),)  # (1,1) has only the even class
+
+
+def test_top_coefficients_fail_without_a_top_degree_orbit(monkeypatch):
+    # a constant polynomial has its only orbit at degree 0, the top degree of (0,3) alone
+    monkeypatch.setattr(checks, "nbar_poly", lambda g, n, engine: QuasiPolynomial(g, n, {0: {(0,) * n: 1}}))
+    (three, one_handle) = checks.top_coefficients(1, "tr")
+    assert three.ok
+    assert (one_handle.line, one_handle.ok, one_handle.diffs) == ("top (1,1) tr: FAIL no top-degree orbit", False, ())
+
+
+def test_branch_residue_rejects_a_simple_pole_at_a_branch_point():
+    for alpha in (1, -1):
+        with pytest.raises(tr.EngineError, match=f"residue 1/2 at the branch point {alpha}"):
+            checks._branch_residue({(0, 1): F(1), (alpha, 1): F(1, 2)}, Poly([0, 1]))
 
 
 def test_string_scalar_table():
