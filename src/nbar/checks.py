@@ -23,16 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import prod
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from . import golden
-from .exact import Poly, RationalFunction, mercator
+from .exact import HALF, Poly, RationalFunction, _integral, mercator
 from .lattice import euler_char, nbar_eval, nbar_eval_asym, nbar_poly, positivity_report, psi_scale
 from .memo import register
 from .quasipoly import EngineError, XiIndex, XiTensor, _arrangements
-from .tr import HALF, PfKey, PfVector, tr_tensor, xi_decompose
+from .tr import PfKey, PfVector, tr_tensor, xi_decompose
 
 
 @dataclass(frozen=True)
@@ -260,9 +260,8 @@ def _xi_coords(f: RationalFunction) -> Dict[XiIndex, Fraction]:
     The principal parts go to :func:`xi_decompose` as integer numerators over
     their lcm; this is where its γ numerators become Fractions.
     """
-    v = principal_parts(f)
-    den = lcm(*(c.denominator for c in v.values()))
-    gammas, gamma_den = xi_decompose({key: c.numerator * (den // c.denominator) for key, c in v.items()})
+    nums, den = _integral(principal_parts(f))
+    gammas, gamma_den = xi_decompose(nums)
     return {xik: Fraction(c, den * gamma_den) for xik, c in gammas.items()}
 
 

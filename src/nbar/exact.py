@@ -11,14 +11,24 @@ expansions.  The module also provides the Mercator coefficients of log z at
 z = ±1 (:func:`mercator`) and a small exact linear solver, which now serves
 only the residue engine's 2 × 2 pivots (:func:`nbar.tr._pivot`); the fit
 solves by forward substitution instead (:func:`nbar.quasipoly.qp_fit`).
+
+Both engines, the fit and the checks keep exact values one way: integer
+numerators over one denominator.  Rationals are brought to the lcm of their
+denominators (:func:`_integral`, :func:`_scaled`), sums of such tables are
+taken over the lcm of theirs (:func:`_over_lcm`, :func:`_lcm_sum`), and a
+finished table or sum is reduced by one gcd (:func:`_reduced`,
+:func:`_close`).  The helpers for that rule live here, once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
+
+HALF = Fraction(1, 2)
 
 
 class Poly:
@@ -487,3 +497,56 @@ def linsolve(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> List[
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+# -- integer numerators over one denominator ---------------------------------------------
+
+
+def _scaled(x: Scalar, den: int) -> int:
+    """x · den, for a rational x whose denominator divides den."""
+    return x.numerator * (den // x.denominator)
+
+
+def _integral(values: Mapping[object, Scalar]) -> Tuple[Dict, int]:
+    """Rationals as integer numerators over the lcm of their denominators: ``(numerators, lcm)``."""
+    den = lcm(*(x.denominator for x in values.values()))
+    return {key: _scaled(x, den) for key, x in values.items()}, den
+
+
+def _over_lcm(tables: Mapping[object, Tuple[Dict, int]]) -> Tuple[Dict[object, Dict], int]:
+    """Tables of numerators over a denominator brought to the lcm of theirs: ``(numerators by name, lcm)``."""
+    common = lcm(*(den for _, den in tables.values()))
+    return {name: {key: c * (common // den) for key, c in nums.items()} for name, (nums, den) in tables.items()}, common
+
+
+def _lcm_sum(parts: Iterable[Tuple[Dict, int]]) -> Tuple[Dict, int]:
+    """Σ nums / den over ``parts``, as integer numerators over the lcm of their denominators."""
+    parts = list(parts)
+    common = lcm(*(den for _, den in parts))
+    total: Dict = {}
+    for nums, den in parts:
+        scale = common // den
+        for key, c in nums.items():
+            total[key] = total.get(key, 0) + scale * c
+    return total, common
+
+
+def _reduced(nums: Dict, den: int) -> Tuple[Dict, int]:
+    """nums / den without its zero entries, over its least denominator: one gcd divides out."""
+    nums = {key: c for key, c in nums.items() if c}
+    d = gcd(den, *nums.values())
+    return {key: c // d for key, c in nums.items()}, den // d
+
+
+def _close(acc: Dict[int, int], den: int) -> Tuple[int, int]:
+    """Σ_d acc[d] / d, divided by a positive ``den``, as a reduced pair (numerator, denominator).
+
+    ``acc`` maps each denominator to the sum of the numerators over it; the
+    few distinct denominators are brought to their lcm and one gcd reduces
+    the result.  The fit's forward substitution and the lattice recursion's
+    step both close their sums here.
+    """
+    common = lcm(*acc)
+    num, den = sum(c * (common // d) for d, c in acc.items()), den * common
+    g = gcd(num, den)
+    return num // g, den // g

@@ -38,10 +38,9 @@ from itertools import product
 from math import comb, factorial, gcd, prod
 from typing import Dict, List, Sequence, Tuple
 
+from .exact import HALF, _close
 from .memo import clear_all, register
-from .quasipoly import EngineError, QuasiPolynomial, _check_stable, _close, _reduced, is_stable, qp_fit
-
-HALF = Fraction(1, 2)
+from .quasipoly import EngineError, QuasiPolynomial, _check_stable, is_stable, qp_fit
 
 
 def _check_point(g: int, n: int, b: Sequence[int]) -> Tuple[int, ...]:
@@ -113,7 +112,7 @@ def _pair(g: int, n: int, b: Tuple[int, ...]) -> Pair:
     if (g, n) == (0, 3):
         return _ONE
     if (g, n) == (1, 1):
-        return _reduced(b[0] * b[0] + 20, 48)
+        return _close({1: b[0] * b[0] + 20}, 48)
     key = (g, n, tuple(sorted(b)))
     hit = _MEMO.get(key)
     if hit is None:

@@ -19,7 +19,8 @@ recursion (:func:`_removal_sums`) on a per-axis integer table: node values
 and coefficients of the Newton basis, or powers.  The tables of the nodes
 grow on demand and their sums are memoized across fits; the solve, the change
 of basis, the certificate and :meth:`QuasiPolynomial.evaluate` pair an odd
-block's sum with an even block's (:func:`_pairing`, :func:`_contraction`).
+block's sum with an even block's (:func:`_contraction`); integers over one
+denominator are summed and reduced by the helpers of :mod:`nbar.exact`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import factorial
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .exact import _close, _integral, _lcm_sum, _reduced
 from .exact import linsolve  # linsolve is not called here; perfbench/tracing.py rebinds it by name
 from .memo import register
 
@@ -70,9 +72,13 @@ class QuasiPolynomial:
         for k, d in orbits.items():
             if not 0 <= k <= n:
                 raise ValueError(f"odd count {k} out of range for n={n}")
-            # a Fraction is kept as it is; only other numbers are converted
-            dd = {tuple(key): c if isinstance(c, Fraction) else Fraction(c) for key, c in d.items() if c}
-            for key in dd:
+            dd: ClassDict = {}
+            for key, c in d.items():
+                # a Fraction is kept as it is; only other numbers are converted
+                c = c if isinstance(c, Fraction) else _rational(c)
+                if not c:
+                    continue
+                key = tuple(key)
                 if len(key) != n:
                     raise ValueError(f"exponent key {key} has wrong length for n={n}")
                 # type(e) is int, not isinstance: a bool exponent would be written to JSON as true
@@ -80,6 +86,7 @@ class QuasiPolynomial:
                     raise ValueError(f"exponent key {key} has an exponent that is not a non-negative integer")
                 if key != _sort_blocks(key, k):
                     raise ValueError(f"exponent key {key} of class {k} is not sorted within its blocks")
+                dd[key] = c
             if dd:
                 cleaned[k] = dd
         self.orbits = cleaned
@@ -105,12 +112,17 @@ class QuasiPolynomial:
         k = len(xs)
         d = self.orbits.get(k, {})
         top = max((e for key in d for e in key), default=0)
-        monomial = _pairing(k, _removal_sums(_powers(xs, top), {}), _removal_sums(_powers(ys, top), {}))
-        index = tuple(range(k)) + tuple(range(self.n - k))
-        return sum((c * monomial(key, index) for key, c in d.items()), Fraction(0))
+        value = _contraction(k, d, _removal_sums(_powers(xs, top), {}), _removal_sums(_powers(ys, top), {}))
+        return Fraction(value(tuple(range(k)) + tuple(range(self.n - k))))
 
     def coefficient(self, odd_count: int, exponents: Sequence[int]) -> Fraction:
         """Coefficient of ∏ b_i^{2 e_i} in the given parity class (odd slots first)."""
+        if not (type(odd_count) is int and 0 <= odd_count <= self.n):
+            raise ValueError(f"odd count {odd_count!r} out of range for n={self.n}")
+        if len(exponents) != self.n:
+            raise ValueError(f"expected {self.n} exponents, got {len(exponents)}")
+        if not all(type(e) is int and e >= 0 for e in exponents):
+            raise ValueError(f"exponents must be non-negative integers, got {tuple(exponents)}")
         key = _sort_blocks(tuple(exponents), odd_count)
         return self.orbits.get(odd_count, {}).get(key, Fraction(0))
 
@@ -136,7 +148,7 @@ class QuasiPolynomial:
         return QuasiPolynomial(self.g, self.n, out)
 
     def scale(self, c) -> "QuasiPolynomial":
-        c = Fraction(c)
+        c = _rational(c)
         return QuasiPolynomial(
             self.g, self.n,
             {k: {key: c * v for key, v in d.items()} for k, d in self.orbits.items()},
@@ -172,6 +184,13 @@ class QuasiPolynomial:
     def __repr__(self) -> str:
         sizes = {k: len(d) for k, d in sorted(self.orbits.items())}
         return f"QuasiPolynomial(g={self.g}, n={self.n}, orbits={sizes})"
+
+
+def _rational(c) -> Fraction:
+    """An exact coefficient as a Fraction; a float is refused, as its binary value is rarely the rational meant."""
+    if isinstance(c, float):
+        raise ValueError(f"coefficient {c!r} is a float; give an int, a Fraction or a rational string such as '1/10'")
+    return Fraction(c)
 
 
 # -- orbits and their placements --------------------------------------------------
@@ -446,8 +465,7 @@ def qp_fit(
         keys = _block_basis(k, n - k, D)
         checks = sorted(_block_basis(k, n - k, D + 2), key=lambda p: (sum(p), p))
         values = {p: func(_point(p, k)) for p in checks}
-        vden = lcm(*(v.denominator for v in values.values()))
-        vnum = {p: v.numerator * (vden // v.denominator) for p, v in values.items()}
+        vnum, vden = _integral(values)
         # vden times the Newton coefficients, as reduced pairs.  N_q vanishes at the node of p unless
         # q ≤ p entrywise, so in degree order only earlier q enter, and none of an odd block λ ≰ λ_p
         solved: Dict[ExpKey, List[Tuple[ExpKey, int, int]]] = {}  # λ ↦ (μ, num, den) of each non-zero (λ, μ)
@@ -465,13 +483,10 @@ def qp_fit(
             if num:
                 solved.setdefault(lam_p, []).append((mu_p, num, den))
         # over one denominator the change of basis is integer dot products, reduced by one gcd
-        common = lcm(*(den for row in solved.values() for _, _, den in row))
-        newton = {lam + mu: num * (common // den) for lam, row in solved.items() for mu, num, den in row}
+        newton, common = _lcm_sum(({lam + mu: num}, den) for lam, row in solved.items() for mu, num, den in row)
         to_monomial = _contraction(k, newton, odd_coeff, even_coeff)
-        raw = [to_monomial(key) for key in keys]
-        shared = gcd(common * vden, *raw)
-        nums, den = [r // shared for r in raw], common * vden // shared
-        monomial = _contraction(k, dict(zip(keys, nums)), odd_pw, even_pw)
+        nums, den = _reduced({key: to_monomial(key) for key in keys}, common * vden)
+        monomial = _contraction(k, nums, odd_pw, even_pw)
         for p in checks:
             got = monomial(p)
             if got * vden != vnum[p] * den:
@@ -479,26 +494,8 @@ def qp_fit(
                     f"fit for class {k} fails verification at b={_point(p, k)}: "
                     f"fitted {Fraction(got, den)}, actual {values[p]}"
                 )
-        classes[k] = {key: Fraction(num, den) for key, num in zip(keys, nums) if num}
+        classes[k] = {key: Fraction(num, den) for key, num in nums.items()}
     return QuasiPolynomial(g, n, classes)
-
-
-def _reduced(num: int, den: int) -> Tuple[int, int]:
-    """num / den as a reduced pair, for a positive den."""
-    d = gcd(num, den)
-    return num // d, den // d
-
-
-def _close(acc: Dict[int, int], den: int) -> Tuple[int, int]:
-    """Σ_d acc[d] / d, divided by a positive ``den``, as a reduced pair.
-
-    ``acc`` maps each denominator to the sum of the numerators over it; the
-    few distinct denominators are brought to their lcm and one gcd reduces
-    the result.  The fit's forward substitution and the lattice recursion's
-    step both close their sums here.
-    """
-    common = lcm(*acc)
-    return _reduced(sum(num * (common // d) for d, num in acc.items()), den * common)
 
 
 def _point(key: ExpKey, k: int) -> Tuple[int, ...]:
@@ -510,7 +507,7 @@ def _point(key: ExpKey, k: int) -> Tuple[int, ...]:
     is unisolvent for total degree D (Dyn–Floater, *Multivariate polynomial
     interpolation on lower sets*, 2014) and invariant under S_k × S_m, so a
     block-symmetric polynomial of degree ≤ D is fixed by its values at these
-    nodes: in the Newton basis of :func:`_pairing` the system is triangular.
+    nodes: in the Newton basis of :func:`_contraction` the system is triangular.
     """
     return tuple(2 * e + 1 for e in key[:k]) + tuple(2 * e + 2 for e in key[k:])
 
@@ -566,22 +563,17 @@ def _removal_sums(table: Table, memo: Dict[Tuple[ExpKey, ExpKey], int]) -> Block
     return block_sum
 
 
-def _pairing(k: int, odd: BlockSum, even: BlockSum) -> BlockSum:
-    """(q, p) ↦ the odd block sum of (λ_q, λ_p) times the even block sum of (μ_q, μ_p).
-
-    For an orbit key q = (λ, μ) this is a sum over the distinct arrangements
-    α of λ and β of μ; on the tables of :func:`_omega_tables`, with the row
-    indices p, it is the Newton basis function N_q = Σ ∏_i ω_{α_i}(x_i) ·
-    ∏_j ω_{β_j}(y_j) at the node of p, the coefficient of m_p in N_q, or the
-    monomial m_λ(x) · m_μ(y) at the node of p.  On the powers of a point's own
-    squares (:func:`_powers`), p = (0, …, k − 1) + (0, …, n − k − 1) gives the
-    monomial at that point.
-    """
-    return lambda q, p: odd(q[:k], p[:k]) * even(q[k:], p[k:])
-
-
 def _contraction(k: int, coeffs: Dict[ExpKey, int], odd: BlockSum, even: BlockSum) -> Callable[[ExpKey], int]:
-    """p ↦ Σ_q coeffs[q] · :func:`_pairing` (q, p), summed through the blocks.
+    """p ↦ Σ_q coeffs[q] · odd(λ_q, λ_p) · even(μ_q, μ_p), summed through the blocks.
+
+    For an orbit key q = (λ, μ) the product of the two block sums is a sum
+    over the distinct arrangements α of λ and β of μ.  On the tables of
+    :func:`_omega_tables`, with the row indices p, it is the Newton basis
+    function N_q = Σ ∏_i ω_{α_i}(x_i) · ∏_j ω_{β_j}(y_j) at the node of p,
+    the coefficient of m_p in N_q, or the monomial m_λ(x) · m_μ(y) at the
+    node of p.  On the powers of a point's own squares (:func:`_powers`),
+    p = (0, …, k − 1) + (0, …, n − k − 1) gives the monomial at that point,
+    and :meth:`QuasiPolynomial.evaluate` sums its Fraction coefficients so.
 
     The keys are grouped by their odd block λ.  One inner sum Σ_μ
     coeffs[(λ, μ)] · even(μ, μ_p) is taken per (λ, μ_p) and shared by every p

@@ -70,16 +70,14 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from .exact import Scalar, linsolve, mercator
+from .exact import HALF, Scalar, _integral, _lcm_sum, _over_lcm, _reduced, _scaled, linsolve, mercator
 from .memo import register
 from .quasipoly import (EngineError, QuasiPolynomial, XiIndex, XiKey, XiTensor, _check_stable, _removals, is_stable,
                         qp_from_xi_tensor)
-
-HALF = Fraction(1, 2)
 
 PfKey = Tuple[int, int]  # (α, j): the coefficient of (z - α)^{-j}, α ∈ {-1, 0, +1}
 PfVector = Dict[PfKey, Scalar]
@@ -177,11 +175,6 @@ def _factor_ord(desc: Desc, alpha: int) -> int:
 PfTensor = Dict[Tuple[PfKey, ...], Scalar]  # principal-part coordinates, one key per slot
 
 
-def _scaled(x: Scalar, den: int) -> int:
-    """x · den, for a rational x whose denominator divides den."""
-    return x.numerator * (den // x.denominator)
-
-
 # one factor, or a product of factors, at z = α + u as (e0, nums, den): the coefficient of u^e is
 # nums[e - e0] / den for e0 ≤ e < e0 + len(nums), e0 being the order of the pole at α
 Series = Tuple[int, Tuple[int, ...], int]
@@ -218,13 +211,13 @@ def _series(desc: Desc, alpha: int, upto: int) -> Series:
     """
 
     def build(upto: int) -> Series:
-        pp = tuple(_factor_pp(desc))
+        pp, den = _integral(dict(_factor_pp(desc)))
         lo = _factor_ord(desc, alpha)
-        far = max((j + upto for (beta, j), _ in pp if beta == -alpha), default=0)  # |α - 0| = 1, |α + α| = 2
-        den = lcm(*(c.denominator for _, c in pp)) * 2 ** far
+        far = max((j + upto for beta, j in pp if beta == -alpha), default=0)  # |α - 0| = 1, |α + α| = 2
+        den *= 2 ** far
         nums = [0] * (upto + 1 - lo)
-        for (beta, j), c in pp:
-            num = _scaled(c, den)
+        for (beta, j), num in pp.items():
+            num *= 2 ** far
             if beta == alpha:
                 nums[-j - lo] = num
                 continue
@@ -299,7 +292,7 @@ def _residue_data(first: Series, live: Live, alpha: int) -> Tuple[PfTensor, PfTe
 
 # -- decomposition over the basis -------------------------------------------------------
 
-Pivot = Tuple[Tuple[Tuple[int, int], ...], int, Tuple[Tuple[Tuple[PfKey, int], ...], ...], int]
+Pivot = Tuple[Dict[Tuple[int, int], int], int, Tuple[Tuple[Tuple[PfKey, int], ...], ...], int]
 
 
 @lru_cache(maxsize=None)
@@ -310,17 +303,15 @@ def _pivot(k: int) -> Pivot:
     ξ_{1,k} on the rows (+1, 2k + 2), (-1, 2k + 2), and ``parts`` / pp_den
     are those principal parts.  ξ_{p,k} has poles of order exactly 2k + 2 at
     both branch points, so this square is invertible and the basis matrix is
-    block-triangular in k.  Row p of the inverse maps a vector's entries on
-    those rows to γ_{p,k}.
+    block-triangular in k.  Row p of the inverse, ``inverse[p, 0]`` and
+    ``inverse[p, 1]``, maps a vector's entries on those rows to γ_{p,k}.
     """
     pps = [xi_principal_parts(p, k) for p in (0, 1)]
     square = [[dict(pp)[(a, 2 * k + 2)] for pp in pps] for a in (1, -1)]
-    pivot = tuple(zip(*(linsolve(square, unit) for unit in ((1, 0), (0, 1)))))
-    inv_den = lcm(*(x.denominator for inv in pivot for x in inv))
-    pp_den = lcm(*(x.denominator for pp in pps for _, x in pp))
-    inverse = tuple(tuple(_scaled(x, inv_den) for x in inv) for inv in pivot)
-    parts = tuple(tuple((pk, _scaled(x, pp_den)) for pk, x in pp) for pp in pps)
-    return inverse, inv_den, parts, pp_den
+    columns = [linsolve(square, unit) for unit in ((1, 0), (0, 1))]
+    inverse, inv_den = _integral({(p, i): column[p] for i, column in enumerate(columns) for p in (0, 1)})
+    parts, pp_den = _integral({(p, pk): x for p, pp in enumerate(pps) for pk, x in pp})
+    return inverse, inv_den, tuple(tuple((pk, parts[p, pk]) for pk, _ in pp) for p, pp in enumerate(pps)), pp_den
 
 
 register("tr.pivots", _pivot)
@@ -353,8 +344,8 @@ def xi_decompose(v: Dict[PfKey, int]) -> Tuple[Dict[XiIndex, int], int]:
         scale = inv_den * pp_den
         res = {key: c * scale for key, c in res.items()}
         gammas = {key: c * scale for key, c in gammas.items()}
-        for p, ((i0, i1), part) in enumerate(zip(inverse, parts)):
-            gamma = i0 * rows[0] + i1 * rows[1]
+        for p, part in enumerate(parts):
+            gamma = inverse[p, 0] * rows[0] + inverse[p, 1] * rows[1]
             if gamma:
                 gammas[(p, k)] = gamma * pp_den
                 for pk, x in part:
@@ -375,20 +366,8 @@ def _decompose_slot(coeffs: PfTensor, s: int) -> Tuple[Dict[Tuple, int], int]:
     for key, c in coeffs.items():
         if c:
             slices.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
-    done = {rest: xi_decompose(vec) for rest, vec in slices.items()}
-    common = lcm(*(den for _, den in done.values()))
-    return {
-        rest[:s] + (xik,) + rest[s:]: c * (common // den)
-        for rest, (gammas, den) in done.items()
-        for xik, c in gammas.items()
-    }, common
-
-
-def _reduced(nums: Dict[XiKey, int], den: int) -> Table:
-    """nums / den without its zero entries, over its least denominator: one gcd divides out."""
-    nums = {key: c for key, c in nums.items() if c}
-    d = gcd(den, *nums.values())
-    return {key: c // d for key, c in nums.items()}, den // d
+    done, common = _over_lcm({rest: xi_decompose(vec) for rest, vec in slices.items()})
+    return {rest[:s] + (xik,) + rest[s:]: c for rest, gammas in done.items() for xik, c in gammas.items()}, common
 
 
 # -- the tables --------------------------------------------------------------------------
@@ -421,18 +400,6 @@ def _table(orders: Tuple, parts: List[Tuple[PfTensor, PfTensor, int]], slots: in
         den *= common
     table = _TABLES[orders] = _reduced(nums, den)
     return table
-
-
-def _lcm_sum(parts: Iterable[Tuple[Dict, int]]) -> Tuple[Dict, int]:
-    """Σ nums / den over ``parts``, as integer numerators over the lcm of their denominators."""
-    parts = list(parts)
-    common = lcm(*(den for _, den in parts))
-    total: Dict = {}
-    for nums, den in parts:
-        scale = common // den
-        for key, c in nums.items():
-            total[key] = total.get(key, 0) + scale * c
-    return total, common
 
 
 def _pair(a: XiIndex, b: XiIndex) -> Table:
@@ -555,12 +522,6 @@ def _tensor(g: int, n: int) -> Table:
 
 
 Weights = Dict[Tuple[XiIndex, XiIndex, Tuple[XiIndex, ...]], int]  # (a ≤ b, sorted spectators) → weight of C[a, b]
-
-
-def _over_lcm(tables: Dict[object, Table]) -> Tuple[Dict[object, Dict[XiKey, int]], int]:
-    """Tables brought to the lcm of their denominators: ``(numerators by name, lcm)``."""
-    common = lcm(*(den for _, den in tables.values()))
-    return {name: {key: c * (common // den) for key, c in nums.items()} for name, (nums, den) in tables.items()}, common
 
 
 def _genus_weights(nums: Dict[XiKey, int]) -> Weights:

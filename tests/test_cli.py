@@ -564,6 +564,22 @@ def test_table_fails_on_a_perturbed_polynomial(capsys, monkeypatch):
     assert out.endswith("\nall stored coefficients non-negative over the table range\n")
 
 
+def test_table_reports_a_suspect_row_that_matches(capsys, monkeypatch):
+    real = checks.golden.golden_rows
+
+    def corrected(g, n):
+        return nbar_poly(g, n).classes if (g, n) in checks.golden.SUSPECT_CASES else real(g, n)
+
+    monkeypatch.setattr(checks.golden, "golden_rows", corrected)
+    code, out, _ = run(capsys, ["table"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "(0,6) k=0: suspect row matches" in lines
+    assert [line for line in lines if line.startswith("(0,6)")] == [
+        "(0,6) k=0: suspect row matches", "(0,6) k=2: row matches", "(0,6) k=4: row matches",
+        "(0,6) k=6: row matches"]
+
+
 def test_cli_import_loads_no_checks_engine_or_table():
     # `nbar poly` on a cache hit needs none of them, so importing the CLI must stay light
     probe = "import sys, nbar.cli; print([m for m in ('nbar.checks', 'nbar.tr', 'nbar.golden') if m in sys.modules])"

@@ -14,6 +14,9 @@ from nbar.exact import (
     LaurentSeries,
     Poly,
     RationalFunction,
+    _close,
+    _integral,
+    _reduced,
     linsolve,
     mercator,
 )
@@ -246,3 +249,20 @@ def test_linsolve_vandermonde_grid():
         coeffs = [F(5), F(-1, 3), F(2)]
         rhs = [sum(coeffs[j] * F(t) ** j for j in range(3)) for t in nodes]
         assert linsolve(m, rhs) == coeffs
+
+
+def test_integral_brings_ints_and_fractions_to_their_lcm():
+    assert _integral({"a": 3, "b": F(1, 6), "c": F(-3, 4)}) == ({"a": 36, "b": 2, "c": -9}, 12)
+    nums, den = _integral({(0, 1): 2, (1, 1): -5})
+    assert (nums, den) == ({(0, 1): 2, (1, 1): -5}, 1)
+    assert all(type(c) is int for c in nums.values())
+    assert _integral({}) == ({}, 1)
+
+
+def test_reduced_and_close_divide_out_one_gcd():
+    assert _reduced({"a": 0, "b": 0}, 12) == ({}, 1)
+    assert _reduced({"a": 6, "b": 0, "c": -9}, 12) == ({"a": 2, "c": -3}, 4)
+    # Σ_d acc[d] / d over 2·root: 1/2 + 1/3 over 10 is 1/12
+    assert _close({2: 1, 3: 1}, 10) == (1, 12)
+    assert _close({1: 5 * 5 + 20}, 48) == (15, 16)
+    assert _close({}, 7) == (0, 1)

@@ -402,6 +402,17 @@ def test_psi_validation():
             psi_number(1, (bad,))
 
 
+def test_positivity_report_records_a_negative_coefficient(monkeypatch):
+    real = lattice.nbar_poly
+
+    def flipped(g, n):
+        qp = real(g, n)
+        return qp.scale(-1) if (g, n) == (1, 1) else qp
+
+    monkeypatch.setattr(lattice, "nbar_poly", flipped)
+    assert lattice.positivity_report() == [(1, 1, 0, (0,), F(-5, 12)), (1, 1, 0, (1,), F(-1, 48))]
+
+
 def test_witten_kontsevich_closed_forms():
     # genus 0: ⟨τ_a⟩_0 = (n - 3)! / ∏ a_i!; one point: ⟨τ_{3g-2}⟩_g = 1 / (24^g g!)
     for n in range(3, 8):

@@ -23,7 +23,6 @@ from nbar.quasipoly import (
     QuasiPolynomial,
     _block_basis,
     _block_sums,
-    _pairing,
     _point,
     qp_fit,
     qp_from_json,
@@ -166,6 +165,19 @@ def test_constructor_keeps_fraction_coefficients_and_converts_the_rest():
     assert all(type(v) is Fraction for d in qp.orbits.values() for v in d.values())
 
 
+def test_constructor_and_scale_refuse_float_coefficients():
+    # 0.1 would be stored as 3602879701896397/36028797018963968, not as 1/10
+    for c in [0.1, 0.5, 0.0]:
+        with pytest.raises(ValueError, match="is a float"):
+            QuasiPolynomial(0, 1, {0: {(0,): c}})
+        with pytest.raises(ValueError, match="is a float"):
+            sample_qp().scale(c)
+    with pytest.raises(ValueError, match="is a float"):
+        QuasiPolynomial(0, 1, {}).scale(0.1)
+    # a coefficient is converted before zeros are dropped, so a zero string stores nothing
+    assert QuasiPolynomial(0, 1, {0: {(0,): "0"}, 1: {(0,): "0/3"}}).is_zero
+
+
 def test_constructor_rejects_keys_not_sorted_within_blocks():
     with pytest.raises(ValueError, match="not sorted within its blocks"):
         QuasiPolynomial(0, 2, {0: {(1, 0): F(1)}})
@@ -191,6 +203,24 @@ def test_coefficient_lookup():
     assert qp.coefficient(1, (1, 0)) == 3
     assert qp.coefficient(1, (0, 1)) == 0
     assert qp.coefficient(2, (0, 0)) == 5
+
+
+def test_coefficient_checks_its_arguments():
+    qp = nbar_poly(0, 4)
+    assert qp.coefficient(4, (0, 0, 0, 0)) == qp.orbits[4][(0, 0, 0, 0)]
+    with pytest.raises(ValueError, match="expected 4 exponents, got 3"):
+        qp.coefficient(0, (0, 0, 0))
+    for k in [7, 5, -1, True, 1.0]:
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            qp.coefficient(k, (0, 0, 0, 0))
+    for key in [(-1, 0, 0, 0), (0, 0.5, 0, 0), (0, 0, 1.0, 0), (True, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="non-negative integers"):
+            qp.coefficient(0, key)
+
+
+def test_subtraction_refuses_different_arities():
+    with pytest.raises(ValueError, match="different arities"):
+        nbar_poly(0, 3) - nbar_poly(0, 4)
 
 
 def test_subtraction_and_scale():
@@ -528,7 +558,11 @@ def test_certificate_points_are_unisolvent_for_degree_plus_two():
             assert len({_point(key, k) for key in large}) == len(large)
             assert set(small) <= set(large)
             ordered = sorted(large, key=lambda key: (sum(key), key))
-            at = _pairing(k, _block_sums(0, 1, D + 2), _block_sums(0, 0, D + 2))
+            odd, even = _block_sums(0, 1, D + 2), _block_sums(0, 0, D + 2)
+
+            def at(q, p):
+                return odd(q[:k], p[:k]) * even(q[k:], p[k:])
+
             for i, p in enumerate(ordered):
                 assert at(p, p) != 0, (g, n, k, p)
                 assert not any(at(q, p) for q in ordered[i + 1:]), (g, n, k, p)
