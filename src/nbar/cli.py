@@ -35,13 +35,13 @@ EXIT_IO = 4
 
 # One rule for both engines: on a cache miss `poly` refuses χ above its engine's bound, and `eval` with
 # an even Σ b_i refuses χ above the bound plus one, each unless --force is given.  Cold on a 2-vCPU x86
-# machine, the last χ inside `poly` took at most about 1.5 s of CPU for comb (χ = 7: (1,7)) and 6.0-7.4 s
-# for tr (χ = 9: (0,11), writing a 115 MB cache entry); one χ more took 2.5-5.0 s, and once 7.6 s (comb:
-# (0,10), (2,6), (1,8)) and, for tr even with --no-cache, 0.5-5.7 s for (5,2), (4,4), (3,6) and (2,8), and
-# 8.6-11.2 s for the larger outputs ((1,10), (0,12)) when last measured, most of it rendering.  `eval` gets
-# the χ more: comb fits the cases one χ below the point for its values at b = 0, and at b = (2, 0, …) a
-# χ = 8 point took 0.8 s for (0,10), 1.9-2.0 s for (2,6) and 1.7-2.2 s for (1,8), while
-# `eval 0 11 2 0 … 0` (χ = 9) took 2.2-3.0 s; tr renders nothing, and at b = (2, 0, …) or (1, …, 1)
+# machine, the last χ inside `poly` took 0.9-1.6 s of CPU for comb (χ = 7: (1,7)) and 6.0-7.4 s for tr
+# (χ = 9: (0,11), writing a 115 MB cache entry); one χ more took 1.8-4.4 s (comb: (0,10), (2,6), (1,8))
+# and, for tr even with --no-cache, 0.5-5.7 s for (5,2), (4,4), (3,6) and (2,8), and 8.6-11.2 s for the
+# larger outputs ((1,10), (0,12)) when last measured, most of it rendering.  `eval` gets the χ more: comb
+# fits the cases one χ below the point for its values at b = 0, and at b = (2, 0, …) a χ = 8 point took
+# 0.6-1.0 s for (0,10), 1.3-2.0 s for (2,6) and 1.0-1.6 s for (1,8), while `eval 0 11 2 0 … 0` (χ = 9)
+# took 1.2-2.1 s; tr renders nothing, and at b = (2, 0, …) or (1, …, 1)
 # it took 1.7-3.6 s at χ = 10 ((0,12), (1,10), (3,6)) and 2.7-8.8 s at χ = 11 ((0,13), (2,9), (3,7))
 POLY_BOUND = {"comb": 7, "tr": 9}
 # a comb eval also refuses a point with χ² · Σ b_i above this, unless --force is given: the

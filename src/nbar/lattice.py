@@ -4,20 +4,23 @@ The central object is the count N̄_{g,n}(b_1, …, b_n), defined for a stable
 pair (g, n) and non-negative integer boundary parameters.  It vanishes when
 b_1 + … + b_n is odd, and for fixed parities it is a symmetric polynomial
 in the b_i² of degree 3g - 3 + n.  One recursion step, :func:`_step`,
-removes one positive boundary, the root, by join and cut sums that each
-query one table of running sums (:func:`_sum`).  Equal entries among the
-other, sorted, boundaries give equal terms, so the step runs over their
-runs of equal entries: a join once per distinct entry and a split once per
-run pattern, each weighted by its number of labelled copies.  The cut is
-symmetric in the two pieces of a split, so a split and its mirror are
-taken once, counted twice (:func:`_stable_splits`).  Any positive entry
-may be the root: the value table roots each sorted point at its largest
-entry, and :func:`nbar_eval_asym` at the first argument, so where the
-first argument is not the largest their agreement checks that the step
-does not depend on its root.  On top of these sit the polynomial fit,
-the orbifold Euler characteristics reached at b = 0, the intersection
-numbers read off the top coefficients, and a scan for negative stored
-coefficients.
+removes one positive boundary, the root, by join and cut sums read off
+tables of running sums (:func:`_running`): a join, or the genus cut at one
+p, is one query of one table (:func:`_sum`), and the cut over a split into
+two pieces is one dot product of the two pieces' tables, since
+(root - p - q) / 2 counts the pairs (p', q') ≥ (p, q), of the same
+parities, with p' + q' = root - 2.  Equal entries among the other, sorted,
+boundaries give equal terms, so the step runs over their runs of equal
+entries: a join once per distinct entry and a split once per run pattern,
+each weighted by its number of labelled copies.  The cut is symmetric in
+the two pieces of a split, so a split and its mirror are taken once,
+counted twice (:func:`_stable_splits`).  Any positive entry may be the
+root: the value table roots each sorted point at its largest entry, and
+:func:`nbar_eval_asym` at the first argument, so where the first argument
+is not the largest their agreement checks that the step does not depend on
+its root.  On top of these sit the polynomial fit, the orbifold Euler
+characteristics reached at b = 0, the intersection numbers read off the
+top coefficients, and a scan for negative stored coefficients.
 
 Inside the recursion a value is a reduced pair (numerator, denominator) of
 ints.  Outside the closed forms for (0,3) and (1,1), the value table holds
@@ -36,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, prod
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact import HALF, _close
@@ -127,15 +131,18 @@ def _step(g: int, n: int, root: int, rest: Tuple[int, ...]) -> Pair:
     2 root N̄ = Σ_j (the join of root + b_j, and that of |root - b_j| signed
     as root - b_j) + the cut of root, over the entries b_j of ``rest``.
     A join of m is one :func:`_sum` query at c = m over the other b_j; the
-    cut is one query per p at c = root - p, over {p} ∪ rest at genus g - 1
-    and over J, weighted by N̄(p, I), for each stable split I ⊔ J of
-    ``rest``.  Equal entries give equal terms, so both run over the runs of
-    equal entries in ``rest``: a value v that appears r times is joined
-    once with weight r, and a split is taken once per run pattern with
-    weight its number of labelled splits.  The cut's double sum
-    Σ_{p,q} (root - p - q)[p][q] N̄(p, I) N̄(q, J) is unchanged when the
-    pieces (g1, I, p) and (g2, J, q) swap, so a split and its mirror are
-    one entry with twice that weight (:func:`_stable_splits`).
+    cut's genus term is one query per p at c = root - p, over {p} ∪ rest
+    at genus g - 1.  For each stable split I ⊔ J of ``rest`` the cut adds
+    Σ_{p+q ≤ root-2} (root - p - q)[p][q] N̄(p, I) N̄(q, J), over p ≡ Σ I and
+    q ≡ Σ J.  Since (root - p - q) / 2 counts the pairs (p', q') ≥ (p, q) of
+    the same parities with p' + q' = root - 2, that is 2 Σ_{p'+q'=root-2}
+    A_I[p'] A_J[q'], one dot product of the two pieces' running sums A
+    (:func:`_running`).  Equal entries give equal terms, so joins and splits
+    run over the runs of equal entries in ``rest``: a value v that appears
+    r times is joined once with weight r, and a split is taken once per run
+    pattern with weight its number of labelled splits.  The dot product is
+    unchanged when the pieces (g1, I) and (g2, J) swap, so a split and its
+    mirror are one entry with twice that weight (:func:`_stable_splits`).
     """
     acc: Dict[int, int] = {}
     runs: List[int] = []
@@ -145,45 +152,62 @@ def _step(g: int, n: int, root: int, rest: Tuple[int, ...]) -> Pair:
         r = rest.count(v)
         runs.append(r)
         others = rest[:j] + rest[j + 1:]
-        _sum(acc, r, 1, g, n - 1, others, root + v)
-        _sum(acc, r if root > v else -r, 1, g, n - 1, others, abs(root - v))
+        _sum(acc, r, g, n - 1, others, root + v)
+        _sum(acc, r if root > v else -r, g, n - 1, others, abs(root - v))
     if g >= 1:
         for p in range(root - 1):
-            _sum(acc, br(p), 1, g - 1, n + 1, tuple(sorted((p,) + rest)), root - p)
+            _sum(acc, br(p), g - 1, n + 1, tuple(sorted((p,) + rest)), root - p)
     for g1, si, g2, sj, ways in _stable_splits(g, tuple(runs)):
         part_i = tuple(rest[t] for t in si)
         part_j = tuple(rest[t] for t in sj)
-        for p in range(sum(part_i) % 2, root - 1, 2):
-            num, den = _pair(g1, len(si) + 1, (p,) + part_i)
-            _sum(acc, ways * br(p) * num, den, g2, len(sj) + 1, part_j, root - p)
+        pi, pj = sum(part_i) % 2, sum(part_j) % 2
+        m = (root - pi - pj) // 2  # the terms p' = pi, pi + 2, …, root - 2 - pj
+        if m <= 0:
+            continue
+        a_i = _running(g1, len(si) + 1, part_i, root - 2 - pj)
+        a_j = _running(g2, len(sj) + 1, part_j, root - 2 - pi)
+        # A[t] sits at index 2 (t // 2) + 3: I's from p' = pi up, J's from q' = root - 2 - pi down
+        dot = sum(map(mul, a_i[3:2 * m + 3:2], a_j[2 * m + 1:1:-2]))
+        den = a_i[0] * a_j[0]
+        acc[den] = acc.get(den, 0) + 2 * ways * dot
     return _close(acc, 2 * root)
 
 
-def _sum(acc: Dict[int, int], w: int, den: int, g: int, n: int, spect: Tuple[int, ...], c: int) -> None:
-    """Adds w / den times Σ_{q ≤ c - 2, q ≡ c} (c - q)[q] N̄_{g,n}(q, spect) to ``acc``.
+def _running(g: int, n: int, spect: Tuple[int, ...], t: int) -> List[int]:
+    """The running sums of N̄_{g,n}(q, spect), grown through q = t, for a sorted ``spect`` and t ≡ Σ spect.
 
-    ``spect`` is sorted and c ≡ Σ spect (mod 2).  The sum is c A[t] - B[t]
-    at t = c - 2, for the running sums A, B over q ≤ t, q ≡ t of [q] N̄(q,
-    spect) and q [q] N̄(q, spect).  An entry [L, A[s], B[s], A[s + 2], …]
-    holds them as integer numerators over one denominator L, from the empty
-    sum at s = c % 2 - 2 on; it grows on demand, and all of it, L included,
-    is rescaled when a new value's denominator does not divide L.
+    The entry [L, A[s], B[s], A[s + 2], …] holds, as integer numerators
+    over one denominator L, A[u] = Σ_{q ≤ u, q ≡ u} [q] N̄(q, spect) and
+    B[u] = Σ_{q ≤ u, q ≡ u} q [q] N̄(q, spect), from the empty sum at
+    s = t % 2 - 2 on, so A[u] is at index 2 (u // 2) + 3.  It grows on
+    demand, and all of it, L included, is rescaled in place when a new
+    value's denominator does not divide L.  Computing a value may grow or
+    rescale other entries, so read L only after the last call.
     """
-    if c < 2:
-        return
     entry = _SUMS.get((g, n, spect))
     if entry is None:
         entry = _SUMS[(g, n, spect)] = [1, 0, 0]
-    for q in range(len(entry) - 3 + c % 2, c - 1, 2):
+    for q in range(len(entry) - 3 + t % 2, t + 1, 2):
         num, d = _pair(g, n, (q,) + spect)
         if entry[0] % d:
             scale = d // gcd(entry[0], d)
             entry[:] = [x * scale for x in entry]
         term = br(q) * num * (entry[0] // d)
         entry += (entry[-2] + term, entry[-1] + q * term)
+    return entry
+
+
+def _sum(acc: Dict[int, int], w: int, g: int, n: int, spect: Tuple[int, ...], c: int) -> None:
+    """Adds w times Σ_{q ≤ c - 2, q ≡ c} (c - q)[q] N̄_{g,n}(q, spect) to ``acc``.
+
+    ``spect`` is sorted and c ≡ Σ spect (mod 2).  The sum is c A[t] - B[t]
+    at t = c - 2, read off the running sums of :func:`_running`.
+    """
+    if c < 2:
+        return
+    entry = _running(g, n, spect, c - 2)
     i = 2 * (c // 2) + 1
-    den *= entry[0]
-    acc[den] = acc.get(den, 0) + w * (c * entry[i] - entry[i + 1])
+    acc[entry[0]] = acc.get(entry[0], 0) + w * (c * entry[i] - entry[i + 1])
 
 
 @lru_cache(maxsize=None)

@@ -70,8 +70,9 @@ class QuasiPolynomial:
         self.n = n
         cleaned: Dict[int, ClassDict] = {}
         for k, d in orbits.items():
-            if not 0 <= k <= n:
-                raise ValueError(f"odd count {k} out of range for n={n}")
+            # type(k) is int, as in qp_parse: a bool odd count would be written to JSON as true
+            if not (type(k) is int and 0 <= k <= n):
+                raise ValueError(f"odd count {k!r} out of range for n={n}")
             dd: ClassDict = {}
             for key, c in d.items():
                 # a Fraction is kept as it is; only other numbers are converted

@@ -162,17 +162,91 @@ def test_recursion_steps_match_a_term_by_term_reference():
     # repeated, zero and all-distinct entries; the last two have a run of three and two runs
     # at once, so the step's run weights are checked at genus 0 and 1.  A split that is its
     # own mirror has weight ways, not 2 ways: (2, 3, (2, 2, 4)) rooted at 4 has one at genus 1
-    # on each side, one entry 2 on each, and (0, 5, (0, 0, 2, 2, 4)) has them at genus 0.
+    # on each side, one entry 2 on each, and (0, 5, (0, 0, 2, 2, 4)) has them at genus 0; at
+    # (2, 3, (3, 3, 12)) its two pieces are one running-sum entry, N̄_{1,2}(q, 3), grown to 9.
+    # The first points have roots of 11 and 12 whose splits read running sums that smaller
+    # points grew first: the steps at (0, 0, 1, 11) and (1, 2, 11) rescale the entries of
+    # N̄_{1,2}(q, 0) and N̄_{1,3}(q, 1, 2), left over 2 and 3 by the root-3 points, to 12 and 6.
+    # Every value is taken before any reference runs, so it is the step that grows them.
+    rescaled = {(1, 4, (0, 0, 1, 11)): ((1, 2, (0,)), 2, 12), (2, 3, (1, 2, 11)): ((1, 3, (1, 2)), 3, 6)}
     points = [
+        (1, 4, (0, 0, 1, 3)), (1, 4, (0, 0, 1, 11)), (2, 3, (1, 2, 3)), (2, 3, (1, 2, 11)), (1, 3, (2, 3, 11)),
+        (2, 3, (3, 3, 12)), (0, 5, (1, 1, 2, 2, 12)),
         (0, 5, (0, 0, 2, 2, 4)), (1, 3, (2, 3, 3)), (2, 2, (4, 4)), (1, 4, (1, 1, 1, 3)), (2, 1, (6,)),
         (1, 4, (0, 2, 3, 5)), (2, 2, (3, 9)), (0, 6, (1, 1, 1, 3, 3, 5)), (1, 5, (2, 2, 2, 4, 4)),
         (2, 3, (2, 2, 4)),
     ]
+    clear_caches()
+    values = []
     for g, n, b in points:
-        assert _reference_symmetric(g, n, b) == nbar_eval(g, n, b), b
+        key, before, after = rescaled.get((g, n, b), (None, None, None))
+        if key:
+            assert lattice._SUMS[key][0] == before, key
+        values.append(nbar_eval(g, n, b))
+        if key:
+            assert lattice._SUMS[key][0] == after, key
+    for (g, n, b), want in zip(points, values):
+        assert _reference_symmetric(g, n, b) == want, b
         for root in sorted(set(itertools.permutations(b))):
             if root[0]:
                 assert nbar_eval_asym(g, n, root) == _reference_asymmetric(g, n, root), root
+
+
+def test_split_cut_is_twice_a_dot_product_of_running_sums():
+    # Σ_{p+q ≤ r-2} (r - p - q)[p][q] f(p) h(q) = 2 Σ_{p'+q'=r-2} A_f[p'] A_h[q'] over p ≡ πf,
+    # q ≡ πh and r ≡ πf + πh, where A_f[t] = Σ_{p ≤ t, p ≡ t} [p] f(p): (r - p - q) / 2 counts
+    # the pairs (p', q') ≥ (p, q) of the same parities with p' + q' = r - 2.  At r - 2 < πf + πh
+    # both sides are empty, and at r - 2 = πf + πh the dot product has one term.
+    rng = random.Random(1906)
+    for pf, ph in itertools.product((0, 1), repeat=2):
+        for r in range(pf + ph or 2, 18, 2):
+            f, h = ([rng.randint(-99, 99) for _ in range(r)] for _ in range(2))
+            a_f, a_h = ([sum(lattice.br(p) * x[p] for p in range(t % 2, t + 1, 2)) for t in range(r)] for x in (f, h))
+            cut = sum(
+                (r - p - q) * lattice.br(p) * lattice.br(q) * f[p] * h[q]
+                for p in range(pf, r - 1, 2) for q in range(ph, r - 1 - p, 2)
+            )
+            dot = sum(a_f[p] * a_h[r - 2 - p] for p in range(pf, r - 1 - ph, 2))
+            assert cut == 2 * dot, (pf, ph, r)
+
+
+def test_step_with_random_values_matches_the_term_by_term_reference(monkeypatch):
+    # The step's sums are identities in the values they read, so with every value a seeded
+    # random fraction (zero at an odd total, symmetric in its arguments) the step must still
+    # equal the term-by-term reference, and the denominators make the running sums rescale.
+    # The roots cover every parity pair of a split's pieces: an empty dot product ((1, 1, 2, 2)
+    # and (3, 3) at 2, (1, 2, 2, 2) at 1), a one-term one (at 2 and at 4, at 3), long ones at
+    # 11-13, and a self-mirrored split whose pieces are one entry ((1, 2) twice, (3,) twice).
+    # A value's own step may grow and rescale other entries: here each new N̄_{0,3}(q, 1, 1)
+    # first grows the entry of N̄_{0,3}(q, 2, 2) to q = 40, whose values past 30 are over 7.
+    # The split (2, 2) | (1, 1) grows (2, 2)'s entry first, so it must read that entry's
+    # denominator only after (1, 1)'s has grown.
+    rng = random.Random(36)
+    values = {}
+
+    def random_pair(g, n, b):
+        if sum(b) % 2:
+            return (0, 1)
+        key = (g, n, tuple(sorted(b)))
+        if key not in values:
+            v = F(rng.randint(-99, 99), 7 if max(b) > 30 else rng.choice((1, 2, 3, 4, 6)))
+            values[key] = (v.numerator, v.denominator)
+            if (g, n) == (0, 3) and b[1:] == (1, 1):
+                lattice._running(0, 3, (2, 2), 40)
+        return values[key]
+
+    cases = [
+        (0, 5, (1, 1, 2, 2), (2, 4, 12)), (0, 5, (1, 2, 2, 2), (1, 3, 11)), (1, 3, (1, 2), (1, 3, 13)),
+        (2, 2, (3,), (1, 11)), (2, 3, (3, 3), (2, 4, 12)),
+    ]
+    clear_caches()
+    monkeypatch.setattr(lattice, "_pair", random_pair)
+    try:
+        for g, n, rest, roots in cases:
+            for root in roots:
+                assert F(*lattice._step(g, n, root, rest)) == _reference_asymmetric(g, n, (root,) + rest), (rest, root)
+    finally:
+        clear_caches()  # the running sums hold the random values
 
 
 def _compositions(m):
@@ -243,14 +317,14 @@ def test_running_sums_match_a_direct_sum():
         parity = sum(spect) % 2
         for c in [top + parity for top in (10, 4, 2, 0, 16, 8)]:
             acc = {}
-            lattice._sum(acc, 3, 5, g, n, spect, c)
-            assert sum(F(num, den) for den, num in acc.items()) == F(3, 5) * _direct_sum(g, n, spect, c)
+            lattice._sum(acc, 3, g, n, spect, c)
+            assert sum(F(num, den) for den, num in acc.items()) == 3 * _direct_sum(g, n, spect, c)
         entry = lattice._SUMS[(g, n, spect)]
         common, stored = entry[0], len(entry)
         assert stored == 1 + 2 * 9  # L, then A and B from the empty sum to t = 14 + parity
         for c in range(parity, 17 + parity, 2):  # t = c - 2 runs over every stored t
             acc = {}
-            lattice._sum(acc, 1, 1, g, n, spect, c)
+            lattice._sum(acc, 1, g, n, spect, c)
             assert len(acc) <= 1 and F(acc.get(common, 0), common) == _direct_sum(g, n, spect, c), (spect, c)
         assert len(entry) == stored
     assert _value(1, 2, (0, 0)).denominator != lattice._SUMS[(1, 2, (0,))][0]

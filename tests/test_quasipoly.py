@@ -187,6 +187,15 @@ def test_constructor_rejects_keys_not_sorted_within_blocks():
     assert QuasiPolynomial(0, 4, {2: {(1, 2, 0, 0): F(1)}}).coefficient(2, (2, 1, 0, 0)) == 1
 
 
+def test_constructor_refuses_an_odd_count_that_is_not_an_int_in_range():
+    # True would pass 0 <= k <= n and be written to JSON as true, which qp_from_json cannot read back
+    for k in [True, False, 1.0, -1, 3]:
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            QuasiPolynomial(0, 2, {k: {(0, 0): 1}})
+    qp = QuasiPolynomial(0, 2, {2: {(0, 0): 1}})
+    assert qp_from_json(qp_to_json(qp)) == qp
+
+
 def test_one_coefficient_per_orbit_expanded_at_the_boundary():
     qp = nbar_poly(0, 5)
     assert sum(map(len, qp.orbits.values())) == 19
