@@ -66,6 +66,9 @@ class QuasiPolynomial:
     __slots__ = ("g", "n", "orbits")
 
     def __init__(self, g: int, n: int, orbits: Dict[int, ClassDict]):
+        # as in qp_parse: a polynomial in no arguments has no JSON form that reads back
+        if not (type(n) is int and n >= 1):
+            raise ValueError(f"n = {n!r} is not a positive integer")
         self.g = g
         self.n = n
         cleaned: Dict[int, ClassDict] = {}
@@ -154,10 +157,6 @@ class QuasiPolynomial:
             self.g, self.n,
             {k: {key: c * v for key, v in d.items()} for k, d in self.orbits.items()},
         )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.orbits
 
     # -- pinning one argument ----------------------------------------------------
 
@@ -288,13 +287,12 @@ def qp_to_json(qp: QuasiPolynomial) -> str:
     term fills one template, in :func:`qp_serialize`'s order.  Nothing needs
     escaping: every value is an int or a ``str(Fraction)``.
     """
-    # a term is head, its exponents, then its orbit's tail; with no arguments the exponent list is []
-    head = '{\n          "exponents": [' + ("\n            " if qp.n else "")
-    close = "\n          ]" if qp.n else "]"
+    # a term is head, its exponents, then its orbit's tail
+    head = '{\n          "exponents": [\n            '
     classes = []
     for k, d in sorted(qp.orbits.items()):
         # each coefficient formatted once, into the tail that its orbit's placements share
-        tails = {orbit: f'{close},\n          "coeff": "{c}"\n        }}' for orbit, c in d.items()}
+        tails = {orbit: f'\n          ],\n          "coeff": "{c}"\n        }}' for orbit, c in d.items()}
         placed = sorted((key, tail) for orbit, tail in tails.items() for key in _placements(orbit, k))
         terms = [head + ",\n            ".join(map(str, key)) + tail for key, tail in placed]
         classes.append(f'{{\n      "odd_count": {k},\n      "terms": {_json_array(terms, "      ")}\n    }}')

@@ -50,8 +50,10 @@ numerators over one denominator, each block of the contraction sums integers
 over the product of its tensors' and its table's denominators, and a
 correlator is brought to one denominator, with one lcm and one gcd, when it
 is complete.  :func:`xi_decompose` takes and returns integer numerators
-too.  Fractions are built only where a result leaves the module:
-:func:`tr_tensor` and the polynomial of :func:`tr_correlator`.
+too, and so is the basis: ξ's principal parts are integers over 2 and the
+constant factors' over 4.  Fractions are built only where a result leaves the
+module, in :func:`tr_tensor`; the one exception is the 2 × 2 solve of
+:func:`_pivot`, through :func:`nbar.exact.linsolve`.
 
 The module builds no rational function.  The reference functions, ξ as a
 :class:`~nbar.exact.RationalFunction` and the principal parts of any such
@@ -74,7 +76,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from .exact import HALF, Scalar, _integral, _lcm_sum, _over_lcm, _reduced, _scaled, linsolve, mercator
+from .exact import Scalar, _integral, _lcm_sum, _over_lcm, _reduced, linsolve
 from .memo import register
 from .quasipoly import (EngineError, QuasiPolynomial, XiIndex, XiKey, XiTensor, _check_stable, _removals, is_stable,
                         qp_from_xi_tensor)
@@ -101,35 +103,27 @@ def _z_d_dz(v: PfVector) -> PfVector:
 
 
 @lru_cache(maxsize=None)
-def _xi_chain(parity: int, m: int) -> Tuple[Tuple[PfKey, int], ...]:
-    """Twice the principal parts of (z d/dz)^m applied to the seed of ξ_{parity,·}, in integers.
-
-    The seeds z²/(1 - z²) = -1 - ½/(z - 1) + ½/(z + 1) and
-    z/(1 - z²) = -½/(z - 1) - ½/(z + 1) lose their constant to the first
-    operator, and both operators map a proper function to a proper one.  Each
-    m extends the chain at m - 1, so ξ_{p,k+1} starts where ξ_{p,k} stopped.
-    """
-    if m == 0:
-        return ((-1, 1), 1 if parity == 0 else -1), ((1, 1), -1)
-    return tuple(sorted((key, c) for key, c in _z_d_dz(dict(_xi_chain(parity, m - 1))).items() if c))
-
-
-@lru_cache(maxsize=None)
-def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[PfKey, Fraction], ...]:
+def xi_principal_parts(parity: int, k: int) -> Tuple[Tuple[Tuple[PfKey, int], ...], int]:
     """Principal parts of ξ_{parity,k}, built by the operators of :func:`nbar.checks.xi` in coordinates.
 
-    The plain derivative of the chain at 2k (:func:`_xi_chain`), halved, plus
-    the 1/z of the even k = 0 member.
+    Returns ``(parts, 2)``: sorted integer numerators over 2.  The seeds
+    z²/(1 - z²) = -1 - ½/(z - 1) + ½/(z + 1) and
+    z/(1 - z²) = -½/(z - 1) - ½/(z + 1), doubled, lose their constant to the
+    first operator, and both operators map a proper function to a proper one
+    with integer parts.  So ξ_{p,k} is the plain derivative of (z d/dz)^{2k}
+    of the doubled seed, plus the 1/z of the even k = 0 member, over 2.
     """
     if parity not in (0, 1) or k < 0:
         raise ValueError(f"invalid basis index ({parity}, {k})")
-    v = _d_dz(dict(_xi_chain(parity, 2 * k)))
+    v: PfVector = {(-1, 1): 1 if parity == 0 else -1, (1, 1): -1}
+    for _ in range(2 * k):
+        v = _z_d_dz(v)
+    v = _d_dz(v)
     if parity == 0 and k == 0:
         v[(0, 1)] = 2
-    return tuple(sorted((key, Fraction(c, 2)) for key, c in v.items() if c))
+    return tuple(sorted((key, c) for key, c in v.items() if c)), 2
 
 
-register("tr.xi_chain", _xi_chain)
 register("tr.xi_principal_parts", xi_principal_parts)
 
 
@@ -154,22 +148,21 @@ def two_point_coeff(kind: str, alpha: int, k: int) -> PfVector:
 # -- factor series ------------------------------------------------------------------
 
 Desc = Tuple
-# principal parts of the kernel's factor z³/(1 - z²)² and of the diagonal factor
-# -(1/(z² - 1)² + 1/z²), the two-point slot on the pair (z, 1/z) as a form in z
-KERNEL_PP: PfVector = {(1, 2): Fraction(1, 4), (1, 1): HALF, (-1, 2): Fraction(-1, 4), (-1, 1): HALF}
-DIAGONAL_PP: PfVector = {(1, 2): Fraction(-1, 4), (1, 1): Fraction(1, 4), (-1, 2): Fraction(-1, 4),
-                         (-1, 1): Fraction(-1, 4), (0, 2): Fraction(-1)}
+# principal parts, as integer numerators over 4, of the kernel's factor z³/(1 - z²)² and of the
+# diagonal factor -(1/(z² - 1)² + 1/z²), the two-point slot on the pair (z, 1/z) as a form in z
+KERNEL_PP: Dict[PfKey, int] = {(1, 2): 1, (1, 1): 2, (-1, 2): -1, (-1, 1): 2}
+DIAGONAL_PP: Dict[PfKey, int] = {(1, 2): -1, (1, 1): 1, (-1, 2): -1, (-1, 1): -1, (0, 2): -4}
 
 
-def _factor_pp(desc: Desc) -> Iterable[Tuple[PfKey, Fraction]]:
-    """Principal parts of a factor that watches no spectator."""
+def _factor_pp(desc: Desc) -> Tuple[Iterable[Tuple[PfKey, int]], int]:
+    """Principal parts of a factor that watches no spectator: ``(parts, den)``, integer numerators over den."""
     if desc[0] == "xi":
         return xi_principal_parts(desc[1], desc[2])
-    return {"R": KERNEL_PP, "diag": DIAGONAL_PP}[desc[0]].items()
+    return {"R": KERNEL_PP, "diag": DIAGONAL_PP}[desc[0]].items(), 4
 
 
 def _factor_ord(desc: Desc, alpha: int) -> int:
-    return -max(j for (a, j), _ in _factor_pp(desc) if a == alpha)
+    return -max(j for (a, j), _ in _factor_pp(desc)[0] if a == alpha)
 
 
 PfTensor = Dict[Tuple[PfKey, ...], Scalar]  # principal-part coordinates, one key per slot
@@ -204,19 +197,19 @@ def _series(desc: Desc, alpha: int, upto: int) -> Series:
 
     The series is expanded from the factor's principal parts: the part at α
     is its singular part, and each pole β ≠ α adds
-    (z - β)^{-j} = Σ_m C(-j, m) (α - β)^{-j-m} u^m.  So den is the lcm of the
-    parts' denominators times 2^{j + upto} for the highest order j at β = -α,
-    and every division by a power of α - β is checked to be exact.  One
-    series is kept per (desc, α) (:func:`_grown`).
+    (z - β)^{-j} = Σ_m C(-j, m) (α - β)^{-j-m} u^m.  So den is the parts'
+    own denominator (:func:`_factor_pp`) times 2^{j + upto} for the highest
+    order j at β = -α, and every division by a power of α - β is checked to be
+    exact.  One series is kept per (desc, α) (:func:`_grown`).
     """
 
     def build(upto: int) -> Series:
-        pp, den = _integral(dict(_factor_pp(desc)))
+        pp, den = _factor_pp(desc)
         lo = _factor_ord(desc, alpha)
-        far = max((j + upto for beta, j in pp if beta == -alpha), default=0)  # |α - 0| = 1, |α + α| = 2
+        far = max((j + upto for (beta, j), _ in pp if beta == -alpha), default=0)  # |α - 0| = 1, |α + α| = 2
         den *= 2 ** far
         nums = [0] * (upto + 1 - lo)
-        for (beta, j), num in pp.items():
+        for (beta, j), num in pp:
             num *= 2 ** far
             if beta == alpha:
                 nums[-j - lo] = num
@@ -279,7 +272,8 @@ def _residue_data(first: Series, live: Live, alpha: int) -> Tuple[PfTensor, PfTe
             if x:
                 for key, c in coeff.items():
                     prod[key] = prod.get(key, 0) + x * c
-        m = _scaled(mercator(alpha, j - 1), logs) if j > 1 else 0
+        # logs times (-1)^j α^(j-1) / (j - 1), the u^(j-1) coefficient of log z - log α
+        m = (-1) ** j * alpha ** (j - 1) * (logs // (j - 1)) if j > 1 else 0
         for key, c in prod.items():
             data[((alpha, j),) + key] = -logs * c
             if m:
@@ -306,12 +300,13 @@ def _pivot(k: int) -> Pivot:
     block-triangular in k.  Row p of the inverse, ``inverse[p, 0]`` and
     ``inverse[p, 1]``, maps a vector's entries on those rows to γ_{p,k}.
     """
-    pps = [xi_principal_parts(p, k) for p in (0, 1)]
-    square = [[dict(pp)[(a, 2 * k + 2)] for pp in pps] for a in (1, -1)]
-    columns = [linsolve(square, unit) for unit in ((1, 0), (0, 1))]
+    (parts0, pp_den), (parts1, _) = xi_principal_parts(0, k), xi_principal_parts(1, k)
+    parts = (parts0, parts1)
+    square = [[dict(pp)[(a, 2 * k + 2)] for pp in parts] for a in (1, -1)]
+    # the square holds numerators over pp_den, so pp_den times the unit vectors solves for its inverse
+    columns = [linsolve(square, unit) for unit in ((pp_den, 0), (0, pp_den))]
     inverse, inv_den = _integral({(p, i): column[p] for i, column in enumerate(columns) for p in (0, 1)})
-    parts, pp_den = _integral({(p, pk): x for p, pp in enumerate(pps) for pk, x in pp})
-    return inverse, inv_den, tuple(tuple((pk, parts[p, pk]) for pk, _ in pp) for p, pp in enumerate(pps)), pp_den
+    return inverse, inv_den, parts, pp_den
 
 
 register("tr.pivots", _pivot)
@@ -382,15 +377,19 @@ ONE: Live = ([{(): 1}], 1)
 MINUS_ONE: Live = ([{(): -1}], 1)
 
 
-def _table(orders: Tuple, parts: List[Tuple[PfTensor, PfTensor, int]], slots: int = 1) -> Table:
-    """Σ_α of the residue data ``parts`` at α = +1, -1, certified in ξ coordinates and kept under ``orders``.
+def _table(orders: Tuple, part: Callable[[int], Tuple[PfTensor, PfTensor, int]], slots: int = 1) -> Table:
+    """Σ_α of the residue data ``part(α)`` at α = +1, -1, certified in ξ coordinates and kept under ``orders``.
 
-    The log tally at each branch point must be empty, and each of the first
-    ``slots`` slots, those in principal-part coordinates, must decompose
-    exactly (:func:`_decompose_slot`), spectators first and the root last;
-    otherwise :class:`EngineError` is raised.  A table is memoized across all
-    (g, n), and its caller looks it up first.
+    A table is memoized across all (g, n): ``part`` is called only when
+    ``orders`` has no table yet.  The log tally at each branch point must be
+    empty, and each of the first ``slots`` slots, those in principal-part
+    coordinates, must decompose exactly (:func:`_decompose_slot`), spectators
+    first and the root last; otherwise :class:`EngineError` is raised.
     """
+    hit = _TABLES.get(orders)
+    if hit is not None:
+        return hit
+    parts = [part(alpha) for alpha in (1, -1)]
     for alpha, (_, tally, _) in zip((1, -1), parts):
         if tally:
             raise EngineError(f"residual log coefficient at z = {alpha} in the table of {orders}")
@@ -408,14 +407,12 @@ def _pair(a: XiIndex, b: XiIndex) -> Table:
     Its residues are those of ξ_a·R (:func:`_kernel_product`) times ξ_b, for a ≤ b.
     """
     xi_a, xi_b = ("xi",) + min(a, b), ("xi",) + max(a, b)
-    orders = ((-1, (xi_a, xi_b)),)
-    hit = _TABLES.get(orders)
-    if hit is None:
-        hit = _table(orders, [
-            _residue_data(_singular(_kernel_product(xi_a[1:], alpha, -1 - _factor_ord(xi_b, alpha)), xi_b, alpha),
-                          MINUS_ONE, alpha)
-            for alpha in (1, -1)])
-    return hit
+
+    def part(alpha: int) -> Tuple[PfTensor, PfTensor, int]:
+        first = _kernel_product(xi_a[1:], alpha, -1 - _factor_ord(xi_b, alpha))
+        return _residue_data(_singular(first, xi_b, alpha), MINUS_ONE, alpha)
+
+    return _table(((-1, (xi_a, xi_b)),), part)
 
 
 @lru_cache(maxsize=None)
@@ -447,17 +444,14 @@ def _two_point(a: XiIndex) -> Table:
     principal parts.  The table is kept under its two orders.
     """
     xi_a = ("xi",) + a
-    orders = ((1, (xi_a, ("o2i",))), (-1, (("o2p",), xi_a)))
-    hit = _TABLES.get(orders)
-    if hit is None:
-        parts = []
-        for alpha in (1, -1):
-            first = _kernel_product(a, alpha, -1)
-            deltas, den = _over_lcm({k: _two_point_diff(alpha, k) for k in range(-first[0])})
-            live = [{(w,): c for w, c in deltas[k].items()} for k in range(-first[0])]
-            parts.append(_residue_data(first, (live, den), alpha))
-        hit = _table(orders, parts)
-    return hit
+
+    def part(alpha: int) -> Tuple[PfTensor, PfTensor, int]:
+        first = _kernel_product(a, alpha, -1)
+        deltas, den = _over_lcm({k: _two_point_diff(alpha, k) for k in range(-first[0])})
+        live = [{(w,): c for w, c in deltas[k].items()} for k in range(-first[0])]
+        return _residue_data(first, (live, den), alpha)
+
+    return _table(((1, (xi_a, ("o2i",))), (-1, (("o2p",), xi_a))), part)
 
 
 def _three_point(alpha: int, reach: int) -> Live:
@@ -505,15 +499,19 @@ def _tensor(g: int, n: int) -> Table:
     if hit is None:
         if (g, n) == (1, 1):
             diag = ("diag",)
-            hit = _table(((1, (diag,)),), [
-                _residue_data(_singular(_series(("R",), alpha, -1 - _factor_ord(diag, alpha)), diag, alpha), ONE, alpha)
-                for alpha in (1, -1)])
+
+            def part(alpha: int) -> Tuple[PfTensor, PfTensor, int]:
+                first = _series(("R",), alpha, -1 - _factor_ord(diag, alpha))
+                return _residue_data(_singular(first, diag, alpha), ONE, alpha)
+
+            hit = _table(((1, (diag,)),), part)
         elif (g, n) == (0, 3):
-            parts = []
-            for alpha in (1, -1):
+
+            def part(alpha: int) -> Tuple[PfTensor, PfTensor, int]:
                 first = _series(("R",), alpha, -1)
-                parts.append(_residue_data(first, _three_point(alpha, -first[0]), alpha))
-            nums, den = _table(((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",)))), parts, 3)
+                return _residue_data(first, _three_point(alpha, -first[0]), alpha)
+
+            nums, den = _table(((1, (("o2p",), ("o2i",))), (1, (("o2i",), ("o2p",)))), part, 3)
             hit = _reduced({key: c for key, c in nums.items() if key[1] <= key[2]}, den)
         else:
             hit = _contract(g, n)

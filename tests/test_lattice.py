@@ -516,7 +516,7 @@ def test_clear_caches_empties_every_registered_memo():
     euler_char(1, 3)
     sizes = memo.sizes()
     for name in ("lattice.values", "lattice.sums", "lattice.polys", "lattice.splits", "lattice.euler",
-                 "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_chain", "tr.xi_principal_parts", "tr.series",
+                 "tr.tensors", "tr.tables", "tr.pivots", "tr.xi_principal_parts", "tr.series",
                  "tr.kernel_products", "tr.two_point_diffs", "checks.xi", "checks.xi_parts", "quasipoly.tables",
                  *(f"quasipoly.{kind}_sums.{parity}" for kind in ("node", "coeff", "power")
                    for parity in ("odd", "even"))):

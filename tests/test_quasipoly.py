@@ -129,7 +129,7 @@ def test_evaluate_rejects_non_integers():
 def test_constructor_drops_zero_terms():
     qp = QuasiPolynomial(0, 2, {0: {(1, 0): F(0)}, 1: {}})
     assert qp.classes == {}
-    assert qp.is_zero
+    assert qp.orbits == {}
 
 
 def test_equality_and_hash_include_the_genus():
@@ -175,7 +175,7 @@ def test_constructor_and_scale_refuse_float_coefficients():
     with pytest.raises(ValueError, match="is a float"):
         QuasiPolynomial(0, 1, {}).scale(0.1)
     # a coefficient is converted before zeros are dropped, so a zero string stores nothing
-    assert QuasiPolynomial(0, 1, {0: {(0,): "0"}, 1: {(0,): "0/3"}}).is_zero
+    assert QuasiPolynomial(0, 1, {0: {(0,): "0"}, 1: {(0,): "0/3"}}).orbits == {}
 
 
 def test_constructor_rejects_keys_not_sorted_within_blocks():
@@ -194,6 +194,15 @@ def test_constructor_refuses_an_odd_count_that_is_not_an_int_in_range():
             QuasiPolynomial(0, 2, {k: {(0, 0): 1}})
     qp = QuasiPolynomial(0, 2, {2: {(0, 0): 1}})
     assert qp_from_json(qp_to_json(qp)) == qp
+
+
+def test_constructor_refuses_a_polynomial_in_no_arguments():
+    # qp_parse refuses n = 0, so qp_to_json of such a polynomial could not be read back
+    for n in [0, -1, True, 1.0]:
+        with pytest.raises(ValueError, match="is not a positive integer"):
+            QuasiPolynomial(1, n, {})
+    with pytest.raises(ValueError, match="n = 0 is not a positive integer"):
+        nbar_poly(1, 1).pin_even(2)
 
 
 def test_one_coefficient_per_orbit_expanded_at_the_boundary():
@@ -234,11 +243,11 @@ def test_subtraction_refuses_different_arities():
 
 def test_subtraction_and_scale():
     qp = sample_qp()
-    assert (qp - qp).is_zero
+    assert (qp - qp).orbits == {}
     doubled = qp.scale(2)
     for b in [(2, 4), (3, 2), (1, 1)]:
         assert doubled.evaluate(b) == 2 * qp.evaluate(b)
-    assert qp.scale(0).is_zero
+    assert qp.scale(0).orbits == {}
 
 
 def test_pin_even_matches_evaluation():
@@ -421,8 +430,8 @@ def test_to_json_writes_the_indent_2_text_of_serialize():
     })
     cases = [nbar_poly(g, n) for g, n in golden.EXACT_CASES]
     cases += [qp_from_json(path.read_text(encoding="utf-8")) for path in sorted(REFS.glob("g*n*.json"))]
-    # the zero polynomial, and one in no arguments, whose exponent lists are empty
-    cases += [QuasiPolynomial(1, 2, {}), sample_qp().pin_even(2).pin_even(4), sample_qp(), hand_built]
+    # the zero polynomial, whose class list is empty
+    cases += [QuasiPolynomial(1, 2, {}), sample_qp(), hand_built]
     for qp in cases:
         assert qp_to_json(qp) == json.dumps(qp_serialize(qp), indent=2), qp
     assert '"classes": []' in qp_to_json(QuasiPolynomial(1, 2, {}))

@@ -177,16 +177,26 @@ def principal_parts_by_series(f: RationalFunction):
     return out
 
 
+def factor_parts(desc):
+    """The integer principal parts of tr._factor_pp as Fractions, checked to be integer numerators."""
+    parts, den = tr._factor_pp(desc)
+    assert type(den) is int and all(type(c) is int for _, c in parts), desc
+    return {key: F(c, den) for key, c in parts}
+
+
 def test_xi_principal_parts_match_laurent_expansions():
     for parity in (0, 1):
         for k in range(0, 9):
-            want = principal_parts_by_series(checks.xi(parity, k))
-            assert dict(tr.xi_principal_parts(parity, k)) == want, (parity, k)
+            parts, den = tr.xi_principal_parts(parity, k)
+            assert den == 2 and list(parts) == sorted(parts), (parity, k)
+            assert factor_parts(("xi", parity, k)) == principal_parts_by_series(checks.xi(parity, k)), (parity, k)
 
 
 def test_constant_factor_vectors_match_reference_functions():
-    assert tr.KERNEL_PP == checks.principal_parts(kernel_rational_part())
-    assert tr.DIAGONAL_PP == checks.principal_parts(omega02_diagonal())
+    assert tr._factor_pp(("R",)) == (tr.KERNEL_PP.items(), 4)
+    assert tr._factor_pp(("diag",)) == (tr.DIAGONAL_PP.items(), 4)
+    assert factor_parts(("R",)) == checks.principal_parts(kernel_rational_part())
+    assert factor_parts(("diag",)) == checks.principal_parts(omega02_diagonal())
 
 
 def series_through(series, upto):
@@ -213,8 +223,13 @@ def test_a_series_not_integral_over_its_denominator_raises(monkeypatch):
     # a pole at z = 3 adds powers of 1/(-1 - 3) at z = -1, which outrun the powers of 2 that the
     # denominator holds for the poles at ±1
     real = tr._factor_pp
+
+    def with_a_pole_at_3(desc):
+        parts, den = real(desc)
+        return [*parts, ((3, 1), den)], den  # the coefficient 1 over den
+
     clear_caches()
-    monkeypatch.setattr(tr, "_factor_pp", lambda desc: [*real(desc), ((3, 1), F(1))])
+    monkeypatch.setattr(tr, "_factor_pp", with_a_pole_at_3)
     try:
         with pytest.raises(tr.EngineError, match="not integral"):
             tr._series(("R",), -1, 6)
@@ -281,7 +296,7 @@ def reference_factor_terms(desc, alpha, upto):
             for k in range(upto + 1)
         }
     ser = {}
-    for (beta, j), c in tr._factor_pp(desc):
+    for (beta, j), c in factor_parts(desc).items():
         if beta == alpha:
             ser[-j] = c
             continue
@@ -406,9 +421,9 @@ def test_table_brings_branch_points_with_different_denominators_to_one(monkeypat
     # 7 times its own: the table must still come out over one least denominator, equal to the reference
     real, seen = tr._table, {}
 
-    def spy(orders, parts, *rest):
-        seen[orders] = parts
-        return real(orders, parts, *rest)
+    def spy(orders, part, *rest):
+        seen[orders] = part
+        return real(orders, part, *rest)
 
     clear_caches()
     monkeypatch.setattr(tr, "_table", spy)
@@ -416,10 +431,32 @@ def test_table_brings_branch_points_with_different_denominators_to_one(monkeypat
     tr._two_point((1, 1))
     tr._tensor(1, 1)
     assert len(seen) == 3
-    for orders, (plus, (data, tally, den)) in seen.items():
-        minus = ({key: 7 * c for key, c in data.items()}, tally, 7 * den)
-        got = real(orders, [plus, minus])
+    for orders, part in seen.items():
+
+        def skewed(alpha, part=part):
+            data, tally, den = part(alpha)
+            return (data, tally, den) if alpha == 1 else ({key: 7 * c for key, c in data.items()}, tally, 7 * den)
+
+        tr._TABLES.pop(orders)  # a kept table would be returned as it is, without calling part
+        got = real(orders, skewed)
+        assert tr._TABLES[orders] is got
         assert is_least(got) and as_fractions(got) == reference_table(orders), orders
+
+    # a kept table is looked up before any residue is taken: a second call computes nothing
+    real_data, calls = tr._residue_data, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real_data(*args)
+
+    monkeypatch.setattr(tr, "_residue_data", counted)
+    tr._pair((1, 0), (0, 1))
+    assert calls == [1, -1]  # one residue routine per branch point on a miss
+    for _ in range(2):
+        assert tr._pair((0, 0), (1, 2)) is tr._pair((1, 2), (0, 0)) is tr._TABLES[((-1, (("xi", 0, 0), ("xi", 1, 2))),)]
+        assert tr._pair((0, 1), (1, 0)) is tr._TABLES[((-1, (("xi", 0, 1), ("xi", 1, 0))),)]
+        assert tr._two_point((1, 1)) is tr._TABLES[((1, (("xi", 1, 1), ("o2i",))), (-1, (("o2p",), ("xi", 1, 1))))]
+    assert calls == [1, -1]
 
 
 @lru_cache(maxsize=None)
@@ -473,6 +510,20 @@ def test_integer_contraction_matches_the_fraction_reference():
         assert got == reference_tensor(g, n), (g, n)
 
 
+def test_tables_and_tensors_build_no_fraction(monkeypatch):
+    # the engine is integer from its basis up: of tr's own code only tr_tensor builds a Fraction
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built inside the residue engine")
+
+    clear_caches()
+    monkeypatch.setattr(tr, "Fraction", refuse)
+    for g, n in checks.stable_cases(4):
+        got = tr._tensor(g, n)
+        assert is_least(got) and as_fractions(got) == reference_tensor(g, n), (g, n)
+    with pytest.raises(AssertionError, match="inside the residue engine"):
+        tr.tr_tensor(1, 1)
+
+
 def test_residual_log_coefficient_raises(monkeypatch):
     real = tr._residue_data
 
@@ -521,7 +572,7 @@ def test_two_point_differences_decompose_at_every_order_the_ladder_reaches():
             nums, den = tr._two_point_diff(alpha, k)
             got = {}
             for (p, kk), c in nums.items():
-                for key, x in tr.xi_principal_parts(p, kk):
+                for key, x in factor_parts(("xi", p, kk)).items():
                     got[key] = got.get(key, 0) + F(c, den) * x
             assert nums and {key: c for key, c in got.items() if c} == {key: c for key, c in want.items() if c}
 
